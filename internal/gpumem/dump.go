@@ -408,81 +408,161 @@ func WireInfo(data []byte) ([]WireRegion, error) {
 	return regs, err
 }
 
-// Decode reconstructs a snapshot from wire bytes under the default decode
-// limits. prev must be the same previous snapshot the encoder used when the
-// stream is delta-encoded. Compressed payloads are expanded directly into
-// the per-region buffers and delta streams are un-XORed in parallel; the
-// concatenated body is never materialized.
-func Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
-	return DecodeLimited(data, prev, wire.DefaultLimits())
+// Dump is an encoded snapshot that has been parsed and validated but not yet
+// applied: its header, and its payload as the zero-RLE stream the range
+// decoder produced (or, uncompressed, the raw body). Decoding is those two
+// steps in a row, ParseDump then Apply. Parsing holds all the range decoding;
+// a caller that applies one dump many times — a replayer restoring the same
+// recording on every run — parses it once and only applies thereafter.
+type Dump struct {
+	regions []WireRegion
+	delta   bool   // applying needs the snapshot the previous dump produced
+	rle     []byte // zero-RLE payload stream; nil when the dump is uncompressed
+	raw     []byte // uncompressed payload, aliasing the parsed input
 }
 
-// DecodeLimited is Decode with a caller-supplied decode budget. The header
-// is parsed and validated in full — counts against remaining input,
-// payload lengths against the dump budget, the declared body against the
-// actual input, the delta base against the declared shape — before any
-// region buffer is allocated, so a hostile header can never force an
-// allocation the input has not paid for (compressed payloads are bounded by
-// the budget, since expansion past wire size is what compression is for).
-func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapshot, error) {
+// ParseDump parses an encoded snapshot under a decode budget. The header is
+// parsed and validated in full — counts against remaining input, payload
+// lengths charged to the dump budget, the declared body against the actual
+// input — before anything is allocated. A compressed body is then range
+// decoded, once, into its zero-RLE stream, whose length is capped at twice
+// the charged payload total and which must expand to exactly that total. An
+// uncompressed dump aliases data, which must stay unmodified while the Dump
+// is in use.
+func ParseDump(data []byte, lim wire.DecodeLimits) (*Dump, error) {
+	return parseDump(data, lim, newBuf)
+}
+
+func newBuf(n int) []byte { return make([]byte, n) }
+
+// parseDump is ParseDump taking the RLE stream's buffer from alloc.
+func parseDump(data []byte, lim wire.DecodeLimits, alloc func(int) []byte) (*Dump, error) {
 	hdr, body, flags, err := parseWireHeader(data, lim.Budget())
 	if err != nil {
 		return nil, err
 	}
-	delta, compressed := flags&1 != 0, flags&2 != 0
+	d := &Dump{regions: hdr, delta: flags&1 != 0}
 	total := 0
 	for i := range hdr {
 		total += hdr[i].DataLen
 	}
-	if delta && prev == nil {
-		return nil, fmt.Errorf("gpumem: delta stream requires its base snapshot")
-	}
-	if delta && len(prev.Regions) != len(hdr) {
-		return nil, fmt.Errorf("gpumem: delta stream with mismatched base")
-	}
-	if delta {
-		for i := range hdr {
-			if len(prev.Regions[i].Data) != hdr[i].DataLen {
-				return nil, fmt.Errorf("gpumem: delta region %d size mismatch", i)
-			}
+	if flags&2 == 0 {
+		if len(body) != total {
+			return nil, fmt.Errorf("gpumem: dump payload %d bytes, regions need %d", len(body), total)
 		}
+		d.raw = body
+		return d, nil
 	}
-	if !compressed && len(body) != total {
-		return nil, fmt.Errorf("gpumem: dump payload %d bytes, regions need %d", len(body), total)
+	if d.rle, err = decodeRLE(body, total, alloc); err != nil {
+		return nil, err
 	}
-	s := &Snapshot{Regions: make([]RegionSnapshot, len(hdr))}
-	for i := range hdr {
-		s.Regions[i] = RegionSnapshot{
-			Name: hdr[i].Name, Kind: hdr[i].Kind, VA: hdr[i].VA, PA: hdr[i].PA,
-			Data: getBuf(hdr[i].DataLen),
-		}
-	}
+	return d, nil
+}
 
-	if compressed {
-		dsts := make([][]byte, len(s.Regions))
-		for i := range s.Regions {
-			dsts[i] = s.Regions[i].Data
+// checkBase reports whether base has the shape a delta dump applies to.
+func (d *Dump) checkBase(base *Snapshot) error {
+	if base == nil {
+		return fmt.Errorf("gpumem: delta stream requires its base snapshot")
+	}
+	if len(base.Regions) != len(d.regions) {
+		return fmt.Errorf("gpumem: delta stream with mismatched base")
+	}
+	for i := range d.regions {
+		if len(base.Regions[i].Data) != d.regions[i].DataLen {
+			return fmt.Errorf("gpumem: delta region %d size mismatch", i)
 		}
-		if err := rangeDecodeChunks(body, dsts); err != nil {
+	}
+	return nil
+}
+
+// Apply expands the dump and returns the snapshot it describes. It takes
+// ownership of base, the snapshot the previous dump in the chain produced
+// (nil at the head of a chain). A delta dump needs a base of matching shape
+// and patches it in place: its literal spans are XORed into base's buffers
+// and its zero runs skipped. A full dump never reads base's contents; it
+// reuses the buffers whose sizes fit, recycles the rest, zero-fills and
+// writes its literals. On error base is left untouched.
+func (d *Dump) Apply(base *Snapshot) (*Snapshot, error) {
+	s := base
+	if d.delta {
+		if err := d.checkBase(base); err != nil {
 			return nil, err
 		}
 	} else {
-		offs := make([]int, len(s.Regions))
-		o := 0
-		for i := range s.Regions {
-			offs[i] = o
-			o += len(s.Regions[i].Data)
+		s = d.reshape(base)
+	}
+	for i := range d.regions {
+		h, r := &d.regions[i], &s.Regions[i]
+		r.Name, r.Kind, r.VA, r.PA = h.Name, h.Kind, h.VA, h.PA
+	}
+	if d.rle != nil {
+		expandRLE(d.rle, s.Regions, d.delta)
+		return s, nil
+	}
+	offs := make([]int, len(s.Regions))
+	o := 0
+	for i := range s.Regions {
+		offs[i] = o
+		o += len(s.Regions[i].Data)
+	}
+	parallelFor(len(s.Regions), int64(o), func(i int) {
+		dst := s.Regions[i].Data
+		if d.delta {
+			xorWith(dst, d.raw[offs[i]:])
+		} else {
+			copy(dst, d.raw[offs[i]:])
 		}
-		parallelFor(len(s.Regions), int64(total), func(i int) {
-			copy(s.Regions[i].Data, body[offs[i]:])
-		})
-	}
-	if delta {
-		parallelFor(len(s.Regions), int64(total), func(i int) {
-			xorWith(s.Regions[i].Data, prev.Regions[i].Data)
-		})
-	}
+	})
 	return s, nil
+}
+
+// reshape gives a full dump its region buffers, keeping base's where the
+// sizes match and recycling the others.
+func (d *Dump) reshape(base *Snapshot) *Snapshot {
+	if base == nil {
+		base = &Snapshot{}
+	}
+	if len(base.Regions) != len(d.regions) {
+		base.Release()
+		base.Regions = make([]RegionSnapshot, len(d.regions))
+	}
+	for i := range base.Regions {
+		r := &base.Regions[i]
+		if n := d.regions[i].DataLen; len(r.Data) != n {
+			putBuf(r.Data)
+			r.Data = getBuf(n)
+		}
+	}
+	return base
+}
+
+// Decode reconstructs a snapshot from wire bytes under the default decode
+// limits. prev must be the same previous snapshot the encoder used when the
+// stream is delta-encoded; Decode never modifies it.
+func Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
+	return DecodeLimited(data, prev, wire.DefaultLimits())
+}
+
+// DecodeLimited is Decode with a caller-supplied decode budget: ParseDump
+// then Apply, with the RLE stream in a recycled buffer and a delta applied to
+// a copy of prev. No region buffer is allocated before the whole dump has
+// been parsed and validated, so a hostile header can never force an
+// allocation the input has not paid for (compressed payloads are bounded by
+// the budget, since expansion past wire size is what compression is for).
+func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapshot, error) {
+	d, err := parseDump(data, lim, getBuf)
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(d.rle)
+	var base *Snapshot
+	if d.delta {
+		if err := d.checkBase(prev); err != nil {
+			return nil, err
+		}
+		base = prev.Clone()
+	}
+	return d.Apply(base)
 }
 
 // xorInto stores a XOR b into dst, word-wise. All three must have the same

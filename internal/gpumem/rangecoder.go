@@ -18,6 +18,10 @@ import (
 // without a backing buffer at all) and the zero-RLE pre-pass merges runs
 // across chunk boundaries, so the coded stream is byte-identical to coding
 // the concatenation while never materializing it.
+//
+// Decoding runs the two stages back in two steps: decodeRLE range-decodes
+// the body to its RLE stream once (ParseDump), and expandRLE writes the
+// stream into region buffers as often as it is applied (Dump.Apply).
 
 const (
 	rcTopBits    = 24
@@ -234,57 +238,6 @@ func zeroRLEChunks(chunks []chunk, scratch []byte) []byte {
 	return w.out
 }
 
-// rleReader expands a zero-RLE stream into a sequence of destination
-// buffers, writing explicit zeros for runs (destinations may be recycled,
-// dirty buffers).
-type rleReader struct {
-	dsts [][]byte
-	di   int // current destination index
-	off  int // write offset within dsts[di]
-}
-
-func (r *rleReader) put(b byte) error {
-	for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
-		r.di++
-		r.off = 0
-	}
-	if r.di >= len(r.dsts) {
-		return fmt.Errorf("range coder: zero run overflows output")
-	}
-	r.dsts[r.di][r.off] = b
-	r.off++
-	return nil
-}
-
-func (r *rleReader) putZeros(n uint64) error {
-	for n > 0 {
-		for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
-			r.di++
-			r.off = 0
-		}
-		if r.di >= len(r.dsts) {
-			return fmt.Errorf("range coder: zero run overflows output")
-		}
-		dst := r.dsts[r.di]
-		span := uint64(len(dst) - r.off)
-		if span > n {
-			span = n
-		}
-		zeroFill(dst[r.off : r.off+int(span)])
-		r.off += int(span)
-		n -= span
-	}
-	return nil
-}
-
-func (r *rleReader) done() bool {
-	for r.di < len(r.dsts) && r.off == len(r.dsts[r.di]) {
-		r.di++
-		r.off = 0
-	}
-	return r.di >= len(r.dsts)
-}
-
 func zeroFill(b []byte) {
 	for i := range b {
 		b[i] = 0
@@ -300,7 +253,13 @@ func rangeEncodeChunks(chunks []chunk) []byte {
 	total := chunksLen(chunks)
 	rleScratch := getBuf(total/8 + 64)
 	rle := zeroRLEChunks(chunks, rleScratch)
+	out := rangeCodeRLE(rle)
+	putBuf(rle)
+	return out
+}
 
+// rangeCodeRLE range-codes a zero-RLE stream behind its uvarint length.
+func rangeCodeRLE(rle []byte) []byte {
 	codedScratch := getBuf(len(rle) + len(rle)/16 + 64)
 	e := newRCEncoder(codedScratch)
 	var m byteModel
@@ -315,66 +274,118 @@ func rangeEncodeChunks(chunks []chunk) []byte {
 	out := make([]byte, n+len(coded))
 	copy(out, hdr[:n])
 	copy(out[n:], coded)
-
-	putBuf(rle)
 	putBuf(e.out)
 	return out
 }
 
-// rangeDecodeChunks decompresses a rangeEncodeChunks stream directly into
-// the destination buffers, whose total length must equal the original
-// payload length. Destinations are fully overwritten (zero runs included).
-func rangeDecodeChunks(encoded []byte, dsts [][]byte) error {
+// decodeRLE runs the range decoder over a rangeEncodeChunks stream and
+// returns the zero-RLE stream it carries, in a buffer from alloc. The stream
+// is validated as it is decoded: its declared length may not exceed twice
+// total, the encoder's worst case (every zero byte a run of one); every run
+// must be a well-formed, non-zero uvarint; and the expansion must come to
+// exactly total bytes. Past the end of its input the decoder reads zeros,
+// which decode to zero-length runs, so a short body fails where it ends
+// instead of claiming a long stream.
+func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error) {
 	rleLen, n := binary.Uvarint(encoded)
 	if n <= 0 {
-		return fmt.Errorf("range coder: missing RLE header")
+		return nil, fmt.Errorf("range coder: missing RLE header")
+	}
+	if rleLen > 2*uint64(total) {
+		return nil, fmt.Errorf("range coder: %d-byte RLE stream exceeds twice the %d-byte payload", rleLen, total)
 	}
 	d, err := newRCDecoder(encoded[n:])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var m byteModel
 	m.init()
-	r := rleReader{dsts: dsts}
-	for i := uint64(0); i < rleLen; i++ {
+	rle := alloc(int(rleLen))
+	left := uint64(total) // bytes the stream has yet to expand to
+	for i := 0; i < len(rle); {
 		b := m.decode(d)
+		rle[i] = b
+		i++
 		if b != 0 {
-			if err := r.put(b); err != nil {
-				return err
+			if left == 0 {
+				return nil, fmt.Errorf("range coder: literal overflows output")
 			}
+			left--
 			continue
 		}
 		// A zero marker byte is always followed by its uvarint run length,
 		// itself coded through the byte model.
-		var run uint64
-		var shift uint
+		start := i
 		for {
+			if i >= len(rle) || i-start >= binary.MaxVarintLen64 {
+				return nil, fmt.Errorf("range coder: corrupt zero run")
+			}
+			rle[i] = m.decode(d)
 			i++
-			if i >= rleLen {
-				return fmt.Errorf("range coder: corrupt zero run")
-			}
-			vb := m.decode(d)
-			if shift >= 64 {
-				return fmt.Errorf("range coder: corrupt zero run")
-			}
-			run |= uint64(vb&0x7F) << shift
-			if vb < 0x80 {
+			if rle[i-1] < 0x80 {
 				break
 			}
-			shift += 7
 		}
-		if err := r.putZeros(run); err != nil {
-			return err
+		run, k := binary.Uvarint(rle[start:i])
+		switch {
+		case k <= 0:
+			return nil, fmt.Errorf("range coder: corrupt zero run")
+		case run == 0:
+			return nil, fmt.Errorf("range coder: zero-length run")
+		case run > left:
+			return nil, fmt.Errorf("range coder: zero run overflows output")
+		}
+		left -= run
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("range coder: expanded to fewer than %d bytes", total)
+	}
+	return rle, nil
+}
+
+// expandRLE writes the payload a decodeRLE-validated stream describes into
+// the regions' buffers, whose lengths sum to exactly its expansion. With xor
+// set the payload is a delta: literal spans are XORed into the buffers, and
+// zero runs, which leave a delta base unchanged, are skipped. Otherwise
+// literals are copied and zero runs zero-filled.
+func expandRLE(rle []byte, regions []RegionSnapshot, xor bool) {
+	ri, dst := -1, []byte(nil) // current region and its unwritten rest
+	for i := 0; i < len(rle); {
+		var lit []byte
+		n := 0 // zero-run length
+		if rle[i] != 0 {
+			j := i + 1
+			for j < len(rle) && rle[j] != 0 {
+				j++
+			}
+			lit, i = rle[i:j], j
+			n = len(lit)
+		} else {
+			run, k := binary.Uvarint(rle[i+1:])
+			i += 1 + k
+			n = int(run)
+		}
+		for n > 0 {
+			for len(dst) == 0 {
+				ri++
+				dst = regions[ri].Data
+			}
+			m := min(n, len(dst))
+			switch {
+			case lit == nil && !xor:
+				zeroFill(dst[:m])
+			case lit != nil && xor:
+				for x, b := range lit[:m] {
+					dst[x] ^= b
+				}
+				lit = lit[m:]
+			case lit != nil:
+				copy(dst, lit[:m])
+				lit = lit[m:]
+			}
+			dst, n = dst[m:], n-m
 		}
 	}
-	if !r.done() {
-		total := 0
-		for _, d := range dsts {
-			total += len(d)
-		}
-		return fmt.Errorf("range coder: expanded to fewer than %d bytes", total)
-	}
-	return nil
 }
 
 // RangeEncode compresses data with a zero-RLE pre-pass followed by the
@@ -386,9 +397,11 @@ func RangeEncode(data []byte) []byte {
 
 // RangeDecode decompresses a RangeEncode stream of the given original length.
 func RangeDecode(encoded []byte, length int) ([]byte, error) {
-	out := make([]byte, length)
-	if err := rangeDecodeChunks(encoded, [][]byte{out}); err != nil {
+	rle, err := decodeRLE(encoded, length, newBuf)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	out := []RegionSnapshot{{Data: make([]byte, length)}}
+	expandRLE(rle, out, false)
+	return out[0].Data, nil
 }

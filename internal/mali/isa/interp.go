@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -71,16 +72,34 @@ func (m Mem) ReadBytes(va gpumem.VA, n uint64, need gpumem.PTEFlag) ([]byte, err
 	return out, nil
 }
 
-// LoadF32 reads n float32 values starting at va.
+// LoadF32 reads n float32 values starting at va. Each physically contiguous
+// chunk goes through a one-page stack buffer straight into the result, word
+// by word; a value straddling a page boundary is carried into the next chunk.
 func (m Mem) LoadF32(va gpumem.VA, n int) ([]float32, error) {
-	raw, err := m.ReadBytes(va, uint64(n)*4, gpumem.PTERead)
+	out := make([]float32, n)
+	var page [gpumem.PageSize]byte
+	var carry [4]byte
+	k, nc := 0, 0 // next output index; bytes of a straddling value carried
+	err := m.forEachPage(va, uint64(n)*4, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
+		buf := page[:cnt]
+		m.Pool.Read(pa, buf)
+		if nc > 0 {
+			t := copy(carry[nc:], buf)
+			if nc += t; nc < 4 {
+				return nil
+			}
+			out[k] = math.Float32frombits(binary.LittleEndian.Uint32(carry[:]))
+			k, nc, buf = k+1, 0, buf[t:]
+		}
+		for ; len(buf) >= 4; buf = buf[4:] {
+			out[k] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
+			k++
+		}
+		nc = copy(carry[:], buf)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		bits := uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
-		out[i] = math.Float32frombits(bits)
 	}
 	return out, nil
 }

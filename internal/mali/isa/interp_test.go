@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -94,6 +95,47 @@ func (e *testEnv) buildShader(product uint32, instrs []Instr) gpumem.VA {
 }
 
 const testProduct = 0x60000001
+
+// LoadF32 must agree with a byte-wise read at every alignment, across
+// physically discontiguous pages, including values that straddle a page.
+func TestLoadF32AcrossPages(t *testing.T) {
+	e := newTestEnv(t)
+	const pages = 3
+	va := e.nextVA
+	for i := 0; i < pages; i++ {
+		// Every other page skipped, so VA-contiguous pages are PA-discontiguous.
+		pa, err := e.pool.AllocPages(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.pt.MapRange(va+gpumem.VA(i*gpumem.PageSize), pa+gpumem.PageSize, gpumem.PageSize, gpumem.PTERead|gpumem.PTEWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := make([]byte, pages*gpumem.PageSize)
+	for i := range raw {
+		raw[i] = byte(i*131 + i>>8)
+	}
+	raw[gpumem.PageSize+5] = 0 // leave the second page partly zero
+	for i := 0; i < pages; i++ {
+		p, _, _ := e.mem.Walker.Translate(va + gpumem.VA(i*gpumem.PageSize))
+		if i != 2 { // the third page stays unmaterialized and reads as zero
+			e.pool.Write(p, raw[i*gpumem.PageSize:(i+1)*gpumem.PageSize])
+		} else {
+			clear(raw[i*gpumem.PageSize:])
+		}
+	}
+	for _, start := range []int{0, 1, 2, 3, 4, gpumem.PageSize - 6, gpumem.PageSize - 1, 2*gpumem.PageSize - 3} {
+		n := (len(raw) - start) / 4
+		got := e.readF32(va+gpumem.VA(start), n)
+		for i := range got {
+			want := binary.LittleEndian.Uint32(raw[start+4*i:])
+			if math.Float32bits(got[i]) != want {
+				t.Fatalf("start %d: value %d = %#x, want %#x", start, i, math.Float32bits(got[i]), want)
+			}
+		}
+	}
+}
 
 func TestInstrEncodeDecodeRoundTrip(t *testing.T) {
 	in := Instr{

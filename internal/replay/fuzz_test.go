@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -67,9 +68,32 @@ func FuzzReplayVerified(f *testing.F) {
 		}
 		// The mutation survived parsing and auditing (e.g. it landed in a
 		// dump payload or a don't-care field); the replay itself must still
-		// fail closed rather than panic.
-		_, _ = r.Run()
+		// fail closed rather than panic. The second Run replays from the
+		// dumps the first one parsed and must end exactly the same way.
+		res1, err1 := r.Run()
+		out1, _ := r.OutputF32()
+		res2, err2 := r.Run()
+		out2, _ := r.OutputF32()
+		if (err1 == nil) != (err2 == nil) || err1 != nil && err1.Error() != err2.Error() {
+			t.Fatalf("repeat Run: error %v, first Run %v", err2, err1)
+		}
+		if err1 == nil && (res1.Delay != res2.Delay || res1.Events != res2.Events ||
+			res1.VerifiedReads != res2.VerifiedReads || !sameBits(out1, out2)) {
+			t.Fatalf("repeat Run: %+v, first Run %+v", res2, res1)
+		}
 	})
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestUpdateFuzzCorpus writes the mutation-coordinate seeds; the recording

@@ -106,8 +106,17 @@ type Replayer struct {
 	// fresh input, and the model parameters that never left the TEE.
 	inject map[string][]byte
 
-	prevOut *gpumem.Snapshot
-	cpu     time.Duration
+	// parsed caches each KDumpToClient event's parsed dump by event index,
+	// filled on first use: a verified recording never changes, so only the
+	// first Run range-decodes, and later Runs only apply and restore. Only
+	// the RLE streams are kept, never the restored images, which are 25×
+	// (MNIST) to 110× (VGG16) larger.
+	parsed map[int]*gpumem.Dump
+	// img is the working image, the snapshot the last applied dump
+	// produced. Each Run starts without one; its buffers return to the
+	// recycler, never its contents to a later Run.
+	img *gpumem.Snapshot
+	cpu time.Duration
 
 	// Strict makes any read mismatch fatal; otherwise mismatches are
 	// collected.
@@ -306,7 +315,10 @@ func (r *Replayer) Run() (res Result, err error) {
 	r.ctrl.ClaimForSecure()
 	defer r.ctrl.ReleaseToNormal()
 	r.gpu.HardReset()
-	r.prevOut = nil
+	if r.img != nil {
+		r.img.Release()
+		r.img = nil
+	}
 	r.Mismatches = nil
 	r.cpu = 0
 	r.applyInjections()
@@ -392,28 +404,23 @@ func (r *Replayer) step(i int, e *trace.Event, res *Result) error {
 	case trace.KDumpToClient:
 		r.Obs.Count(obs.MReplayEvents, 1, lblDumpToClient...)
 		// Non-delta dumps (first sync, or a structural change at record
-		// time) decode standalone; delta dumps chain off the previous
-		// restored snapshot, mirroring the record-side encoder.
-		snap, err := gpumem.DecodeLimited(e.Dump, r.prevOut, r.lim)
+		// time) apply standalone; delta dumps patch the image the previous
+		// dump left, mirroring the record-side encoder.
+		img, err := r.applyDump(i, e)
 		if err != nil {
 			return fmt.Errorf("replay: event %d: decoding memory dump: %v: %w",
 				i, err, grterr.ErrBadRecording)
 		}
+		r.img = img
 		endRestore := r.Obs.Span("replay.restore", "replay", obs.A("bytes", int64(len(e.Dump))))
-		snap.Restore(r.gpu.Pool())
-		if r.prevOut != nil {
-			// The old base was only needed to un-delta this dump; recycle
-			// its buffers (Decode never aliases them into snap).
-			r.prevOut.Release()
-		}
-		r.prevOut = snap
+		img.Restore(r.gpu.Pool())
 		r.spend(time.Duration(len(e.Dump)) * restorePerByte)
 		endRestore()
 		r.Obs.Count(obs.MReplayRestoreBytes, int64(len(e.Dump)))
 		// Meta-only dumps never touch program data; only a naive
 		// recording's full dumps (zero-filled program data) can clobber
 		// injected input/parameters and force re-injection.
-		for _, reg := range snap.Regions {
+		for _, reg := range img.Regions {
 			if !reg.Kind.Metastate() {
 				r.applyInjections()
 				break
@@ -427,4 +434,22 @@ func (r *Replayer) step(i int, e *trace.Event, res *Result) error {
 		return fmt.Errorf("replay: event %d has unknown kind %v", i, e.Kind)
 	}
 	return nil
+}
+
+// applyDump applies event i's dump to the working image, parsing it on first
+// use. A dump that fails to parse is never cached, so every Run fails on it
+// the same way.
+func (r *Replayer) applyDump(i int, e *trace.Event) (*gpumem.Snapshot, error) {
+	d, ok := r.parsed[i]
+	if !ok {
+		var err error
+		if d, err = gpumem.ParseDump(e.Dump, r.lim); err != nil {
+			return nil, err
+		}
+		if r.parsed == nil {
+			r.parsed = map[int]*gpumem.Dump{}
+		}
+		r.parsed[i] = d
+	}
+	return d.Apply(r.img)
 }
