@@ -208,4 +208,9 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, s := range rangeCoderFuzzSeeds() {
+		if err := fuzzcorpus.WriteSeed("FuzzRangeCoderMatchesReference", s); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -22,6 +22,29 @@ import (
 // Decoding runs the two stages back in two steps: decodeRLE range-decodes
 // the body to its RLE stream once (ParseDump), and expandRLE writes the
 // stream into region buffers as often as it is applied (Dump.Apply).
+//
+// Every dump is range-coded and, on the recording side, decoded again, so
+// the per-bit loops are written for speed: coder state stays in locals for
+// a whole stream (rangeCodeRLE) or byte (rangeDecoder.decodeByte), and each
+// bit selects with a mask instead of branching. A coded bit splits the
+// range at bound = (rng>>11)*p: a 0 keeps [0, bound), a 1 keeps [bound,
+// rng). With mask all ones for a 1 and zero for a 0, both cases are
+//
+//	low += bound & mask
+//	rng = bound + ((rng - 2*bound) & mask)
+//
+// and the adapted probability is picked between its two candidates the same
+// way (adapt). This is the arithmetic of the straightforward branching
+// coder, term for term and modulo 2^32 where it wraps, so the wire is
+// bit-exact with it on every input, corrupt streams included.
+// testdata/wire_golden.json pins the wire, and rangecoder_ref_test.go keeps
+// the branching coder as a differential oracle.
+//
+// One normalization step per bit is enough. Adaptation keeps every
+// probability in [31, 2017]: p += (2048-p)>>5 stops at 2017 and p -= p>>5
+// stops at 31. Entering a bit with rng >= 2^24, both parts of the split are
+// at least rng*31/2048 >= 2^24*31/2048 > 2^17.9, so a single 8-bit shift
+// restores rng >= 2^24.
 
 const (
 	rcTopBits    = 24
@@ -31,126 +54,92 @@ const (
 	rcInitProb   = rcModelTotal / 2
 )
 
-type rcEncoder struct {
-	low       uint64
-	rng       uint32
+// adapt returns probability p moved toward the bit just coded: up toward
+// rcModelTotal for a 0 (mask zero), down toward 0 for a 1 (mask all ones).
+func adapt(p, mask uint32) uint16 {
+	up := p + (rcModelTotal-p)>>rcMoveBits
+	down := p - p>>rcMoveBits
+	return uint16(up ^ ((up ^ down) & mask))
+}
+
+// rcWriter is the encoder's byte output. A byte leaving low is held back as
+// cache, behind cacheSize-1 pending 0xFF bytes, until it is known whether a
+// carry out of low (its bit 32) increments it; a carry turns the pending
+// 0xFFs into 0x00s.
+type rcWriter struct {
 	cache     byte
-	cacheSize int64
+	cacheSize int
 	out       []byte
 }
 
-func newRCEncoder(scratch []byte) *rcEncoder {
-	return &rcEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: scratch[:0]}
-}
-
-func (e *rcEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		temp := e.cache
-		for {
-			e.out = append(e.out, byte(uint64(temp)+e.low>>32))
-			temp = 0xFF
-			e.cacheSize--
-			if e.cacheSize == 0 {
-				break
-			}
+// shiftLow moves the top byte of low to the writer and returns low shifted
+// up by a byte. It runs once per normalization, not per bit; keeping it out
+// of line keeps the per-bit loop's state in registers.
+//
+//go:noinline
+func (w *rcWriter) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
+		w.out = append(w.out, w.cache+carry)
+		for ; w.cacheSize > 1; w.cacheSize-- {
+			w.out = append(w.out, 0xFF+carry)
 		}
-		e.cache = byte(e.low >> 24)
+		w.cache, w.cacheSize = byte(low>>24), 0
 	}
-	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	w.cacheSize++
+	return (low << 8) & 0xFFFFFFFF
 }
 
-func (e *rcEncoder) encodeBit(prob *uint16, bit int) {
-	bound := (e.rng >> 11) * uint32(*prob)
-	if bit == 0 {
-		e.rng = bound
-		*prob += (rcModelTotal - *prob) >> rcMoveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*prob -= *prob >> rcMoveBits
-	}
-	for e.rng < rcTop {
-		e.shiftLow()
-		e.rng <<= 8
-	}
-}
-
-func (e *rcEncoder) flush() []byte {
-	for i := 0; i < 5; i++ {
-		e.shiftLow()
-	}
-	return e.out
-}
-
-type rcDecoder struct {
-	rng  uint32
-	code uint32
-	in   []byte
-	pos  int
-}
-
-func newRCDecoder(data []byte) (*rcDecoder, error) {
-	if len(data) < 5 {
-		return nil, fmt.Errorf("range coder: truncated stream")
-	}
-	d := &rcDecoder{rng: 0xFFFFFFFF, in: data}
-	for i := 0; i < 5; i++ {
-		d.code = d.code<<8 | uint32(d.in[d.pos])
-		d.pos++
-	}
-	return d, nil
-}
-
-func (d *rcDecoder) decodeBit(prob *uint16) int {
-	bound := (d.rng >> 11) * uint32(*prob)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*prob += (rcModelTotal - *prob) >> rcMoveBits
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*prob -= *prob >> rcMoveBits
-		bit = 1
-	}
-	for d.rng < rcTop {
-		var b byte // stream end: trailing zero bytes are implied
-		if d.pos < len(d.in) {
-			b = d.in[d.pos]
-			d.pos++
-		}
-		d.code = d.code<<8 | uint32(b)
-		d.rng <<= 8
-	}
-	return bit
-}
-
-type byteModel struct {
+// rangeDecoder is the decoding side: the coder state plus the byte model's
+// 256-node probability tree.
+type rangeDecoder struct {
 	probs [256]uint16
+	rng   uint32
+	code  uint32
+	in    []byte
+	pos   int
 }
 
-func (m *byteModel) init() {
-	for i := range m.probs {
-		m.probs[i] = rcInitProb
+func (d *rangeDecoder) init(data []byte) error {
+	if len(data) < 5 {
+		return fmt.Errorf("range coder: truncated stream")
 	}
+	for i := range d.probs {
+		d.probs[i] = rcInitProb
+	}
+	d.rng, d.code, d.in, d.pos = 0xFFFFFFFF, 0, data, 5
+	for _, b := range data[:5] {
+		d.code = d.code<<8 | uint32(b)
+	}
+	return nil
 }
 
-func (m *byteModel) encode(e *rcEncoder, b byte) {
-	ctx := 1
-	for i := 7; i >= 0; i-- {
-		bit := int(b>>uint(i)) & 1
-		e.encodeBit(&m.probs[ctx], bit)
-		ctx = ctx<<1 | bit
+// decodeByte decodes the next byte's 8 bits with the coder state in locals.
+func (d *rangeDecoder) decodeByte() byte {
+	rng, code, in, pos := d.rng, d.code, d.in, d.pos
+	s := uint32(1) // the bits decoded so far behind a leading 1: a tree node
+	for s < 0x100 {
+		p := uint32(d.probs[s])
+		bound := (rng >> 11) * p
+		// The bit is 1 when code >= bound: the 64-bit difference is then
+		// non-negative, and its sign bit minus one is all ones.
+		mask := uint32((uint64(code)-uint64(bound))>>63) - 1
+		code -= bound & mask
+		rng = bound + ((rng - 2*bound) & mask)
+		d.probs[s] = adapt(p, mask)
+		s = s<<1 - mask // appends the bit
+		if rng < rcTop {
+			var b byte // stream end: trailing zero bytes are implied
+			if pos < len(in) {
+				b = in[pos]
+				pos++
+			}
+			code = code<<8 | uint32(b)
+			rng <<= 8
+		}
 	}
-}
-
-func (m *byteModel) decode(d *rcDecoder) byte {
-	ctx := 1
-	for i := 0; i < 8; i++ {
-		ctx = ctx<<1 | d.decodeBit(&m.probs[ctx])
-	}
-	return byte(ctx)
+	d.rng, d.code, d.pos = rng, code, pos
+	return byte(s)
 }
 
 // chunk is one piece of a logically concatenated payload. A nil data with
@@ -260,21 +249,39 @@ func rangeEncodeChunks(chunks []chunk) []byte {
 
 // rangeCodeRLE range-codes a zero-RLE stream behind its uvarint length.
 func rangeCodeRLE(rle []byte) []byte {
-	codedScratch := getBuf(len(rle) + len(rle)/16 + 64)
-	e := newRCEncoder(codedScratch)
-	var m byteModel
-	m.init()
-	for _, b := range rle {
-		m.encode(e, b)
+	var probs [256]uint16 // the byte model, indexed like rangeDecoder.probs
+	for i := range probs {
+		probs[i] = rcInitProb
 	}
-	coded := e.flush()
+	low, rng := uint64(0), uint32(0xFFFFFFFF)
+	w := rcWriter{cacheSize: 1, out: getBuf(len(rle) + len(rle)/16 + 64)[:0]}
+	for _, b := range rle {
+		// s>>8 is the tree node: the bits coded so far behind a leading 1.
+		// Bit 7 of s is the next bit to code.
+		for s := uint32(b) | 0x100; s < 0x10000; s <<= 1 {
+			ctx := uint8(s >> 8)
+			p := uint32(probs[ctx])
+			bound := (rng >> 11) * p
+			mask := -(s >> 7 & 1)
+			low += uint64(bound & mask)
+			rng = bound + ((rng - 2*bound) & mask)
+			probs[ctx] = adapt(p, mask)
+			if rng < rcTop {
+				low = w.shiftLow(low)
+				rng <<= 8
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		low = w.shiftLow(low)
+	}
 
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(rle)))
-	out := make([]byte, n+len(coded))
+	out := make([]byte, n+len(w.out))
 	copy(out, hdr[:n])
-	copy(out[n:], coded)
-	putBuf(e.out)
+	copy(out[n:], w.out)
+	putBuf(w.out)
 	return out
 }
 
@@ -294,16 +301,14 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 	if rleLen > 2*uint64(total) {
 		return nil, fmt.Errorf("range coder: %d-byte RLE stream exceeds twice the %d-byte payload", rleLen, total)
 	}
-	d, err := newRCDecoder(encoded[n:])
-	if err != nil {
+	var d rangeDecoder
+	if err := d.init(encoded[n:]); err != nil {
 		return nil, err
 	}
-	var m byteModel
-	m.init()
 	rle := alloc(int(rleLen))
 	left := uint64(total) // bytes the stream has yet to expand to
 	for i := 0; i < len(rle); {
-		b := m.decode(d)
+		b := d.decodeByte()
 		rle[i] = b
 		i++
 		if b != 0 {
@@ -320,7 +325,7 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 			if i >= len(rle) || i-start >= binary.MaxVarintLen64 {
 				return nil, fmt.Errorf("range coder: corrupt zero run")
 			}
-			rle[i] = m.decode(d)
+			rle[i] = d.decodeByte()
 			i++
 			if rle[i-1] < 0x80 {
 				break

@@ -226,7 +226,7 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 	}
 	decoded, err := gpumem.Decode(wire, prev)
 	if err != nil {
-		return nil, fmt.Errorf("record: self-check decode: %w", err)
+		return nil, fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
 	}
 	decoded.Restore(s.client)
 	decoded.Release()
@@ -297,7 +297,7 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		}
 		decoded, err := gpumem.Decode(wire, prev)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
 		}
 		decoded.Restore(s.cloud)
 		decoded.Release()
