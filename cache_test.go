@@ -297,46 +297,40 @@ func TestQuarantinedCacheRegression(t *testing.T) {
 
 // TestShardedServiceShedding: on a sharded service, a saturated partition
 // rejects with the typed shedding error — carrying the shard and a
-// retry-after hint — instead of plain ErrCapacity.
+// retry-after hint — instead of plain ErrCapacity. Every record entry point
+// waits out the hint maxShedRetries times on the client's clock before it
+// surfaces the rejection, and admits again once the partition drains.
 func TestShardedServiceShedding(t *testing.T) {
-	svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
-	if svc.NumShards() != 2 {
-		t.Fatalf("%d shards", svc.NumShards())
-	}
-	holder := NewClient("holder", MaliG71MP8)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := holder.Record(svc, MNIST(), RecordOptions{})
-		done <- err
-	}()
-	waitForActiveVM(t, svc)
-
-	// Same model ⇒ same cache key ⇒ same shard: the second admission lands
-	// on the saturated partition and sheds.
-	other := NewClient("other", MaliG71MP8)
-	_, _, err := other.Record(svc, MNIST(), RecordOptions{})
-	if err == nil {
-		t.Fatal("saturated shard admitted")
-	}
-	if !errors.Is(err, ErrShedding) {
-		t.Fatalf("saturated shard: %v, want ErrShedding", err)
-	}
-	var shed *SheddingError
-	if !errors.As(err, &shed) {
-		t.Fatalf("rejection is not a *SheddingError: %v", err)
-	}
-	if shed.Busy != 1 || shed.RetryAfter <= 0 {
-		t.Fatalf("shed snapshot %+v", shed)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("holder session: %v", err)
-	}
-
-	// A different workload hashes to its own shard and may still admit
-	// while the first shard's history drains; the service as a whole keeps
-	// serving after shedding.
-	if _, _, err := holder.Record(svc, MNIST(), RecordOptions{}); err != nil {
-		t.Fatalf("post-shed record: %v", err)
+	for _, ep := range recordEntryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
+			if svc.NumShards() != 2 {
+				t.Fatalf("%d shards", svc.NumShards())
+			}
+			release := holdShard(t, svc, MNIST())
+			c := NewClient("shed-phone", MaliG71MP8)
+			err := ep.record(c, svc)
+			var shed *SheddingError
+			if !errors.Is(err, ErrShedding) || !errors.As(err, &shed) {
+				t.Fatalf("saturated shard: %v, want a *SheddingError", err)
+			}
+			if shed.Busy != 1 || shed.RetryAfter <= 0 {
+				t.Fatalf("shed snapshot %+v", shed)
+			}
+			if n := svc.Metrics().Counter(obs.MShedRetries); n != maxShedRetries {
+				t.Fatalf("%d shed retries, want %d", n, maxShedRetries)
+			}
+			if floor := time.Duration(maxShedRetries) * shed.RetryAfter; c.Elapsed() < floor {
+				t.Fatalf("client clock advanced %v, want at least %d hints of %v",
+					c.Elapsed(), maxShedRetries, shed.RetryAfter)
+			}
+			// Shedding is load signal, not failure: the drained partition
+			// admits the same request.
+			release()
+			if err := ep.record(c, svc); err != nil {
+				t.Fatalf("post-shed record: %v", err)
+			}
+		})
 	}
 }
 

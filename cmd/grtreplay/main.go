@@ -150,7 +150,9 @@ func main() {
 		if *compareFlag != "" || *auditFlag || *fingerprintFlag || *metricsFlag != "" || *traceFlag != "" || *bundleOutFlag != "" {
 			log.Fatal("-compare, -audit, -fingerprint, -metrics, -trace-out and -bundle-out work on the classic single-GPU replay path only")
 		}
-		runPlatformReplay(entries, sku, *engineFlag, *nFlag)
+		if err := runPlatformReplay(entries, sku, *engineFlag, *nFlag); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	payload, mac, key := entries[0].Payload, entries[0].MAC, entries[0].Key

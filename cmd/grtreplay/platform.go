@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"gpurelay"
 	"gpurelay/internal/gpumem"
@@ -16,10 +15,11 @@ import (
 
 // runPlatformReplay replays every per-GPU recording of a platform bundle,
 // each on its own simulated GPU, hosted as processes of one discrete-event
-// engine. Each recording is verified under its bundled key before a single
-// event replays; the parallel engine replays same-timestamp work on all host
-// cores with results identical to the serial engine.
-func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine string, runs int) {
+// engine. Each recording is verified and audited under its bundled key
+// before its pool is sized and a single event replays; the parallel engine
+// replays same-timestamp work on all host cores with results identical to
+// the serial engine.
+func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine string, runs int) error {
 	var eng timesim.Engine
 	if engine == "parallel" {
 		eng = timesim.NewParallelEngine()
@@ -37,18 +37,17 @@ func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine strin
 		e := entries[i]
 		signed := &trace.Signed{Payload: e.Payload}
 		if len(e.MAC) != len(signed.MAC) {
-			log.Fatalf("gpu %d: recording MAC is %d bytes, want %d", i, len(e.MAC), len(signed.MAC))
+			return fmt.Errorf("gpu %d: recording MAC is %d bytes, want %d: %w",
+				i, len(e.MAC), len(signed.MAC), gpurelay.ErrBadRecording)
 		}
 		copy(signed.MAC[:], e.MAC)
 		eng.Go(uint64(i), func(tm timesim.Time) error {
-			rec, err := trace.Verify(signed, e.Key)
+			v, err := replay.Open(e.Key, signed)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}
-			pool := gpumem.NewPool(rec.PoolSize)
-			gpu := mali.New(sku, pool, tm, 99)
-			ctrl := tee.NewController(gpu)
-			rp, err := replay.New(signed, e.Key, gpu, ctrl, tm)
+			gpu := mali.New(sku, gpumem.NewPool(v.PoolSize()), tm, 99)
+			rp, err := v.Bind(gpu, tee.NewController(gpu), tm)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}
@@ -64,11 +63,12 @@ func runPlatformReplay(entries []platform.Entry, sku *gpurelay.SKU, engine strin
 		})
 	}
 	if err := eng.Run(); err != nil {
-		log.Fatalf("replay: %v", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	for i, r := range results {
 		fmt.Printf("gpu %2d: verified and replayed ×%d, %.2f ms total, %d events each\n",
 			i, runs, r.delay, r.events)
 	}
 	fmt.Printf("engine: %d events on the %s engine\n", eng.Events(), engine)
+	return nil
 }

@@ -100,12 +100,12 @@ func main() {
 		signed := &trace.Signed{Payload: e.Payload}
 		copy(signed.MAC[:], e.MAC)
 		eng.Go(uint64(i), func(tm timesim.Time) error {
-			rec, err := trace.Verify(signed, e.Key)
+			v, err := replay.Open(e.Key, signed)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}
-			gpu := mali.New(mali.G71MP8, gpumem.NewPool(rec.PoolSize), tm, 99)
-			rp, err := replay.New(signed, e.Key, gpu, tee.NewController(gpu), tm)
+			gpu := mali.New(mali.G71MP8, gpumem.NewPool(v.PoolSize()), tm, 99)
+			rp, err := v.Bind(gpu, tee.NewController(gpu), tm)
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}

@@ -930,65 +930,103 @@ func (c *Client) Record(svc *Service, model *Model, opts RecordOptions) (*Record
 // context deadline or cancel aborts the session — whether still queued or
 // already mid-recording — releasing its VM and returning an error that
 // wraps the context's cause. Saturation past the admission queue fails fast
-// with ErrCapacity.
+// with ErrCapacity. On a sharded service a saturated partition's shed hint
+// is waited out on the client's clock, up to maxShedRetries times, before
+// its *SheddingError surfaces.
 func (c *Client) RecordContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*Recording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := c.compatible()
+	res, key, err := c.recordOnVM(ctx, svc, model, opts)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, RecordStats{}, err
-	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
-	vm, err := svc.acquireVM(ctx, svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
-	if err != nil {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
-	}
-	defer svc.releaseVM(vm)
-	// Admission and attestation happen before the session's virtual clock
-	// exists, so they land on the timeline as instants at t=0.
-	opts.Obs.Annotate("session.admitted", "session")
-	// Attestation: the client accepts only the measurement it expects for
-	// this image and GPU.
-	want, err := cloud.ExpectedMeasurement(svc.image, compat)
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	if vm.Measurement != want {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-			svc.image.Name, compat, ErrAttestation)
-	}
-	opts.Obs.Annotate("session.attested", "session")
-	key := append([]byte(nil), vm.SessionKey...)
-
-	hist := opts.History
-	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
-	}
-	inject := -1
-	if opts.InjectMispredictionAt > 0 {
-		inject = opts.InjectMispredictionAt
-	}
-	res, err := record.RunContext(ctx, record.Config{
-		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		SessionKey: key, History: hist,
-		ClientSeed: c.nextSeed(), InjectMispredictionAt: inject,
-		Obs: opts.Obs,
-	})
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	c.clock.Advance(res.Stats.RecordingDelay)
 	return &Recording{
 		signed: res.Signed, key: key,
 		Workload: res.Recording.Workload, ProductID: res.Recording.ProductID,
 	}, res.Stats, nil
 }
+
+// recordOnVM is the session behind RecordContext and RecordSegmentedContext:
+// admit and attest a VM, then record under the VM's session key and the
+// client's next seed. The seed is drawn only once admission succeeded, so a
+// refused admission shifts no later session's seed.
+func (c *Client) recordOnVM(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*record.Result, []byte, error) {
+	kh := svc.cacheKeyFor(c.SKU, model).Hash()
+	vm, err := svc.admit(ctx, c, kh, opts.Obs, keyJitter(kh))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer svc.releaseVM(vm)
+	key := append([]byte(nil), vm.SessionKey...)
+	res, err := svc.run(ctx, c, model, opts, record.Config{SessionKey: key, ClientSeed: c.nextSeed()})
+	return res, key, err
+}
+
+// admit is the one admission path of every record entry point: it launches a
+// VM for the client's GPU through the shard of cache key kh, waiting out shed
+// hints with jitter drawn from jitterSeed, and attests it. A VM whose
+// measurement is not the one the client expects for this image and GPU is
+// released and refused with ErrAttestation. The caller releases (or crashes)
+// the VM it gets.
+func (s *Service) admit(ctx context.Context, c *Client, kh [32]byte, scope *obs.Scope, jitterSeed uint64) (*cloud.VM, error) {
+	compat, err := c.compatible()
+	if err != nil {
+		return nil, err
+	}
+	want, err := cloud.ExpectedMeasurement(s.image, compat)
+	if err != nil {
+		return nil, err
+	}
+	nonce := make([]byte, 16)
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, err
+	}
+	scope.AttachFleet(s.fleet)
+	scope.AttachFlight(s.flight)
+	vm, err := s.acquireVMShedAware(ctx, c.clock, scope, jitterSeed, kh, c.ID, compat, nonce)
+	if err != nil {
+		return nil, fmt.Errorf("gpurelay: launching recording VM: %w", err)
+	}
+	// Admission and attestation happen before the session's virtual clock
+	// exists, so they land on the timeline as instants at t=0.
+	scope.Annotate("session.admitted", "session")
+	if vm.Measurement != want {
+		s.releaseVM(vm)
+		return nil, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
+			s.image.Name, compat, ErrAttestation)
+	}
+	scope.Annotate("session.attested", "session")
+	return vm, nil
+}
+
+// run records one session on an admitted VM. cfg carries what differs
+// between entry points (session key and seed, resume and checkpoint hooks);
+// run fills in what they share from opts: variant, network (WiFi by
+// default), speculation history (the service's shared store by default),
+// misprediction injection (0 disables) and telemetry. On success the
+// client's clock advances by the recording delay.
+func (s *Service) run(ctx context.Context, c *Client, model *Model, opts RecordOptions, cfg record.Config) (*record.Result, error) {
+	cfg.Variant, cfg.Model, cfg.SKU, cfg.Obs = opts.Variant, model, c.SKU, opts.Obs
+	cfg.Network = opts.Network
+	if cfg.Network.Name == "" {
+		cfg.Network = WiFi
+	}
+	cfg.History = opts.History
+	if cfg.History == nil {
+		cfg.History = s.SharedHistory(c.SKU, model)
+	}
+	cfg.InjectMispredictionAt = -1
+	if opts.InjectMispredictionAt > 0 {
+		cfg.InjectMispredictionAt = opts.InjectMispredictionAt
+	}
+	res, err := record.RunContext(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.clock.Advance(res.Stats.RecordingDelay)
+	return res, nil
+}
+
+// keyJitter seeds a session's shed-retry jitter from its cache key.
+func keyJitter(kh [32]byte) uint64 { return binary.LittleEndian.Uint64(kh[:8]) }
 
 // CacheOutcome reports how a cache-first record request was served.
 type CacheOutcome string
@@ -1061,52 +1099,22 @@ func (c *Client) RecordCachedContext(ctx context.Context, svc *Service, model *M
 // session ran) does not fail the request — the fresh recording still serves
 // this leader and its followers; it just is not cached.
 func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key, model *Model, opts RecordOptions) (*castore.Entry, *record.Result, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := c.compatible()
-	if err != nil {
-		return nil, nil, err
-	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, err
-	}
-	opts.Obs.AttachFleet(s.fleet)
-	opts.Obs.AttachFlight(s.flight)
 	kh := ck.Hash()
-	vm, err := s.acquireVMShedAware(ctx, c.clock, opts.Obs,
-		binary.LittleEndian.Uint64(kh[:8]), kh, c.ID, compat, nonce)
+	vm, err := s.admit(ctx, c, kh, opts.Obs, keyJitter(kh))
 	if err != nil {
-		return nil, nil, fmt.Errorf("gpurelay: launching recording VM: %w", err)
+		return nil, nil, err
 	}
 	defer s.releaseVM(vm)
-	want, err := cloud.ExpectedMeasurement(s.image, compat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if vm.Measurement != want {
-		return nil, nil, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-			s.image.Name, compat, ErrAttestation)
-	}
-
-	hist := opts.History
-	if hist == nil {
-		hist = s.SharedHistory(c.SKU, model)
-	}
-	res, err := record.RunContext(ctx, record.Config{
-		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		// Cache-derived key and seed, NOT the VM's attestation key or the
-		// client's seed: the artifact must not depend on who led.
-		SessionKey: s.cacheSessionKey(kh),
-		ClientSeed: s.cacheClientSeed(kh),
-		History:    hist, InjectMispredictionAt: -1,
-		Obs: opts.Obs,
+	// The artifact must not depend on who led: record under the
+	// cache-derived key and seed, not the VM's attestation key or the
+	// client's seed, and inject no misprediction.
+	opts.InjectMispredictionAt = 0
+	res, err := s.run(ctx, c, model, opts, record.Config{
+		SessionKey: s.cacheSessionKey(kh), ClientSeed: s.cacheClientSeed(kh),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	c.clock.Advance(res.Stats.RecordingDelay)
 	e := &castore.Entry{
 		Key:        ck,
 		Payload:    res.Signed.Payload,
@@ -1114,10 +1122,9 @@ func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key,
 		SessionKey: s.cacheSessionKey(kh),
 		ProductID:  res.Recording.ProductID,
 	}
-	if perr := s.cache.Put(e); perr != nil {
-		// Served, not cached. The store already counted the reject.
-		return e, res, nil
-	}
+	// A refused publication is served, not cached; the store already
+	// counted the reject.
+	_ = s.cache.Put(e)
 	return e, res, nil
 }
 
@@ -1184,40 +1191,10 @@ func (c *Client) RecordSegmented(svc *Service, model *Model, opts RecordOptions)
 // RecordSegmentedContext is RecordSegmented with the same admission control
 // and cancellation semantics as RecordContext.
 func (c *Client) RecordSegmentedContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*SegmentedRecording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := c.compatible()
+	res, key, err := c.recordOnVM(ctx, svc, model, opts)
 	if err != nil {
 		return nil, RecordStats{}, err
 	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, RecordStats{}, err
-	}
-	vm, err := svc.acquireVM(ctx, svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
-	if err != nil {
-		return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
-	}
-	defer svc.releaseVM(vm)
-	key := append([]byte(nil), vm.SessionKey...)
-
-	hist := opts.History
-	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
-	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
-	res, err := record.RunContext(ctx, record.Config{
-		Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-		SessionKey: key, History: hist,
-		ClientSeed: c.nextSeed(), InjectMispredictionAt: -1,
-		Obs: opts.Obs,
-	})
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	c.clock.Advance(res.Stats.RecordingDelay)
 	signeds, _, err := res.Segments(model.LayerBoundaries())
 	if err != nil {
 		return nil, RecordStats{}, err
@@ -1234,23 +1211,7 @@ func (c *Client) NewChainedReplaySession(rec *SegmentedRecording) (*ReplaySessio
 	if rec == nil || len(rec.segs) == 0 {
 		return nil, fmt.Errorf("gpurelay: empty segmented recording")
 	}
-	first, err := trace.Verify(rec.segs[0], rec.key)
-	if err != nil {
-		return nil, err
-	}
-	// Audit before sizing the pool: PoolSize is attacker-chosen until the
-	// structural audit (which bounds it) has passed.
-	if err := first.Audit(); err != nil {
-		return nil, fmt.Errorf("gpurelay: %w", err)
-	}
-	pool := gpumem.NewPool(first.PoolSize)
-	gpu := mali.New(c.SKU, pool, c.clock, c.currentSeed()^0xC0DEC0DE)
-	ctrl := tee.NewController(gpu)
-	rp, err := replay.NewChained(rec.segs, rec.key, gpu, ctrl, c.clock)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplaySession{client: c, rp: rp, gpu: gpu}, nil
+	return c.newReplaySession(context.Background(), 0xC0DEC0DE, rec.key, rec.segs...)
 }
 
 // ReplayResult reports one replay run.
@@ -1278,26 +1239,22 @@ func (c *Client) NewReplaySessionContext(ctx context.Context, rec *Recording) (*
 	if rec == nil || rec.signed == nil {
 		return nil, fmt.Errorf("gpurelay: nil recording")
 	}
+	return c.newReplaySession(ctx, 0xBADC0FFEE, rec.key, rec.signed)
+}
+
+// newReplaySession is the one replay-session constructor: verify and audit
+// the segments once (replay.Open), reserve secure memory of the audited pool
+// size on a GPU seeded from the client's seed and gpuSeed, and bind.
+func (c *Client) newReplaySession(ctx context.Context, gpuSeed uint64, key []byte, segs ...*trace.Signed) (*ReplaySession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpurelay: replay session setup: %w", err)
 	}
-	// Peek at the pool size requirement (the payload is verified again by
-	// replay.New). Audit before sizing the pool: PoolSize is
-	// attacker-chosen until the structural audit (which bounds it) passes.
-	peek, err := trace.Verify(rec.signed, rec.key)
+	v, err := replay.Open(key, segs...)
 	if err != nil {
 		return nil, err
 	}
-	if err := peek.Audit(); err != nil {
-		return nil, fmt.Errorf("gpurelay: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("gpurelay: replay session setup: %w", err)
-	}
-	pool := gpumem.NewPool(peek.PoolSize)
-	gpu := mali.New(c.SKU, pool, c.clock, c.currentSeed()^0xBADC0FFEE)
-	ctrl := tee.NewController(gpu)
-	rp, err := replay.New(rec.signed, rec.key, gpu, ctrl, c.clock)
+	gpu := mali.New(c.SKU, gpumem.NewPool(v.PoolSize()), c.clock, c.currentSeed()^gpuSeed)
+	rp, err := v.Bind(gpu, tee.NewController(gpu), c.clock)
 	if err != nil {
 		return nil, err
 	}

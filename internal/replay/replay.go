@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"gpurelay/internal/gpumem"
@@ -128,20 +129,64 @@ type Replayer struct {
 	Obs *obs.Scope
 }
 
-// New verifies a signed recording against the session key, audits its
-// structure, and binds it to the local GPU. It refuses recordings for a
-// different GPU SKU — the early-binding property of §2.4 — and recordings
-// whose structure the recorded driver stack could not have produced, even
-// when correctly sealed (the MAC authenticates the recorder, not the
-// recording).
-func New(signed *trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
-	rec, err := trace.Verify(signed, key)
-	if err != nil {
-		return nil, err
+// Verified is a recording that passed MAC verification and the structural
+// audit but is not yet bound to a GPU. Its PoolSize is audited, so it is the
+// one figure a caller may size a secure-memory pool from.
+type Verified struct {
+	rec *trace.Recording
+}
+
+// Open verifies every signed segment under key and audits it, once each. One
+// segment comes back as it is. Several (per-layer recordings, Figure 2 of the
+// paper) merge into one chain that replays back-to-back, intermediate
+// activations persisting in shared memory across segment boundaries exactly
+// as on one device. Every later segment must target the first one's GPU
+// product, pool size and region map: replay injects input and harvests output
+// through the first segment's map, so a segment that disagrees with it is
+// refused with ErrBadRecording (or ErrSKUMismatch for another product).
+func Open(key []byte, segs ...*trace.Signed) (*Verified, error) {
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("replay: empty segment chain")
 	}
-	if err := rec.Audit(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	segErr := func(i int, err error) error {
+		if len(segs) == 1 {
+			return fmt.Errorf("replay: %w", err)
+		}
+		return fmt.Errorf("replay: segment %d: %w", i, err)
 	}
+	var merged *trace.Recording
+	for i, s := range segs {
+		rec, err := trace.Verify(s, key)
+		if err != nil {
+			return nil, segErr(i, err)
+		}
+		if err := rec.Audit(); err != nil {
+			return nil, segErr(i, err)
+		}
+		switch {
+		case merged == nil:
+			merged = rec
+		case rec.ProductID != merged.ProductID:
+			return nil, segErr(i, fmt.Errorf("targets product %#x, chain is %#x: %w",
+				rec.ProductID, merged.ProductID, grterr.ErrSKUMismatch))
+		case rec.PoolSize != merged.PoolSize || !slices.Equal(rec.Regions, merged.Regions):
+			return nil, segErr(i, fmt.Errorf("pool size or region map differs from segment 0: %w",
+				grterr.ErrBadRecording))
+		default:
+			merged.Events = append(merged.Events, rec.Events...)
+		}
+	}
+	return &Verified{rec: merged}, nil
+}
+
+// PoolSize is the audited secure-memory size the recording needs.
+func (v *Verified) PoolSize() uint64 { return v.rec.PoolSize }
+
+// Bind pins the verified recording to the local GPU and returns its
+// replayer. It refuses a GPU of another SKU — the early-binding property of
+// §2.4 — and one whose secure pool is smaller than the recording needs.
+func (v *Verified) Bind(gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
+	rec := v.rec
 	if rec.ProductID != gpu.SKU().ProductID {
 		return nil, fmt.Errorf("replay: recording is for GPU product %#x, this device is %#x: %w",
 			rec.ProductID, gpu.SKU().ProductID, grterr.ErrSKUMismatch)
@@ -158,6 +203,18 @@ func New(signed *trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, 
 	}, nil
 }
 
+// New opens one signed recording and binds it to a GPU the caller already
+// sized. Recordings whose structure the recorded driver stack could not have
+// produced are refused even when correctly sealed: the MAC authenticates the
+// recorder, not the recording.
+func New(signed *trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
+	v, err := Open(key, signed)
+	if err != nil {
+		return nil, err
+	}
+	return v.Bind(gpu, ctrl, clock)
+}
+
 // poolLimits tightens the default decode limits with what the replayer
 // knows: one dump can never legitimately materialize more bytes than the
 // recording's pool holds, since dump regions must land inside it.
@@ -167,53 +224,6 @@ func poolLimits(poolSize uint64) wire.DecodeLimits {
 		lim.MaxDumpBytes = int64(poolSize)
 	}
 	return lim
-}
-
-// NewChained builds a replayer from a sequence of independently signed
-// recording segments (per-layer recordings, Figure 2 of the paper). Each
-// segment is verified on its own; all must target the same GPU product and
-// share the region map. The segments replay back-to-back: intermediate
-// activations persist in shared memory across segment boundaries, exactly as
-// on one device.
-func NewChained(segs []*trace.Signed, key []byte, gpu *mali.GPU, ctrl *tee.Controller, clock timesim.Time) (*Replayer, error) {
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("replay: empty segment chain")
-	}
-	var merged *trace.Recording
-	for i, s := range segs {
-		rec, err := trace.Verify(s, key)
-		if err != nil {
-			return nil, fmt.Errorf("replay: segment %d: %w", i, err)
-		}
-		if err := rec.Audit(); err != nil {
-			return nil, fmt.Errorf("replay: segment %d: %w", i, err)
-		}
-		if merged == nil {
-			merged = &trace.Recording{
-				Workload:  rec.Workload,
-				ProductID: rec.ProductID,
-				PoolSize:  rec.PoolSize,
-				Regions:   rec.Regions,
-			}
-		} else if rec.ProductID != merged.ProductID {
-			return nil, fmt.Errorf("replay: segment %d targets product %#x, chain is %#x: %w",
-				i, rec.ProductID, merged.ProductID, grterr.ErrSKUMismatch)
-		}
-		merged.Events = append(merged.Events, rec.Events...)
-	}
-	if merged.ProductID != gpu.SKU().ProductID {
-		return nil, fmt.Errorf("replay: chain is for GPU product %#x, this device is %#x: %w",
-			merged.ProductID, gpu.SKU().ProductID, grterr.ErrSKUMismatch)
-	}
-	if gpu.Pool().Size() < merged.PoolSize {
-		return nil, fmt.Errorf("replay: chain needs %d MB of secure memory", merged.PoolSize>>20)
-	}
-	return &Replayer{
-		rec: merged, gpu: gpu, ctrl: ctrl, clock: clock,
-		lim:    poolLimits(merged.PoolSize),
-		inject: map[string][]byte{},
-		Strict: true,
-	}, nil
 }
 
 // Recording exposes the verified recording.

@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"gpurelay/internal/gpumem"
+	"gpurelay/internal/grterr"
 	"gpurelay/internal/kbase"
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
@@ -351,5 +353,65 @@ func TestNonStrictReplayCollectsMismatches(t *testing.T) {
 	}
 	if r.Mismatches[0].Reg != mali.THREAD_MAX_THREADS {
 		t.Fatalf("mismatch at %v", r.Mismatches[0].Reg)
+	}
+}
+
+// TestOpenRejectsMismatchedChain: every segment of a chain replays through
+// the first segment's region map and pool, so a later segment that was
+// sealed with another map, pool size or GPU product is refused even though
+// it passes its own audit. The untouched chain opens and replays.
+func TestOpenRejectsMismatchedChain(t *testing.T) {
+	res := recordModel(t, mlfw.MNIST(), record.OursMDS)
+	segs, recs, err := res.Segments(mlfw.MNIST().LayerBoundaries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := Open(testKey, segs...)
+	if err != nil {
+		t.Fatalf("intact chain: %v", err)
+	}
+	if v.PoolSize() != res.Recording.PoolSize {
+		t.Fatalf("chain pool size %d, recording's %d", v.PoolSize(), res.Recording.PoolSize)
+	}
+	gpu, ctrl, clock := newReplayDevice(v.PoolSize(), 3)
+	r, err := v.Bind(gpu, ctrl, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetInputF32(mnistInput()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Run(); err != nil || got.Events != len(res.Recording.Events) {
+		t.Fatalf("intact chain replayed %d of %d events: %v", got.Events, len(res.Recording.Events), err)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(seg *trace.Recording)
+		want   error
+	}{
+		{"renamed region", func(seg *trace.Recording) {
+			seg.Regions = append([]trace.RegionInfo(nil), seg.Regions...)
+			seg.Regions[0].Name += "-renamed"
+		}, grterr.ErrBadRecording},
+		{"doubled pool", func(seg *trace.Recording) { seg.PoolSize *= 2 }, grterr.ErrBadRecording},
+		{"other product", func(seg *trace.Recording) { seg.ProductID = mali.G52MP2.ProductID }, grterr.ErrSKUMismatch},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seg := *recs[1]
+			tc.mutate(&seg)
+			if err := seg.Audit(); err != nil {
+				t.Fatalf("mutated segment fails its own audit: %v", err)
+			}
+			resealed, err := trace.Sign(&seg, testKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain := append([]*trace.Signed{segs[0], resealed}, segs[2:]...)
+			if _, err := Open(testKey, chain...); !errors.Is(err, tc.want) {
+				t.Fatalf("Open: %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -112,8 +112,10 @@ func (r *Recording) Audit() error {
 }
 
 func (r *Recording) auditHeader(a *auditor) {
-	if r.PoolSize == 0 || r.PoolSize > auditMaxPool {
-		a.add(-1, "pool-size", "pool size %d outside (0, %d]", r.PoolSize, int64(auditMaxPool))
+	// Replay sizes its secure pool from PoolSize, and a pool holds at
+	// least one page.
+	if r.PoolSize < gpumem.PageSize || r.PoolSize > auditMaxPool {
+		a.add(-1, "pool-size", "pool size %d outside [%d, %d]", r.PoolSize, gpumem.PageSize, int64(auditMaxPool))
 	}
 }
 

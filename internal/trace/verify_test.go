@@ -91,6 +91,9 @@ func TestAuditRejectsCorruptions(t *testing.T) {
 		{"zero pool", "pool-size", func(t *testing.T, r *Recording) {
 			r.PoolSize = 0
 		}},
+		{"sub-page pool", "pool-size", func(t *testing.T, r *Recording) {
+			r.PoolSize = gpumem.PageSize - 1
+		}},
 		{"oversized pool", "pool-size", func(t *testing.T, r *Recording) {
 			r.PoolSize = (4 << 30) + 1
 		}},

@@ -11,7 +11,6 @@ package gpurelay
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"time"
@@ -183,19 +182,6 @@ const (
 // returns an error naming the session and its last checkpointed job (still
 // wrapping ErrSessionLost) so a later call can resume it.
 func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model, opts ResilienceOptions) (*Recording, RecordStats, error) {
-	if opts.Network.Name == "" {
-		opts.Network = WiFi
-	}
-	compat, err := c.compatible()
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	want, err := cloud.ExpectedMeasurement(svc.image, compat)
-	if err != nil {
-		return nil, RecordStats{}, err
-	}
-	opts.Obs.AttachFleet(svc.fleet)
-	opts.Obs.AttachFlight(svc.flight)
 	// Checkpoint and resume telemetry routes through the session scope when
 	// one is carried (it double-writes into the fleet registry), so a
 	// session's own snapshot tells its full resilience story; an
@@ -270,15 +256,6 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		jrng = 1
 	}
 
-	hist := opts.History
-	if hist == nil {
-		hist = svc.SharedHistory(c.SKU, model)
-	}
-	inject := -1
-	if opts.InjectMispredictionAt > 0 {
-		inject = opts.InjectMispredictionAt
-	}
-
 	// Device-health bookkeeping across attempts: lostDev is the GPU the
 	// previous attempt died on (marked degraded or dead, awaiting its
 	// migration note once the session re-admits on different silicon);
@@ -303,23 +280,12 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		}
 	}
 
+	kh := svc.cacheKeyFor(c.SKU, model).Hash()
 	for attempt := 0; ; attempt++ {
-		nonce := make([]byte, 16)
-		if _, err := rand.Read(nonce); err != nil {
+		vm, err := svc.admit(ctx, c, kh, opts.Obs, seed)
+		if err != nil {
 			return nil, RecordStats{}, err
 		}
-		vm, err := svc.acquireVMShedAware(ctx, c.clock, opts.Obs, seed,
-			svc.cacheKeyFor(c.SKU, model).Hash(), c.ID, compat, nonce)
-		if err != nil {
-			return nil, RecordStats{}, fmt.Errorf("gpurelay: launching recording VM: %w", err)
-		}
-		opts.Obs.Annotate("session.admitted", "session", obs.A("attempt", int64(attempt)))
-		if vm.Measurement != want {
-			svc.releaseVM(vm)
-			return nil, RecordStats{}, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
-				svc.image.Name, compat, ErrAttestation)
-		}
-		opts.Obs.Annotate("session.attested", "session")
 		if lostDev != nil {
 			// Cross-VM migration landed: the replacement VM's device is
 			// different silicon by construction — degraded and dead devices
@@ -397,11 +363,8 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			}
 		}
 
-		res, err := record.RunContext(ctx, record.Config{
-			Variant: opts.Variant, Model: model, SKU: c.SKU, Network: opts.Network,
-			SessionKey: key, History: hist,
-			ClientSeed: seed, InjectMispredictionAt: inject,
-			Obs:       opts.Obs,
+		res, err := svc.run(ctx, c, model, opts.RecordOptions, record.Config{
+			SessionKey: key, ClientSeed: seed,
 			SessionID: sessionID, Faults: faults,
 			Resume: last, OnCheckpoint: onCkpt,
 			CkptMode: opts.CkptMode, CkptCadence: opts.CkptCadence, OnEpoch: onEpoch,
@@ -409,7 +372,6 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		if err == nil {
 			bookHealth(vm)
 			svc.releaseVM(vm)
-			c.clock.Advance(res.Stats.RecordingDelay)
 			res.Stats.Resumes = attempt
 			if opts.Obs == nil && res.Stats.CkptEpochs > 0 {
 				// An instrumented session's scope already double-wrote the
