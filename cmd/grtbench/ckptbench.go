@@ -1,13 +1,13 @@
 package main
 
-// The -perf -ckpt-mode path benchmarks checkpoint capture (PR9): full
-// whole-session captures vs. the epoch-chained incremental capturer, on the
-// evaluation's smallest and largest footprints, plus the fleet-shared
-// speculation warm start (a cold service's first session seeded from a
-// peer's validated-commit export). The numbers land in BENCH_PR9.json and
-// CI gates two of them: incremental capture must cost well under full
-// capture (-ckpt-gate), and the warm-started cold session's speculation
-// hit rate must strictly beat the unseeded cold baseline.
+// The -ckpt mode benchmarks checkpoint capture: full whole-session captures
+// vs. the epoch-chained incremental capturer, on the evaluation's smallest
+// and largest footprints, plus the fleet-shared speculation warm start (a
+// cold service's first session seeded from a peer's validated-commit
+// export). The numbers land in a grt-ckpt/1 artifact and gate two claims:
+// incremental capture must cost well under full capture (-ckpt-gate), and
+// the warm-started cold session's speculation hit rate must strictly beat
+// the unseeded cold baseline.
 
 import (
 	"encoding/json"
@@ -53,7 +53,7 @@ type specWarmEntry struct {
 	WarmHitRate float64 `json:"spec_hit_warm"`
 }
 
-// ckptArtifact is the BENCH_PR9.json schema.
+// ckptArtifact is the grt-ckpt/1 schema.
 type ckptArtifact struct {
 	Schema     string             `json:"schema"`
 	GOOS       string             `json:"goos"`
@@ -61,10 +61,9 @@ type ckptArtifact struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	NumCPU     int                `json:"num_cpu"`
 	Timestamp  string             `json:"timestamp"`
-	Mode       string             `json:"ckpt_mode"`
 	Gate       float64            `json:"ckpt_gate"`
 	Captures   []ckptCaptureEntry `json:"captures"`
-	SpecWarm   *specWarmEntry     `json:"spec_warm,omitempty"`
+	SpecWarm   *specWarmEntry     `json:"spec_warm"`
 }
 
 // benchCaptureSession benchmarks one synthetic session's checkpoint
@@ -139,21 +138,20 @@ func measureSpecWarm() (*specWarmEntry, error) {
 	return e, nil
 }
 
-// runCkptBench measures checkpoint capture in the requested mode, writes
-// BENCH_PR9.json, and enforces the gates: with mode "incremental", the
+// runCkptBench measures checkpoint capture in both modes and the speculation
+// warm start, writes the artifact, and enforces the gates: the
 // incremental/full per-boundary ratio must stay under gate (when > 0) on
 // every footprint, and the warm-started hit rate must strictly exceed the
-// cold baseline. Gate violations are exit-1 failures — the build, not the
+// cold baseline. Gate violations are exit-1 failures: the build, not the
 // invocation, is at fault.
-func runCkptBench(mode, outPath string, gate float64) error {
-	fmt.Printf("\n=== checkpoint capture benchmarks (wall-clock, mode %s) ===\n", mode)
+func runCkptBench(outPath string, gate float64) error {
+	fmt.Println("=== checkpoint capture benchmarks (wall-clock) ===")
 	art := ckptArtifact{
 		Schema: "grt-ckpt/1", GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Mode:      mode, Gate: gate,
+		Gate:      gate,
 	}
-	incremental := mode == "incremental"
 
 	var gateErr error
 	for _, spec := range gpumem.FootprintSpecs() {
@@ -162,46 +160,39 @@ func runCkptBench(mode, outPath string, gate float64) error {
 		if err != nil {
 			return err
 		}
+		incrNs, incrMB, epochs, conflicts, err := benchCaptureSession(spec, record.CkptIncremental)
+		if err != nil {
+			return err
+		}
 		e.CaptureFullNs = fullNs / int64(spec.Kernels)
 		e.FullSealedMB = fullMB
-		if incremental {
-			incrNs, incrMB, epochs, conflicts, err := benchCaptureSession(spec, record.CkptIncremental)
-			if err != nil {
-				return err
-			}
-			e.CaptureIncrNs = incrNs / int64(spec.Kernels)
-			e.IncrSealedMB = incrMB
-			e.Epochs = epochs
-			e.Conflicts = conflicts
-			if e.CaptureFullNs > 0 {
-				e.Ratio = float64(e.CaptureIncrNs) / float64(e.CaptureFullNs)
-			}
-			fmt.Printf("%-24s full %10d ns/boundary (%6.2f MB/session)  incremental %10d ns/boundary (%6.2f MB/session)  ratio %.3f\n",
-				spec.Name, e.CaptureFullNs, e.FullSealedMB, e.CaptureIncrNs, e.IncrSealedMB, e.Ratio)
-			if gate > 0 && e.Ratio >= gate && gateErr == nil {
-				gateErr = fmt.Errorf("checkpoint gate: %s incremental/full capture ratio %.3f >= ceiling %.3f",
-					spec.Name, e.Ratio, gate)
-			}
-		} else {
-			fmt.Printf("%-24s full %10d ns/boundary (%6.2f MB/session)\n",
-				spec.Name, e.CaptureFullNs, e.FullSealedMB)
+		e.CaptureIncrNs = incrNs / int64(spec.Kernels)
+		e.IncrSealedMB = incrMB
+		e.Epochs = epochs
+		e.Conflicts = conflicts
+		if e.CaptureFullNs > 0 {
+			e.Ratio = float64(e.CaptureIncrNs) / float64(e.CaptureFullNs)
+		}
+		fmt.Printf("%-24s full %10d ns/boundary (%6.2f MB/session)  incremental %10d ns/boundary (%6.2f MB/session)  ratio %.3f\n",
+			spec.Name, e.CaptureFullNs, e.FullSealedMB, e.CaptureIncrNs, e.IncrSealedMB, e.Ratio)
+		if gate > 0 && e.Ratio >= gate && gateErr == nil {
+			gateErr = fmt.Errorf("checkpoint gate: %s incremental/full capture ratio %.3f >= ceiling %.3f",
+				spec.Name, e.Ratio, gate)
 		}
 		art.Captures = append(art.Captures, e)
 	}
 
-	if incremental {
-		sw, err := measureSpecWarm()
-		if err != nil {
-			return err
-		}
-		art.SpecWarm = sw
-		fmt.Printf("spec warm start (%s): cold hit rate %.3f (%d/%d), warm %.3f (%d/%d), %d sigs seeded\n",
-			sw.Model, sw.ColdHitRate, sw.ColdAsync, sw.ColdCommits,
-			sw.WarmHitRate, sw.WarmAsync, sw.WarmCommits, sw.SeededSigs)
-		if gateErr == nil && sw.WarmHitRate <= sw.ColdHitRate {
-			gateErr = fmt.Errorf("spec warm-start gate: warm hit rate %.3f does not beat cold %.3f",
-				sw.WarmHitRate, sw.ColdHitRate)
-		}
+	sw, err := measureSpecWarm()
+	if err != nil {
+		return err
+	}
+	art.SpecWarm = sw
+	fmt.Printf("spec warm start (%s): cold hit rate %.3f (%d/%d), warm %.3f (%d/%d), %d sigs seeded\n",
+		sw.Model, sw.ColdHitRate, sw.ColdAsync, sw.ColdCommits,
+		sw.WarmHitRate, sw.WarmAsync, sw.WarmCommits, sw.SeededSigs)
+	if gateErr == nil && sw.WarmHitRate <= sw.ColdHitRate {
+		gateErr = fmt.Errorf("spec warm-start gate: warm hit rate %.3f does not beat cold %.3f",
+			sw.WarmHitRate, sw.ColdHitRate)
 	}
 
 	blob, err := json.MarshalIndent(art, "", "  ")

@@ -8,21 +8,24 @@
 //
 //	grtbench            # the full paper evaluation
 //	grtbench -fast      # MNIST + AlexNet only
-//	grtbench -perf      # memory-sync micro-benchmarks -> BENCH_PR4.json
-//	grtbench -fleet -engine parallel -gpus 16
-//	                    # fleet drill, serial vs parallel engine -> BENCH_PR6.json
-//	grtbench -fleet -clients 10000 -workloads 100 -shards 4
-//	                    # sharded cache-first fleet drill -> BENCH_PR8.json
-//	grtbench -perf -ckpt-mode incremental -ckpt-gate 0.5
+//	grtbench -ckpt -ckpt-gate 0.5
 //	                    # checkpoint capture, full vs incremental, plus the
-//	                    # fleet speculation warm start -> BENCH_PR9.json
-//	grtbench -fleet -health-plan dying-gpu -gpus 100
-//	                    # degraded-fleet drill: device faults, cross-VM
-//	                    # migration, byte-identity gate -> BENCH_PR10.json
+//	                    # fleet speculation warm start -> CKPT.json
+//	grtbench -fleet -engine parallel -sessions 16
+//	                    # engine drill: 16 lockstep sessions, parallel engine
+//	grtbench -fleet -model micro -sessions 10000 -workloads 100 -shards 4 -amp-gate 1.1
+//	                    # cache-first drill: 10k clients over 100 workloads
+//	grtbench -fleet -health-plan dying-gpu -sessions 100
+//	                    # degraded drill: device faults, cross-VM migration
 //
-// Inconsistent flag combinations (e.g. -clients without -fleet, or an
-// explicit -shards 0) are rejected with exit code 2 and a single-line JSON
-// report on stderr ({"rejected":true,"stage":"flags","reason":...}), so
+// Every -fleet run records the drill's plain serial reference, runs the
+// requested drill twice, and writes one grt-drill/1 artifact (-out, default
+// DRILL.json). It exits 1 unless every workload's seal matches the
+// reference, the two runs agree, and every requested gate holds.
+//
+// Inconsistent flag combinations (e.g. -workloads without -fleet, or more
+// workloads than sessions) are rejected with exit code 2 and a single-line
+// JSON report on stderr ({"rejected":true,"stage":"flags","reason":...}), so
 // pipelines can triage misconfiguration without parsing error prose.
 package main
 
@@ -31,213 +34,146 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"strings"
 
 	"gpurelay/internal/experiments"
 	"gpurelay/internal/faultsim"
+	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
+	"gpurelay/internal/platform"
 )
 
 // flagRejection is the machine-readable report grtbench emits when the flag
 // surface is combined inconsistently. Mirrors grtreplay's rejection schema.
 type flagRejection struct {
 	Rejected bool   `json:"rejected"`
-	Stage    string `json:"stage"`  // always "flags"
-	Reason   string `json:"reason"` // stable token: needs_fleet|bad_shards|...
+	Stage    string `json:"stage"`  // "flags" or "fault-plan"
+	Reason   string `json:"reason"` // stable token: needs_fleet|bad_model|...
 	Error    string `json:"error"`
 }
 
-// rejectFlags prints one JSON line to stderr and exits 2: the invocation,
-// not the environment, is at fault.
-func rejectFlags(reason, msg string) {
-	line, err := json.Marshal(flagRejection{Rejected: true, Stage: "flags", Reason: reason, Error: msg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, `{"rejected":true,"stage":"flags","reason":%q}`+"\n", reason)
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, string(line))
-	os.Exit(2)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-// rejectPlan reports an unparsable -health-plan the same way grtrecord's
-// -faults path does: one JSON line carrying the parser's stable reason
-// token, exit 2.
-func rejectPlan(err error) {
-	reason := "bad_plan"
-	var pe *faultsim.PlanError
-	if errors.As(err, &pe) {
-		reason = pe.Reason
+// run executes one grtbench invocation and returns its exit status: 0 on
+// success, 1 when a benchmark or gate fails, 2 when the flags are at fault.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("grtbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fast := fs.Bool("fast", false, "run only MNIST and AlexNet")
+	fleet := fs.Bool("fleet", false, "run the fleet drill against its serial reference and write a grt-drill/1 artifact")
+	ckptBench := fs.Bool("ckpt", false, "benchmark checkpoint capture, full vs incremental, plus the speculation warm start, and write a grt-ckpt/1 artifact")
+	out := fs.String("out", "", "artifact path (default DRILL.json with -fleet, CKPT.json with -ckpt)")
+	model := fs.String("model", "mnist", "with -fleet: every workload's model: micro|mnist|alexnet|mobilenet|squeezenet|resnet12|vgg16")
+	engine := fs.String("engine", "serial", "with -fleet: discrete-event engine of the drill: serial|parallel")
+	sessions := fs.Int("sessions", 0, "with -fleet: drill clients (0 -> 16)")
+	workloads := fs.Int("workloads", 0, "with -fleet: distinct workloads behind the cache-first admission path (0 -> every session its own workload, uncached)")
+	shards := fs.Int("shards", 0, "with -fleet: admission partitions under consistent hashing on the cache key (0 -> 1)")
+	healthPlan := fs.String("health-plan", "", "with -fleet: afflict every fourth workload with this device-health fault plan (preset name or spec, e.g. dying-gpu); the drill runs over WiFi")
+	traceOut := fs.String("trace-out", "", "with -fleet: instrument the drill and write its combined Chrome trace (session spans + engine handler spans) to this file")
+	healthOut := fs.String("health-out", "", "with -fleet: instrument the drill and write its fleet health report (grt-health/1 JSON, for grtdiag health) to this file")
+	ampGate := fs.Float64("amp-gate", 0, "with -fleet: fail (exit 1) when record amplification exceeds this ceiling (0 = no gate)")
+	ckptGate := fs.Float64("ckpt-gate", 0, "with -ckpt: fail (exit 1) when the incremental/full capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	line, merr := json.Marshal(flagRejection{Rejected: true, Stage: "fault-plan", Reason: reason, Error: err.Error()})
-	if merr != nil {
-		fmt.Fprintf(os.Stderr, `{"rejected":true,"stage":"fault-plan","reason":%q}`+"\n", reason)
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, string(line))
-	os.Exit(2)
-}
-
-func main() {
-	fast := flag.Bool("fast", false, "run only MNIST and AlexNet")
-	perf := flag.Bool("perf", false, "run memory-sync micro-benchmarks and write a perf artifact")
-	perfOut := flag.String("perfout", "BENCH_PR4.json", "perf artifact output path (with -perf)")
-	fleet := flag.Bool("fleet", false, "run the multi-session fleet drill on the discrete-event engine and write a scheduling artifact")
-	fleetOut := flag.String("fleetout", "BENCH_PR6.json", "fleet artifact output path (with -fleet)")
-	traceOut := flag.String("trace-out", "", "with -fleet: write the instrumented drill's combined Chrome trace (per-session spans + engine handler spans) to this file")
-	healthOut := flag.String("health-out", "", "with -fleet: write the instrumented drill's fleet health report (grt-health/1 JSON, for grtdiag health) to this file")
-	engineFlag := flag.String("engine", "serial", "discrete-event engine for the fleet drill: serial|parallel (parallel also runs the serial baseline and reports the speedup)")
-	gpus := flag.Int("gpus", 1, "fleet drill sessions, one GPU each (with -fleet; 1 selects the default 16-session drill)")
-	clients := flag.Int("clients", 0, "with -fleet: simulated client admissions for the sharded cache-first drill (selects the sharded drill; 0 with -shards/-workloads -> 10000)")
-	workloads := flag.Int("workloads", 0, "with -fleet: distinct workloads across the sharded drill's clients (0 -> 100)")
-	shards := flag.Int("shards", 0, "with -fleet: session-manager partitions under consistent hashing on the cache key (0 -> 4; an explicit 0 is rejected)")
-	shardOut := flag.String("shardout", "BENCH_PR8.json", "sharded fleet artifact output path (with -fleet -clients/-workloads/-shards)")
-	ampGate := flag.Float64("amp-gate", 0, "with the sharded drill: fail (exit 1) when record-amplification exceeds this ceiling (0 = no gate)")
-	ckptMode := flag.String("ckpt-mode", "", "with -perf: also benchmark checkpoint capture (full|incremental; incremental measures both modes plus the fleet speculation warm start) and write the checkpoint artifact")
-	ckptOut := flag.String("ckptout", "BENCH_PR9.json", "checkpoint artifact output path (with -perf -ckpt-mode)")
-	ckptGate := flag.Float64("ckpt-gate", 0, "with -perf -ckpt-mode incremental: fail (exit 1) when the incremental/full capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
-	healthPlan := flag.String("health-plan", "", "with -fleet: run the degraded-fleet drill under this device-health fault plan (preset name or spec, e.g. dying-gpu); -gpus sets the fleet size (<=1 -> 100)")
-	degradedOut := flag.String("degradedout", "BENCH_PR10.json", "degraded-fleet artifact output path (with -fleet -health-plan)")
-	flag.Parse()
-
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	shardDrill := set["clients"] || set["workloads"] || set["shards"]
-
-	if set["ckpt-mode"] || set["ckptout"] || set["ckpt-gate"] {
-		// The checkpoint benchmark's flag surface is validated before
-		// anything runs, same machine-readable convention as the sharded
-		// drill's (satellite: `-ckpt-mode` flag surface).
-		if !set["ckpt-mode"] {
-			rejectFlags("needs_ckpt_mode", "-ckptout/-ckpt-gate configure the checkpoint benchmark and need -ckpt-mode")
-		}
-		if *ckptMode != "full" && *ckptMode != "incremental" {
-			rejectFlags("bad_ckpt_mode", fmt.Sprintf("unknown checkpoint mode %q (full|incremental)", *ckptMode))
-		}
-		if !*perf {
-			rejectFlags("needs_perf", "-ckpt-mode benchmarks checkpoint capture and needs -perf")
-		}
-		if set["ckpt-gate"] && *ckptGate < 0 {
-			rejectFlags("bad_ckpt_gate", fmt.Sprintf("-ckpt-gate %v: the capture-ratio ceiling cannot be negative", *ckptGate))
-		}
-		if set["ckpt-gate"] && *ckptGate > 0 && *ckptMode != "incremental" {
-			rejectFlags("gate_needs_incremental", "-ckpt-gate compares incremental to full capture and needs -ckpt-mode incremental")
-		}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	reject := func(stage, reason, msg string) int {
+		// A struct of strings and a bool always marshals.
+		line, _ := json.Marshal(flagRejection{Rejected: true, Stage: stage, Reason: reason, Error: msg})
+		fmt.Fprintln(stderr, string(line))
+		return 2
 	}
 
-	if *engineFlag != "serial" && *engineFlag != "parallel" {
-		log.Fatalf("unknown engine %q (serial|parallel)", *engineFlag)
+	if (*fast && *fleet) || (*fast && *ckptBench) || (*fleet && *ckptBench) {
+		return reject("flags", "mode_conflict", "-fast, -fleet and -ckpt select different modes")
 	}
-	if shardDrill {
-		// The sharded drill's flag surface is validated before anything
-		// runs; inconsistent combinations are a misconfiguration, reported
-		// machine-readably (satellite: `grtbench -fleet` flag surface).
-		if !*fleet {
-			rejectFlags("needs_fleet", "-clients/-workloads/-shards select the sharded fleet drill and need -fleet")
-		}
-		if set["shards"] && *shards <= 0 {
-			rejectFlags("bad_shards", fmt.Sprintf("-shards %d: the drill needs at least one admission partition", *shards))
-		}
-		if set["clients"] && *clients <= 0 {
-			rejectFlags("bad_clients", fmt.Sprintf("-clients %d: the drill needs at least one admission", *clients))
-		}
-		if set["workloads"] && *workloads <= 0 {
-			rejectFlags("bad_workloads", fmt.Sprintf("-workloads %d: the drill needs at least one workload", *workloads))
-		}
-		if *clients == 0 {
-			*clients = 10000
-		}
-		if *workloads == 0 {
-			*workloads = 100
-		}
-		if *shards == 0 {
-			*shards = 4
-		}
-		if *workloads > *clients {
-			rejectFlags("workloads_exceed_clients",
-				fmt.Sprintf("-workloads %d > -clients %d: every workload needs at least one admission", *workloads, *clients))
-		}
-		if set["engine"] && *engineFlag == "parallel" {
-			rejectFlags("engine_conflict", "the sharded drill is event-native on its own serial engine; -engine parallel belongs to the -gpus drill")
-		}
-		if set["gpus"] {
-			rejectFlags("gpus_conflict", "-gpus selects the per-GPU fleet drill; it cannot combine with -clients/-workloads/-shards")
-		}
-		if *traceOut != "" {
-			rejectFlags("trace_conflict", "the sharded drill exports no engine trace; -trace-out belongs to the -gpus drill")
+	for _, name := range []string{"model", "engine", "sessions", "workloads", "shards", "health-plan", "trace-out", "health-out", "amp-gate"} {
+		if set[name] && !*fleet {
+			return reject("flags", "needs_fleet", fmt.Sprintf("-%s configures the fleet drill and needs -fleet", name))
 		}
 	}
-	var plan *faultsim.Plan
-	if set["health-plan"] || set["degradedout"] {
-		// The degraded drill's flag surface, same convention: misuse is
-		// reported machine-readably before anything runs.
-		if !set["health-plan"] {
-			rejectFlags("needs_health_plan", "-degradedout configures the degraded-fleet drill and needs -health-plan")
-		}
-		if !*fleet {
-			rejectFlags("needs_fleet", "-health-plan selects the degraded-fleet drill and needs -fleet")
-		}
-		if shardDrill {
-			rejectFlags("shard_conflict", "the degraded drill admits one session per GPU; -clients/-workloads/-shards belong to the sharded drill")
-		}
-		if set["engine"] && *engineFlag == "parallel" {
-			rejectFlags("engine_conflict", "the degraded drill replays device faults on its own serial engine; -engine parallel belongs to the plain -gpus drill")
-		}
-		if *traceOut != "" {
-			rejectFlags("trace_conflict", "the degraded drill exports no engine trace; -trace-out belongs to the plain -gpus drill")
-		}
-		var err error
-		if plan, err = faultsim.ParsePlan(*healthPlan); err != nil {
-			rejectPlan(err)
-		}
-		health := false
-		for _, f := range plan.Faults {
-			if f.Kind.Health() {
-				health = true
-				break
-			}
-		}
-		if !health {
-			rejectFlags("no_health_faults",
-				fmt.Sprintf("plan %q schedules no device-health fault (thermal/sbe/dbe/falloff); it cannot degrade a GPU", *healthPlan))
-		}
+	if set["ckpt-gate"] && !*ckptBench {
+		return reject("flags", "needs_ckpt", "-ckpt-gate gates the checkpoint benchmark and needs -ckpt")
 	}
-	if *perf {
-		if err := runPerf(*perfOut); err != nil {
-			log.Fatal(err)
-		}
-		if *ckptMode != "" {
-			if err := runCkptBench(*ckptMode, *ckptOut, *ckptGate); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *fleet {
-		if plan != nil {
-			if err := runDegradedFleet(plan, *healthPlan, *gpus, *degradedOut, *healthOut); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if shardDrill {
-			if err := runShardFleet(*clients, *workloads, *shards, *shardOut, *healthOut, *ampGate); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if err := runFleet(*engineFlag, *gpus, *fleetOut, *traceOut, *healthOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *traceOut != "" || *healthOut != "" {
-		log.Fatal("-trace-out and -health-out need -fleet")
+	if *ckptGate < 0 {
+		return reject("flags", "bad_ckpt_gate", fmt.Sprintf("-ckpt-gate %v: the capture-ratio ceiling cannot be negative", *ckptGate))
 	}
 
+	var err error
+	switch {
+	case *fleet:
+		opts := platform.DrillOptions{
+			SKU: mali.G71MP8, Seed: 42,
+			Sessions: *sessions, Workloads: *workloads, Shards: *shards,
+			Instrument: *traceOut != "" || *healthOut != "",
+		}
+		for _, m := range append(mlfw.Benchmarks(), mlfw.Micro()) {
+			if strings.EqualFold(m.Name, *model) {
+				opts.Model = m
+			}
+		}
+		if opts.Model == nil {
+			return reject("flags", "bad_model", fmt.Sprintf("unknown model %q", *model))
+		}
+		if *engine != "serial" && *engine != "parallel" {
+			return reject("flags", "bad_engine", fmt.Sprintf("unknown engine %q (serial|parallel)", *engine))
+		}
+		opts.Parallel = *engine == "parallel"
+		if *healthPlan != "" {
+			if opts.HealthPlan, err = faultsim.ParsePlan(*healthPlan); err != nil {
+				var pe *faultsim.PlanError
+				errors.As(err, &pe) // ParsePlan returns only *PlanError
+				return reject("fault-plan", pe.Reason, err.Error())
+			}
+			if !hasHealthFault(opts.HealthPlan) {
+				return reject("flags", "no_health_faults",
+					fmt.Sprintf("plan %q schedules no device-health fault (thermal/sbe/dbe/falloff); it cannot degrade a GPU", *healthPlan))
+			}
+		}
+		var oe *platform.OptionError
+		if errors.As(opts.Validate(), &oe) {
+			return reject("flags", oe.Reason, oe.Detail)
+		}
+		err = runDrill(opts, orDefault(*out, "DRILL.json"), *traceOut, *healthOut, *ampGate)
+	case *ckptBench:
+		err = runCkptBench(orDefault(*out, "CKPT.json"), *ckptGate)
+	default:
+		err = paperEval(*fast)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "grtbench:", err)
+		return 1
+	}
+	return 0
+}
+
+// hasHealthFault reports whether plan schedules a device-health fault.
+func hasHealthFault(plan *faultsim.Plan) bool {
+	for _, f := range plan.Faults {
+		if f.Kind.Health() {
+			return true
+		}
+	}
+	return false
+}
+
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
+}
+
+// paperEval prints the paper's evaluation tables and figures.
+func paperEval(fast bool) error {
 	var suite *experiments.Suite
-	if *fast {
+	if fast {
 		suite = experiments.NewSuite(mlfw.MNIST(), mlfw.AlexNet())
 	} else {
 		suite = experiments.NewSuite()
@@ -247,65 +183,65 @@ func main() {
 
 	f7w, err := suite.Figure7(netsim.WiFi)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderFigure7("Figure 7(a): recording delays, WiFi (RTT 20ms, BW 80Mbps)", f7w))
 
 	f7c, err := suite.Figure7(netsim.Cellular)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderFigure7("Figure 7(b): recording delays, cellular (RTT 50ms, BW 40Mbps)", f7c))
 
 	t1, err := suite.Table1()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderTable1(t1))
 
 	t2, err := suite.Table2()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderTable2(t2))
 
 	f8, err := suite.Figure8()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderFigure8(f8))
 
 	f9, err := suite.Figure9()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderFigure9(f9))
 
 	def, err := suite.DeferralEfficacy(netsim.WiFi)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	spec, err := suite.SpeculationEfficacy(netsim.WiFi)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	misModels := []string{"MNIST"}
-	if !*fast {
+	if !fast {
 		misModels = []string{"MNIST", "VGG16"}
 	}
 	mis, err := suite.MispredictionCost(misModels...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	poll, err := suite.PollingOffload()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Println("=== §7.3 validation of key designs ===")
@@ -313,7 +249,7 @@ func main() {
 
 	abl, err := suite.HistoryAblation()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Println("Ablation: cross-workload speculation history (warm vs cold)")
@@ -325,22 +261,23 @@ func main() {
 
 	ks, err := suite.KSweep("MNIST")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderKSweep("MNIST", ks))
 
 	rtt, err := suite.RTTSweep("MNIST")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderRTTSweep("MNIST", rtt))
 
 	seg, err := suite.SegmentationTradeoff()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(experiments.RenderSegmentation(seg))
+	return nil
 }

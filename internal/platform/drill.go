@@ -1,0 +1,611 @@
+// The fleet drill: one record session per workload on one discrete-event
+// engine, admitted through a sharded session manager. Every knob — engine,
+// shards, the cache-first admission path, warm start, a device-health plan,
+// checkpoint mode, instrumentation — is orthogonal to the recordings: a
+// workload's seal depends only on the model, SKU, seed and workload index, so
+// any drill is checked against its plain serial Reference drill.
+package platform
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"gpurelay/internal/audit"
+	"gpurelay/internal/castore"
+	"gpurelay/internal/ckpt"
+	"gpurelay/internal/cloud"
+	"gpurelay/internal/faultsim"
+	"gpurelay/internal/gpumem"
+	"gpurelay/internal/grterr"
+	"gpurelay/internal/mali"
+	"gpurelay/internal/mlfw"
+	"gpurelay/internal/netsim"
+	"gpurelay/internal/obs"
+	"gpurelay/internal/record"
+	"gpurelay/internal/shim"
+	"gpurelay/internal/timesim"
+)
+
+const (
+	// arrivalGap spaces a cached drill's client arrivals on the virtual clock.
+	arrivalGap = 50 * time.Microsecond
+	// faultEvery is the stride of the workloads a health plan afflicts.
+	faultEvery = 4
+	// maxResumes bounds a session's migrations before the drill fails.
+	maxResumes = 3
+)
+
+// DrillOptions configures a fleet drill. The zero value of every knob but
+// Model and SKU selects a plain drill: 16 sessions, each its own workload,
+// admitted up front to one partition, recorded over loopback on the serial
+// engine.
+type DrillOptions struct {
+	// Model and SKU describe the base workload; both required. Workload w
+	// records Model renamed "<name>-wl-<w>": the same compute under its own
+	// cache key, session key and client seed.
+	Model *mlfw.Model
+	SKU   *mali.SKU
+	// Seed derives every workload's session key and client seed. Identical
+	// options give byte-identical drills, on either engine, at any
+	// GOMAXPROCS.
+	Seed uint64
+	// Sessions is the number of clients (0 → 16).
+	Sessions int
+	// Workloads > 0 selects the cache-first admission path: client i arrives
+	// at (i+1)×50µs and requests workload i mod Workloads. A store hit is
+	// served with no VM; a miss coalesces onto the workload's in-flight
+	// record or leads it, taking a slot of the workload's shard (16 VMs),
+	// else a place in the shard's FIFO queue (64), else it is shed. Zero
+	// gives every session its own workload, admitted before the engine runs.
+	Workloads int
+	// Shards partitions admission by consistent hashing on each workload's
+	// cache key (0 → 1).
+	Shards int
+	// Network is every session's link (zero → loopback, or WiFi with a
+	// health plan: the fault presets' instants are tuned for a session that
+	// spans seconds, as an MNIST session does over WiFi).
+	Network netsim.Condition
+	// Parallel runs the drill on the parallel engine. A cached drill or one
+	// with a health plan mutates state its sessions share, so it refuses.
+	Parallel bool
+	// WarmStart seeds every session's speculation history with a fleet
+	// peer's validated commits (shim.History.ExportReady). Each session
+	// gets a private copy, so seeding never couples sessions.
+	WarmStart map[string]shim.Outcome
+	// HealthPlan afflicts every fourth workload's record session with this
+	// fault plan. A session that loses its device crashes its VM, re-admits
+	// on a different GPU and resumes from its last checkpoint, up to three
+	// times.
+	HealthPlan *faultsim.Plan
+	// CkptMode is how an afflicted session checkpoints: full captures, or
+	// an incremental epoch chain stitched on loss.
+	CkptMode record.CkptMode
+	// Instrument attaches per-session telemetry scopes, a flight recorder
+	// and an engine execution trace. Instrumentation only reads the
+	// timeline, so it never changes a seal.
+	Instrument bool
+}
+
+// OptionError rejects inconsistent drill options. Reason is a stable token
+// a CLI can report machine-readably.
+type OptionError struct {
+	Reason, Detail string
+}
+
+func (e *OptionError) Error() string { return "platform: drill options: " + e.Detail }
+
+func optionError(reason, format string, args ...any) error {
+	return &OptionError{Reason: reason, Detail: fmt.Sprintf(format, args...)}
+}
+
+// Validate reports the first inconsistency in o as an *OptionError.
+func (o DrillOptions) Validate() error {
+	_, err := o.withDefaults()
+	return err
+}
+
+func (o DrillOptions) withDefaults() (DrillOptions, error) {
+	switch {
+	case o.Model == nil || o.SKU == nil:
+		return o, optionError("needs_model", "a drill needs a model and a SKU")
+	case o.Sessions < 0:
+		return o, optionError("bad_sessions", "%d sessions", o.Sessions)
+	case o.Workloads < 0:
+		return o, optionError("bad_workloads", "%d workloads", o.Workloads)
+	case o.Shards < 0:
+		return o, optionError("bad_shards", "%d shards", o.Shards)
+	}
+	if o.Sessions == 0 {
+		o.Sessions = 16
+	}
+	if o.Shards == 0 {
+		o.Shards = 1
+	}
+	if o.Workloads > o.Sessions {
+		return o, optionError("workloads_exceed_sessions",
+			"%d workloads exceed %d sessions: every workload needs a client", o.Workloads, o.Sessions)
+	}
+	if o.Parallel && (o.Workloads > 0 || o.HealthPlan != nil) {
+		return o, optionError("engine_conflict",
+			"a cached drill or a drill with a health plan shares state across sessions and runs on the serial engine")
+	}
+	if compatOf(o.SKU) == "" {
+		return o, optionError("bad_sku", "SKU %s not in catalog", o.SKU.Name)
+	}
+	if o.Network.Name == "" {
+		o.Network = netsim.Loopback
+		if o.HealthPlan != nil {
+			o.Network = netsim.WiFi
+		}
+	}
+	return o, nil
+}
+
+// compatOf is the device-tree compatible string the catalog files sku under.
+func compatOf(sku *mali.SKU) string {
+	for c, s := range mali.Catalog {
+		if s == sku {
+			return c
+		}
+	}
+	return ""
+}
+
+// Reference is the drill whose seals are o's oracle: the plain serial drill
+// recording each of o's workloads once, uncached, over loopback.
+func (o DrillOptions) Reference() DrillOptions {
+	n := o.Workloads
+	if n == 0 {
+		n = o.Sessions
+	}
+	return DrillOptions{Model: o.Model, SKU: o.SKU, Seed: o.Seed, Sessions: n}
+}
+
+// DrillCounts are a drill's deterministic scalar outcomes: two runs of the
+// same options report equal counts.
+type DrillCounts struct {
+	// Records counts workloads recorded. In a cached drill, Hits are
+	// admissions served from the store, Misses the rest, Coalesced the
+	// misses that waited on another client's record, Shed the admissions
+	// rejected by a full shard.
+	Records   int `json:"records"`
+	Hits      int `json:"hits"`
+	Misses    int `json:"misses"`
+	Coalesced int `json:"coalesced"`
+	Shed      int `json:"shed"`
+	// Faulted counts record sessions the health plan afflicted, Interrupted
+	// those that lost at least one device, Migrated the moves to a
+	// different VM's GPU.
+	Faulted     int `json:"faulted"`
+	Interrupted int `json:"interrupted"`
+	Migrated    int `json:"migrated"`
+	// P99AdmissionWait is the nearest-rank p99 of cached-drill leaders'
+	// waits for a shard slot; MaxShardQueue the deepest leader queue.
+	P99AdmissionWait time.Duration `json:"p99_admission_wait_ns"`
+	MaxShardQueue    int           `json:"max_shard_queue"`
+	// VirtualTime, Events and Batches describe the engine's timeline.
+	// Batches.MaxWidth is the structural parallelism: how many sessions
+	// shared a timestamp, whatever cores the host had.
+	VirtualTime time.Duration      `json:"virtual_ns"`
+	Events      int64              `json:"events"`
+	Batches     timesim.BatchStats `json:"batches"`
+}
+
+// DrillResult is what a drill reports.
+type DrillResult struct {
+	DrillCounts
+	// Options are the options the drill ran with, defaults filled in.
+	Options DrillOptions
+	// Seals are the per-workload recording HMACs in workload order. A
+	// workload whose every leader was shed has a zero seal.
+	Seals [][32]byte
+	// Resumes counts each workload's survived device losses.
+	Resumes []int
+	// Wall is the host wall-clock duration of the engine run.
+	Wall time.Duration
+	// Service is the drill's admission layer, every VM released.
+	Service *cloud.ShardedService
+	// Fleet is the drill-wide registry (admissions, cache, devices,
+	// resumes) and Health its rollup, taken after every VM was released.
+	Fleet  *obs.Registry
+	Health *cloud.HealthReport
+	// Scopes (per workload), Flight and EngineTrace are set when
+	// instrumented; obs.WriteFleetTrace exports them as one Chrome trace.
+	Scopes      []*obs.Scope
+	Flight      *obs.FlightRecorder
+	EngineTrace *timesim.EngineTrace
+}
+
+// drillPoolSize sizes one session's pool: the model's buffers with headroom
+// for metastate and page tables, but without the record path's 64 MiB
+// default slack, which a thousand sessions on one host do not want.
+func drillPoolSize(m *mlfw.Model) uint64 {
+	size := m.TotalBytes()*3/2 + (8 << 20)
+	return size &^ (gpumem.PageSize - 1)
+}
+
+// queuedLeader is a cached drill's leader waiting for a shard slot.
+type queuedLeader struct {
+	w        int
+	enqueued time.Duration
+}
+
+// drill is one run's state. A cached drill's admission state is touched
+// only by engine handlers and processes on the serial engine, so it needs
+// no locks; on the parallel engine sessions touch only their own workload's
+// slots.
+type drill struct {
+	o      DrillOptions
+	eng    timesim.Engine
+	svc    *cloud.ShardedService
+	store  *castore.Store
+	reg    *obs.Registry
+	flight *obs.FlightRecorder
+	compat string
+	pool   uint64
+
+	// Per workload.
+	models    []*mlfw.Model
+	ckeys     []castore.Key
+	khash     [][32]byte
+	skeys     [][]byte
+	scopes    []*obs.Scope
+	vms       []*cloud.VM
+	seals     [][32]byte
+	resume    []int
+	moved     []int
+	afflicted []bool
+
+	// Cached admission.
+	free     []int
+	queued   [][]queuedLeader
+	inflight []bool
+	pending  []int // followers awaiting each workload's publication
+	waits    []time.Duration
+	served   int
+	counts   DrillCounts
+}
+
+// Drill runs one fleet drill.
+func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	d := &drill{o: o, reg: obs.NewRegistry(), eng: timesim.NewSerialEngine(),
+		compat: compatOf(o.SKU), pool: drillPoolSize(o.Model)}
+	if o.Parallel {
+		d.eng = timesim.NewParallelEngine()
+	}
+	cached := o.Workloads > 0
+	n := o.Workloads
+	// An uncached drill holds every session's VM until the drill ends, so
+	// each partition is sized to hold them all.
+	pool := cloud.SessionConfig{}
+	if !cached {
+		n, pool = o.Sessions, cloud.SessionConfig{Capacity: o.Sessions}
+	}
+	img := cloud.DefaultImage()
+	d.svc = cloud.NewShardedService(img, cloud.ShardedConfig{Shards: o.Shards, Shard: pool})
+	d.svc.Instrument(d.reg)
+	d.svc.SetTimeSource(d.eng)
+	var trace *timesim.EngineTrace
+	if o.Instrument {
+		d.flight = obs.NewFlightRecorder(0)
+		d.svc.InstrumentFlight(d.flight)
+		trace = timesim.NewEngineTrace(0)
+		d.eng.SetTrace(trace)
+	}
+	for w := 0; w < n; w++ {
+		m := *o.Model
+		m.Name = fmt.Sprintf("%s-wl-%03d", o.Model.Name, w)
+		ck := castore.KeyForModel(o.SKU.Name, img.Stack, &m)
+		d.models = append(d.models, &m)
+		d.ckeys = append(d.ckeys, ck)
+		d.khash = append(d.khash, ck.Hash())
+		d.skeys = append(d.skeys, SessionKey(o.Seed, w))
+		if o.Instrument {
+			d.scopes = append(d.scopes, obs.NewScope(m.Name, obs.Options{Fleet: d.reg, Flight: d.flight}))
+		}
+	}
+	d.vms = make([]*cloud.VM, n)
+	d.seals = make([][32]byte, n)
+	d.resume = make([]int, n)
+	d.moved = make([]int, n)
+	d.afflicted = make([]bool, n)
+
+	if cached {
+		if d.store, err = castore.New(castore.Config{
+			MaxEntries: 2 * n,
+			MaxBytes:   1 << 40, // the drill bounds by entries; never evict by bytes
+		}); err != nil {
+			return nil, err
+		}
+		d.store.SetQuarantine(audit.New(0))
+		d.store.Instrument(d.reg)
+		d.free = make([]int, o.Shards)
+		for s := range d.free {
+			d.free[s] = d.svc.Manager(s).Config().Capacity
+		}
+		d.queued = make([][]queuedLeader, o.Shards)
+		d.inflight = make([]bool, n)
+		d.pending = make([]int, n)
+		for i := 0; i < o.Sessions; i++ {
+			i := i
+			d.eng.Schedule(&timesim.FuncEvent{
+				At: arrivalGap * time.Duration(i+1),
+				K:  uint64(i),
+				Fn: func() error { return d.arrive(ctx, i) },
+			})
+		}
+	} else {
+		for w := 0; w < n; w++ {
+			if err := d.start(ctx, w); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	start := time.Now()
+	err = d.eng.Run()
+	wall := time.Since(start)
+	for _, vm := range d.vms {
+		if vm != nil {
+			d.svc.Release(vm)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if d.served != d.counts.Coalesced {
+		return nil, fmt.Errorf("platform: %d coalesced admissions but %d served", d.counts.Coalesced, d.served)
+	}
+
+	res := &DrillResult{
+		DrillCounts: d.counts, Options: o,
+		Seals: d.seals, Resumes: d.resume, Wall: wall, Service: d.svc,
+		Fleet: d.reg, Scopes: d.scopes, Flight: d.flight, EngineTrace: trace,
+	}
+	res.VirtualTime, res.Events, res.Batches = d.eng.Now(), d.eng.Events(), d.eng.Batches()
+	res.P99AdmissionWait = quantileWait(d.waits, 0.99)
+	for w, seal := range d.seals {
+		if seal != ([32]byte{}) {
+			res.Records++
+		}
+		if d.afflicted[w] {
+			res.Faulted++
+		}
+		if d.resume[w] > 0 {
+			res.Interrupted++
+		}
+		res.Migrated += d.moved[w]
+	}
+	res.Health = cloud.EvaluateHealth(d.reg.Snapshot(), nil, cloud.DefaultHealthThresholds())
+	for _, sc := range d.scopes {
+		res.Health.Sessions = append(res.Health.Sessions, cloud.EvaluateSessionHealth(sc.ID(), sc.Snapshot()))
+	}
+	return res, nil
+}
+
+// admit takes a VM for workload w on its shard. A cached drill mirrors the
+// shards' slot accounting, so this always takes the immediate path: a wait
+// inside an engine process would stall the timeline.
+func (d *drill) admit(ctx context.Context, w int) error {
+	vm, err := d.svc.Acquire(ctx, d.khash[w], d.models[w].Name, d.compat, d.skeys[w][:16])
+	if err != nil {
+		return fmt.Errorf("platform: admitting workload %d: %w", w, err)
+	}
+	d.vms[w] = vm
+	return nil
+}
+
+// session records workload w on its VM as one engine process. A session
+// that loses its device marks the silicon, crashes the VM, re-admits on a
+// different GPU and resumes from its last checkpoint.
+func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
+	o := d.o
+	seed := o.Seed*1_000_003 + uint64(w)*7 + 1
+	id := d.models[w].Name
+	var faults *faultsim.Session
+	if o.HealthPlan != nil && w%faultEvery == 0 {
+		d.afflicted[w] = true
+		faults = o.HealthPlan.Start(seed)
+		faults.Instrument(nil, d.reg)
+	}
+	var (
+		last          *ckpt.Checkpoint
+		bookedSBE     int
+		bookedStretch time.Duration
+	)
+	for attempt := 0; ; attempt++ {
+		cfg := record.Config{
+			Model: d.models[w], SKU: o.SKU, Network: o.Network,
+			SessionKey: d.skeys[w], ClientSeed: seed,
+			InjectMispredictionAt: -1,
+			PoolSize:              d.pool,
+			SessionID:             id,
+			Clock:                 tm,
+			Faults:                faults,
+			Resume:                last,
+		}
+		if d.scopes != nil {
+			cfg.Obs = d.scopes[w]
+		}
+		if o.WarmStart != nil {
+			cfg.History = shim.NewHistory(3)
+			cfg.History.WarmStart(o.WarmStart)
+		}
+		var chain *ckpt.Chain
+		if faults != nil {
+			cfg.CkptMode = o.CkptMode
+			if o.CkptMode == record.CkptIncremental {
+				chain = &ckpt.Chain{}
+				cfg.OnEpoch = func(e *ckpt.Epoch) { _ = chain.Append(e) }
+			} else {
+				cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) { last = cp }
+			}
+		}
+		res, err := record.RunContext(ctx, cfg)
+		vm := d.vms[w]
+		if faults != nil && vm.Device != nil {
+			// Book the attempt's corrected ECC faults and throttled time on
+			// the device that hosted it: faultsim's cross-attempt tally
+			// outlives the attempts whose record stats died with them.
+			hc := faults.HealthCounts()
+			if n := hc.SBE - bookedSBE; n > 0 {
+				vm.Device.AddSBE(n)
+				bookedSBE = hc.SBE
+			}
+			if n := hc.Throttled - bookedStretch; n > 0 {
+				vm.Device.AddThrottle(n)
+				bookedStretch = hc.Throttled
+			}
+		}
+		if err == nil {
+			d.seals[w], d.resume[w] = res.Signed.MAC, attempt
+			if d.store == nil {
+				return nil
+			}
+			return d.publish(ctx, w, res)
+		}
+		if !errors.Is(err, grterr.ErrSessionLost) {
+			return fmt.Errorf("platform: drill workload %d: %w", w, err)
+		}
+		// Mark lost silicon before re-admitting, so the replacement VM
+		// cannot land on it.
+		var lost *cloud.Device
+		if errors.Is(err, grterr.ErrDeviceLost) && vm.Device != nil {
+			lost = vm.Device
+			if errors.Is(err, grterr.ErrBadRecording) {
+				lost.MarkDBE()
+			} else {
+				lost.MarkFallOff()
+			}
+			d.flight.Emit(tm.Now(), id, obs.FKHealthEvent, "device_lost "+lost.ID(), obs.A("attempt", int64(attempt)))
+		}
+		d.svc.Crash(vm)
+		d.vms[w] = nil
+		if chain != nil && chain.Tip() != nil {
+			if cp, serr := chain.Stitch(); serr == nil {
+				last = cp
+			}
+		}
+		if attempt >= maxResumes {
+			d.reg.Add(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
+			return fmt.Errorf("platform: drill workload %d lost after %d attempts: %w", w, attempt+1, err)
+		}
+		d.reg.Add(obs.MFleetResumes, 1, obs.L("outcome", "resumed"))
+		if err := d.admit(ctx, w); err != nil {
+			return err
+		}
+		if lost != nil {
+			lost.NoteMigration()
+			d.moved[w]++
+			to := ""
+			if dev := d.vms[w].Device; dev != nil {
+				to = dev.ID()
+			}
+			d.flight.Emit(tm.Now(), id, obs.FKHealthMigrate, lost.ID()+"->"+to, obs.A("attempt", int64(attempt+1)))
+		}
+	}
+}
+
+// arrive admits one cached-drill client at its arrival time: lookup, then
+// coalesce onto the workload's in-flight record, or lead it on a free shard
+// slot, in the shard's queue, or not at all (shed).
+func (d *drill) arrive(ctx context.Context, client int) error {
+	w := client % d.o.Workloads
+	now := d.eng.Now()
+	id := fmt.Sprintf("client-%05d", client)
+	wl := d.ckeys[w].Workload
+	if _, ok := d.store.Get(d.ckeys[w]); ok {
+		d.counts.Hits++
+		d.flight.Emit(now, id, obs.FKCacheHit, wl)
+		return nil
+	}
+	d.counts.Misses++
+	d.flight.Emit(now, id, obs.FKCacheMiss, wl)
+	if d.inflight[w] {
+		d.counts.Coalesced++
+		d.pending[w]++
+		d.reg.Add(obs.MCacheCoalesced, 1)
+		d.flight.Emit(now, id, obs.FKCacheCoalesce, wl)
+		return nil
+	}
+	shard := d.svc.Shard(d.khash[w])
+	switch {
+	case d.free[shard] > 0:
+		d.free[shard]--
+		return d.lead(ctx, w, 0)
+	case len(d.queued[shard]) < d.svc.Manager(shard).Config().QueueLimit:
+		d.inflight[w] = true
+		d.queued[shard] = append(d.queued[shard], queuedLeader{w: w, enqueued: now})
+		d.counts.MaxShardQueue = max(d.counts.MaxShardQueue, len(d.queued[shard]))
+		return nil
+	default:
+		// The workload keeps no leader; its next miss leads afresh.
+		d.counts.Shed++
+		d.reg.Add(obs.MShardShed, 1, obs.L("shard", fmt.Sprint(shard)))
+		d.flight.Emit(now, id, obs.FKShardShed, wl, obs.A("shard", int64(shard)))
+		return nil
+	}
+}
+
+// start admits workload w and launches its record session as an engine
+// process, keyed after every client arrival sharing its timestamp.
+func (d *drill) start(ctx context.Context, w int) error {
+	if err := d.admit(ctx, w); err != nil {
+		return err
+	}
+	d.eng.Go(uint64(1_000_000+w), func(tm timesim.Time) error { return d.session(ctx, w, tm) })
+	return nil
+}
+
+// lead starts workload w's record session on a shard slot its caller took.
+func (d *drill) lead(ctx context.Context, w int, waited time.Duration) error {
+	d.inflight[w] = true
+	d.waits = append(d.waits, waited)
+	return d.start(ctx, w)
+}
+
+// publish stores workload w's recording, serves its coalesced followers and
+// hands its shard slot to the oldest queued leader, FIFO.
+func (d *drill) publish(ctx context.Context, w int, res *record.Result) error {
+	if err := d.store.Put(&castore.Entry{
+		Key:        d.ckeys[w],
+		Payload:    res.Signed.Payload,
+		MAC:        res.Signed.MAC,
+		SessionKey: d.skeys[w],
+		ProductID:  res.Recording.ProductID,
+	}); err != nil {
+		return fmt.Errorf("platform: publishing workload %d: %w", w, err)
+	}
+	d.served += d.pending[w]
+	d.pending[w] = 0
+	d.inflight[w] = false
+	d.svc.Release(d.vms[w])
+	d.vms[w] = nil
+	shard := d.svc.Shard(d.khash[w])
+	if len(d.queued[shard]) == 0 {
+		d.free[shard]++
+		return nil
+	}
+	head := d.queued[shard][0]
+	d.queued[shard] = d.queued[shard][1:]
+	return d.lead(ctx, head.w, d.eng.Now()-head.enqueued)
+}
+
+// quantileWait is the nearest-rank quantile of the exact wait samples:
+// unlike the registry histogram it is not bucketed.
+func quantileWait(waits []time.Duration, q float64) time.Duration {
+	if len(waits) == 0 {
+		return 0
+	}
+	ws := slices.Clone(waits)
+	slices.Sort(ws)
+	idx := int(float64(len(ws))*q+0.9999999) - 1
+	return ws[min(max(idx, 0), len(ws)-1)]
+}

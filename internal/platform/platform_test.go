@@ -25,7 +25,7 @@ func drillConfigs(n int) []record.Config {
 			Network:               netsim.Loopback,
 			SessionKey:            SessionKey(7, i),
 			ClientSeed:            uint64(i)*13 + 1,
-			PoolSize:              fleetPoolSize(mlfw.MNIST()),
+			PoolSize:              drillPoolSize(mlfw.MNIST()),
 			InjectMispredictionAt: -1,
 		}
 	}

@@ -3,7 +3,7 @@
 package platform
 
 // raceDetectorEnabled reports whether this test binary was built with
-// -race. The thousand-session and 10k-admission drills scale themselves
-// down under the race detector: the race runs prove memory-safety of the
-// same code paths, the full-scale runs prove the scale numbers.
+// -race. The 10k-admission cached drill scales itself down under the race
+// detector: the race run proves memory-safety of the same code paths, the
+// full-scale run proves the scale numbers.
 const raceDetectorEnabled = false

@@ -5,9 +5,9 @@ package record
 // fingerprint (snapFPCached), the epoch capturer's stage/validate protocol,
 // and the checkpoint/epoch wire codecs and seals — over a synthetic
 // steady-state session built on the gpumem footprint fixtures, without the
-// driver stack or the network in the way. cmd/grtbench -perf uses it to pin
-// full vs. incremental capture cost (BENCH_PR9.json), and the alloc-budget
-// test gates the incremental boundary's allocation count.
+// driver stack or the network in the way. grtbench -ckpt uses it to pin
+// full vs. incremental capture cost (a grt-ckpt/1 artifact), and the
+// alloc-budget test gates the incremental boundary's allocation count.
 
 import (
 	"fmt"
