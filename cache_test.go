@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gpurelay/internal/obs"
+	"gpurelay/internal/timesim"
 )
 
 // TestRecordCachedHitByteIdentity: the second client asking for the same
@@ -297,9 +298,10 @@ func TestQuarantinedCacheRegression(t *testing.T) {
 
 // TestShardedServiceShedding: on a sharded service, a saturated partition
 // rejects with the typed shedding error — carrying the shard and a
-// retry-after hint — instead of plain ErrCapacity. Every record entry point
-// waits out the hint maxShedRetries times on the client's clock before it
-// surfaces the rejection, and admits again once the partition drains.
+// retry-after hint — instead of ErrCapacity, which it does not wrap. Every
+// record entry point waits out the hint maxShedRetries times on the client's
+// clock before it surfaces the rejection, and admits again once the
+// partition drains.
 func TestShardedServiceShedding(t *testing.T) {
 	for _, ep := range recordEntryPoints {
 		t.Run(ep.name, func(t *testing.T) {
@@ -311,8 +313,8 @@ func TestShardedServiceShedding(t *testing.T) {
 			c := NewClient("shed-phone", MaliG71MP8)
 			err := ep.record(c, svc)
 			var shed *SheddingError
-			if !errors.Is(err, ErrShedding) || !errors.As(err, &shed) {
-				t.Fatalf("saturated shard: %v, want a *SheddingError", err)
+			if !errors.Is(err, ErrShedding) || !errors.As(err, &shed) || errors.Is(err, ErrCapacity) {
+				t.Fatalf("saturated shard: %v, want a *SheddingError that is not ErrCapacity", err)
 			}
 			if shed.Busy != 1 || shed.RetryAfter <= 0 {
 				t.Fatalf("shed snapshot %+v", shed)
@@ -370,5 +372,83 @@ func TestRecordCachedOnShardedService(t *testing.T) {
 	}
 	if err := rec.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShedRetryHonorsHint pins the shed-aware admission retry: every wait
+// lands at the shard's retry-after hint plus at most hint/8 of deterministic
+// jitter on the client's virtual clock, the retries are counted, and the
+// whole schedule is a pure function of the jitter seed.
+func TestShedRetryHonorsHint(t *testing.T) {
+	newShedService := func() (*Service, [32]byte, string, []byte) {
+		svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
+		key := svc.cacheKeyFor(MaliG71MP8, MNIST()).Hash()
+		compat, err := NewClient("shed-probe", MaliG71MP8).compatible()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce := []byte("shed-test-nonce!")
+		// Saturate the key's shard: capacity 1, queueing disabled, so the
+		// next acquire for this key sheds with a retry-after hint.
+		if _, err := svc.acquireVM(context.Background(), key, "blocker", compat, nonce); err != nil {
+			t.Fatalf("saturating the shard: %v", err)
+		}
+		return svc, key, compat, nonce
+	}
+
+	run := func(seed uint64) (time.Duration, int64) {
+		svc, key, compat, nonce := newShedService()
+		clock := timesim.NewClock()
+		scope := NewScope("shed-retry")
+		_, err := svc.acquireVMShedAware(context.Background(), clock, scope,
+			seed, key, "shed-client", compat, nonce)
+		var shed *SheddingError
+		if !errors.As(err, &shed) {
+			t.Fatalf("held shard: err = %v, want *SheddingError", err)
+		}
+		return clock.Now(), scope.Snapshot().Counter(obs.MShedRetries)
+	}
+
+	waited, retries := run(7)
+	if retries != maxShedRetries {
+		t.Fatalf("shed retries = %d, want %d", retries, maxShedRetries)
+	}
+	// Each retry waits hint + jitter with jitter in [0, hint/8]; with the
+	// queue empty the hint is the shard's base (250ms), so the total for
+	// maxShedRetries waits is bounded both ways.
+	hint := 250 * time.Millisecond
+	lo := time.Duration(maxShedRetries) * hint
+	hi := time.Duration(maxShedRetries) * (hint + hint/8)
+	if waited < lo || waited > hi {
+		t.Fatalf("total shed wait %v outside [%v, %v]", waited, lo, hi)
+	}
+
+	// Deterministic: the same jitter seed reproduces the schedule exactly;
+	// a different seed still lands in the hint window.
+	again, _ := run(7)
+	if again != waited {
+		t.Fatalf("same seed waited %v then %v; jitter must be deterministic", waited, again)
+	}
+	other, _ := run(8)
+	if other < lo || other > hi {
+		t.Fatalf("seed 8 waited %v outside [%v, %v]", other, lo, hi)
+	}
+
+	// A free shard admits immediately: no retries, no virtual wait.
+	svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
+	key := svc.cacheKeyFor(MaliG71MP8, MNIST()).Hash()
+	compat, err := NewClient("shed-free", MaliG71MP8).compatible()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := timesim.NewClock()
+	vm, err := svc.acquireVMShedAware(context.Background(), clock, nil, 7, key,
+		"free-client", compat, []byte("shed-test-nonce!"))
+	if err != nil {
+		t.Fatalf("free shard: %v", err)
+	}
+	defer svc.releaseVM(vm)
+	if clock.Now() != 0 {
+		t.Fatalf("free shard advanced the clock by %v", clock.Now())
 	}
 }

@@ -8,9 +8,6 @@
 //
 //	grtbench            # the full paper evaluation
 //	grtbench -fast      # MNIST + AlexNet only
-//	grtbench -ckpt -ckpt-gate 0.5
-//	                    # checkpoint capture, full vs incremental, plus the
-//	                    # fleet speculation warm start -> CKPT.json
 //	grtbench -fleet -engine parallel -sessions 16
 //	                    # engine drill: 16 lockstep sessions, parallel engine
 //	grtbench -fleet -model micro -sessions 10000 -workloads 100 -shards 4 -amp-gate 1.1
@@ -64,8 +61,7 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fast := fs.Bool("fast", false, "run only MNIST and AlexNet")
 	fleet := fs.Bool("fleet", false, "run the fleet drill against its serial reference and write a grt-drill/1 artifact")
-	ckptBench := fs.Bool("ckpt", false, "benchmark checkpoint capture, full vs incremental, plus the speculation warm start, and write a grt-ckpt/1 artifact")
-	out := fs.String("out", "", "artifact path (default DRILL.json with -fleet, CKPT.json with -ckpt)")
+	out := fs.String("out", "DRILL.json", "with -fleet: artifact path")
 	model := fs.String("model", "mnist", "with -fleet: every workload's model: micro|mnist|alexnet|mobilenet|squeezenet|resnet12|vgg16")
 	engine := fs.String("engine", "serial", "with -fleet: discrete-event engine of the drill: serial|parallel")
 	sessions := fs.Int("sessions", 0, "with -fleet: drill clients (0 -> 16)")
@@ -75,7 +71,6 @@ func run(args []string, stderr io.Writer) int {
 	traceOut := fs.String("trace-out", "", "with -fleet: instrument the drill and write its combined Chrome trace (session spans + engine handler spans) to this file")
 	healthOut := fs.String("health-out", "", "with -fleet: instrument the drill and write its fleet health report (grt-health/1 JSON, for grtdiag health) to this file")
 	ampGate := fs.Float64("amp-gate", 0, "with -fleet: fail (exit 1) when record amplification exceeds this ceiling (0 = no gate)")
-	ckptGate := fs.Float64("ckpt-gate", 0, "with -ckpt: fail (exit 1) when the incremental/full capture-time ratio reaches this ceiling on any footprint (0 = no gate)")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -90,19 +85,13 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	if (*fast && *fleet) || (*fast && *ckptBench) || (*fleet && *ckptBench) {
-		return reject("flags", "mode_conflict", "-fast, -fleet and -ckpt select different modes")
+	if *fast && *fleet {
+		return reject("flags", "mode_conflict", "-fast and -fleet select different modes")
 	}
 	for _, name := range []string{"model", "engine", "sessions", "workloads", "shards", "health-plan", "trace-out", "health-out", "amp-gate"} {
 		if set[name] && !*fleet {
 			return reject("flags", "needs_fleet", fmt.Sprintf("-%s configures the fleet drill and needs -fleet", name))
 		}
-	}
-	if set["ckpt-gate"] && !*ckptBench {
-		return reject("flags", "needs_ckpt", "-ckpt-gate gates the checkpoint benchmark and needs -ckpt")
-	}
-	if *ckptGate < 0 {
-		return reject("flags", "bad_ckpt_gate", fmt.Sprintf("-ckpt-gate %v: the capture-ratio ceiling cannot be negative", *ckptGate))
 	}
 
 	var err error
@@ -140,9 +129,7 @@ func run(args []string, stderr io.Writer) int {
 		if errors.As(opts.Validate(), &oe) {
 			return reject("flags", oe.Reason, oe.Detail)
 		}
-		err = runDrill(opts, orDefault(*out, "DRILL.json"), *traceOut, *healthOut, *ampGate)
-	case *ckptBench:
-		err = runCkptBench(orDefault(*out, "CKPT.json"), *ckptGate)
+		err = runDrill(opts, *out, *traceOut, *healthOut, *ampGate)
 	default:
 		err = paperEval(*fast)
 	}
@@ -161,13 +148,6 @@ func hasHealthFault(plan *faultsim.Plan) bool {
 		}
 	}
 	return false
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // paperEval prints the paper's evaluation tables and figures.

@@ -39,10 +39,8 @@ func TestFlagRejections(t *testing.T) {
 		reason string
 		args   []string
 	}{
-		{"mode_conflict", []string{"-fleet", "-ckpt"}},
+		{"mode_conflict", []string{"-fleet", "-fast"}},
 		{"needs_fleet", []string{"-workloads", "4"}},
-		{"needs_ckpt", []string{"-ckpt-gate", "0.5"}},
-		{"bad_ckpt_gate", []string{"-ckpt", "-ckpt-gate", "-1"}},
 		{"bad_model", []string{"-fleet", "-model", "lenet"}},
 		{"bad_engine", []string{"-fleet", "-engine", "quantum"}},
 		{"unknown_kind", []string{"-fleet", "-health-plan", "meteor"}},

@@ -13,22 +13,15 @@
 //	grtrecord -model mnist -gpus 4 -engine parallel -o fleet.grt
 //
 // Resilience: -faults injects a deterministic chaos plan, -ckpt saves the
-// latest job-boundary checkpoint, and -resume continues a lost session from
-// a saved checkpoint:
+// checkpoint the session captures after every completed job (the file holds
+// the latest), and -resume continues a lost session from a saved checkpoint:
 //
 //	grtrecord -model mnist -faults outage -ckpt mnist.grtc -o mnist.grt
 //	grtrecord -model mnist -resume mnist.grtc -o mnist.grt
 //
-// Checkpoint cost: -ckpt-mode incremental switches the resumable session to
-// epoch-chained delta captures (each capture covers only the jobs since the
-// previous epoch, staged at one job boundary and validated at the next), and
-// -ckpt-cadence spaces captures every n completed jobs:
-//
-//	grtrecord -model vgg16 -ckpt vgg.grtc -ckpt-mode incremental -ckpt-cadence 4 -o vgg.grt
-//
-// Inconsistent checkpoint-tuning flags (e.g. -ckpt-cadence without -ckpt)
-// are rejected with exit code 2 and a single-line JSON report on stderr
-// ({"rejected":true,"stage":"flags","reason":...}), matching grtbench.
+// A malformed -faults spec is rejected with exit code 2 and a single-line
+// JSON report on stderr ({"rejected":true,"stage":"fault-plan","reason":...}),
+// matching grtbench.
 //
 // Cache-first: -cached derives the content-addressed cache key (SKU, stack,
 // workload, input shape) before admission and serves a store hit with zero
@@ -52,27 +45,10 @@ import (
 	"gpurelay"
 )
 
-// rejectFlags prints one machine-readable JSON line to stderr and exits 2:
-// the invocation, not the environment, is at fault. Same schema and exit
+// rejectPlan prints one machine-readable JSON line to stderr and exits 2
+// for a -faults spec error: stage "fault-plan", reason from the parser's
+// stable machine-readable token (e.g. "unknown_kind"). Same schema and exit
 // code as grtbench's flag rejection.
-func rejectFlags(reason, msg string) {
-	line, err := json.Marshal(struct {
-		Rejected bool   `json:"rejected"`
-		Stage    string `json:"stage"`
-		Reason   string `json:"reason"`
-		Error    string `json:"error"`
-	}{Rejected: true, Stage: "flags", Reason: reason, Error: msg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, `{"rejected":true,"stage":"flags","reason":%q}`+"\n", reason)
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, string(line))
-	os.Exit(2)
-}
-
-// rejectPlan mirrors rejectFlags for -faults spec errors: stage
-// "fault-plan", reason from the parser's stable machine-readable token
-// (e.g. "unknown_kind"), exit code 2.
 func rejectPlan(err error) {
 	reason := "bad_plan"
 	var pe *gpurelay.FaultPlanError
@@ -152,8 +128,6 @@ func main() {
 	resumeFlag := flag.String("resume", "", "resume a lost session from this checkpoint file")
 	ckptFlag := flag.String("ckpt", "", "keep the latest job-boundary checkpoint in this file (enables resumable recording)")
 	maxResumesFlag := flag.Int("max-resumes", 0, "automatic resumes of a lost session before giving up (0 = default 3, negative = never)")
-	ckptModeFlag := flag.String("ckpt-mode", "full", "with -ckpt: checkpoint capture strategy: full (whole session every capture) | incremental (epoch-chained deltas, staged concurrently with execution)")
-	ckptCadenceFlag := flag.Int("ckpt-cadence", 0, "with -ckpt: completed jobs between checkpoint captures (0 = every job)")
 	flightFlag := flag.String("flight-out", "", "write the service's flight-recorder journal (JSON Lines, for grtdiag flight) to this file (\"-\" for stdout); written on success and on failure")
 	bundleOutFlag := flag.String("bundle-out", "", "on failure, write the sealed diagnostic bundle (GRTD, for grtdiag bundle) to this file before exiting")
 	cachedFlag := flag.Bool("cached", false, "serve through the service's content-addressed recording cache: a hit returns the stored sealed recording with zero VM time, a miss records once and publishes")
@@ -162,27 +136,6 @@ func main() {
 	gpusFlag := flag.Int("gpus", 1, "number of GPUs (one record session each, sharing one engine)")
 	seedFlag := flag.Uint64("seed", 1, "session key / client seed derivation seed (with -gpus > 1 or -engine parallel)")
 	flag.Parse()
-
-	// The checkpoint-tuning flags are validated first, machine-readably
-	// (exit 2 + one JSON line on stderr): a pipeline driving resumable
-	// recordings can triage a misconfiguration without parsing error prose.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	var ckptMode gpurelay.CkptMode
-	switch strings.ToLower(*ckptModeFlag) {
-	case "full":
-		ckptMode = gpurelay.CkptFull
-	case "incremental":
-		ckptMode = gpurelay.CkptIncremental
-	default:
-		rejectFlags("bad_ckpt_mode", fmt.Sprintf("unknown checkpoint mode %q (full|incremental)", *ckptModeFlag))
-	}
-	if *ckptCadenceFlag < 0 {
-		rejectFlags("bad_ckpt_cadence", fmt.Sprintf("-ckpt-cadence %d: captures cannot run less often than never", *ckptCadenceFlag))
-	}
-	if (set["ckpt-mode"] || set["ckpt-cadence"]) && *ckptFlag == "" {
-		rejectFlags("needs_ckpt", "-ckpt-mode/-ckpt-cadence tune resumable checkpointing and need -ckpt")
-	}
 
 	model, err := modelByName(*modelFlag)
 	if err != nil {
@@ -266,10 +219,7 @@ func main() {
 	var rec *gpurelay.Recording
 	var stats gpurelay.RecordStats
 	if resilient := *faultsFlag != "" || *resumeFlag != "" || *ckptFlag != "" || *maxResumesFlag != 0; resilient {
-		opts := gpurelay.ResilienceOptions{
-			RecordOptions: recOpts, MaxResumes: *maxResumesFlag,
-			CkptMode: ckptMode, CkptCadence: *ckptCadenceFlag,
-		}
+		opts := gpurelay.ResilienceOptions{RecordOptions: recOpts, MaxResumes: *maxResumesFlag}
 		if *faultsFlag != "" {
 			plan, err := gpurelay.ParseFaultPlan(*faultsFlag)
 			if err != nil {

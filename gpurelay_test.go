@@ -203,3 +203,63 @@ func TestSealUnsealRecording(t *testing.T) {
 		t.Fatal("sealed blob unsealed on another device")
 	}
 }
+
+// TestSpecWarmStartExchange checks the fleet-shared speculation warm start:
+// a cold service seeded from a peer's validated-commit export speculates
+// strictly more on its first session than an unseeded cold service, and a
+// second import of the same snapshot seeds nothing (local truth outranks
+// imports, so the exchange is idempotent and order-independent).
+func TestSpecWarmStartExchange(t *testing.T) {
+	model := MNIST()
+	donor := NewService()
+	for i := 0; i < 2; i++ {
+		if _, _, err := NewClient("warm-donor", MaliG71MP8).Record(donor, model, RecordOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := donor.ExportSpecHistory()
+	if snap.Keys() == 0 {
+		t.Fatal("donor exported no histories after two sessions")
+	}
+
+	cold := NewService()
+	_, coldStats, err := NewClient("warm-cold", MaliG71MP8).Record(cold, model, RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := NewService()
+	seeded := warm.ImportSpecHistory(snap)
+	if seeded == 0 {
+		t.Fatal("import seeded no signatures")
+	}
+	_, warmStats, err := NewClient("warm-warm", MaliG71MP8).Record(warm, model, RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coldRate := float64(coldStats.Shim.AsyncCommits) / float64(coldStats.Shim.Commits)
+	warmRate := float64(warmStats.Shim.AsyncCommits) / float64(warmStats.Shim.Commits)
+	t.Logf("cold hit rate %.3f (%d/%d), warm %.3f (%d/%d), %d sigs seeded",
+		coldRate, coldStats.Shim.AsyncCommits, coldStats.Shim.Commits,
+		warmRate, warmStats.Shim.AsyncCommits, warmStats.Shim.Commits, seeded)
+	if warmRate <= coldRate {
+		t.Fatalf("warm-start hit rate %.3f does not beat cold %.3f", warmRate, coldRate)
+	}
+
+	if again := warm.ImportSpecHistory(snap); again != 0 {
+		t.Fatalf("second import of the same snapshot seeded %d signatures, want 0", again)
+	}
+
+	// Warm starting must not perturb recording content: the warm session's
+	// payload matches the cold one's (speculation hides latency, never
+	// changes what is recorded).
+	if coldStats.Jobs != warmStats.Jobs || coldStats.Shim.Commits != warmStats.Shim.Commits {
+		t.Fatalf("warm session shape differs: %d/%d jobs, %d/%d commits",
+			warmStats.Jobs, coldStats.Jobs, warmStats.Shim.Commits, coldStats.Shim.Commits)
+	}
+	if warmStats.RecordingDelay >= coldStats.RecordingDelay {
+		t.Errorf("warm session (%v) not faster than cold (%v)",
+			warmStats.RecordingDelay, coldStats.RecordingDelay)
+	}
+}

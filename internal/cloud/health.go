@@ -66,21 +66,11 @@ type HealthThresholds struct {
 	// window actually looked the cache up, so uncached services never
 	// false-degrade.
 	MinCacheHitRate float64
-	// MaxCkptConflictRate degrades the fleet when the windowed incremental
-	// checkpoint conflict rate (discarded staged captures / epoch commits)
-	// exceeds it — a fleet paying constant clean-capture fallbacks has lost
-	// the concurrency the incremental path exists for (0 → 0.5; negative →
-	// disabled). Checked only when the window committed epochs, so
-	// full-capture services never false-degrade.
-	MaxCkptConflictRate float64
 }
 
 func (t HealthThresholds) withDefaults() HealthThresholds {
 	if t.MaxAdmissionWaitP99 == 0 {
 		t.MaxAdmissionWaitP99 = 2 * time.Second
-	}
-	if t.MaxCkptConflictRate == 0 {
-		t.MaxCkptConflictRate = 0.5
 	}
 	return t
 }
@@ -122,11 +112,6 @@ type HealthStats struct {
 	// ShedRetries counts admissions that waited out a shed partition's
 	// retry-after hint and re-admitted instead of failing.
 	ShedRetries int64 `json:"shed_retries"`
-	// Incremental checkpoint counters (DESIGN.md §14): epoch commits,
-	// staged captures discarded on validation conflict, and their ratio.
-	CkptEpochs       int64   `json:"ckpt_epochs"`
-	CkptConflicts    int64   `json:"ckpt_conflicts"`
-	CkptConflictRate float64 `json:"ckpt_conflict_rate"`
 	// SpecWarmImports counts speculation-history signatures seeded from
 	// fleet peers' exports (the cold-session warm start).
 	SpecWarmImports int64 `json:"spec_warm_imports"`
@@ -343,39 +328,32 @@ func deviceRows(cur, prev *obs.Snapshot) []DeviceHealthRow {
 // windowStats folds the snapshot delta into one window's SLO summary.
 func windowStats(cur, prev *obs.Snapshot) HealthStats {
 	st := HealthStats{
-		Sessions:       delta(cur, prev, obs.MFleetSessions),
-		Crashes:        delta(cur, prev, obs.MFleetVMCrashes),
-		Resumed:        delta(cur, prev, obs.MFleetResumes, obs.L("outcome", "resumed")),
-		GaveUp:         delta(cur, prev, obs.MFleetResumes, obs.L("outcome", "gave_up")),
-		FaultsFired:    deltaTotal(cur, prev, obs.MFaultsFired),
-		Checkpoints:    delta(cur, prev, obs.MCkptCheckpoints),
-		IngestAccepted: delta(cur, prev, obs.MIngestRecordings, obs.L("outcome", "accepted")),
-		IngestRejected: delta(cur, prev, obs.MIngestRecordings, obs.L("outcome", "rejected")),
-		Admissions:     deltaTotal(cur, prev, obs.MFleetAdmissions),
-		AdmissionP50:   histQuantile(cur, prev, obs.MFleetAdmissionWait, 0.50),
-		AdmissionP99:   histQuantile(cur, prev, obs.MFleetAdmissionWait, 0.99),
-		Commits:        deltaTotal(cur, prev, obs.MShimCommits),
-		SpecCommits:    delta(cur, prev, obs.MShimCommits, obs.L("kind", "async")),
-		Mispredictions: delta(cur, prev, obs.MShimMispredictions),
-		HistoryMisses:  delta(cur, prev, obs.MFleetHistoryLookups, obs.L("result", "miss")),
-		CacheHits:      delta(cur, prev, obs.MCacheLookups, obs.L("result", "hit")),
-		CacheMisses:    delta(cur, prev, obs.MCacheLookups, obs.L("result", "miss")),
-		CacheCoalesced: delta(cur, prev, obs.MCacheCoalesced),
-		CacheFills:     delta(cur, prev, obs.MCacheFills),
-		CacheKeys:      delta(cur, prev, obs.MCacheKeys),
-		Shed:           deltaTotal(cur, prev, obs.MShardShed),
-		// Totals across label sets: the epoch counter is labeled by capture
-		// kind on instrumented sessions and unlabeled on fleet-only counts.
+		Sessions:        delta(cur, prev, obs.MFleetSessions),
+		Crashes:         delta(cur, prev, obs.MFleetVMCrashes),
+		Resumed:         delta(cur, prev, obs.MFleetResumes, obs.L("outcome", "resumed")),
+		GaveUp:          delta(cur, prev, obs.MFleetResumes, obs.L("outcome", "gave_up")),
+		FaultsFired:     deltaTotal(cur, prev, obs.MFaultsFired),
+		Checkpoints:     delta(cur, prev, obs.MCkptCheckpoints),
+		IngestAccepted:  delta(cur, prev, obs.MIngestRecordings, obs.L("outcome", "accepted")),
+		IngestRejected:  delta(cur, prev, obs.MIngestRecordings, obs.L("outcome", "rejected")),
+		Admissions:      deltaTotal(cur, prev, obs.MFleetAdmissions),
+		AdmissionP50:    histQuantile(cur, prev, obs.MFleetAdmissionWait, 0.50),
+		AdmissionP99:    histQuantile(cur, prev, obs.MFleetAdmissionWait, 0.99),
+		Commits:         deltaTotal(cur, prev, obs.MShimCommits),
+		SpecCommits:     delta(cur, prev, obs.MShimCommits, obs.L("kind", "async")),
+		Mispredictions:  delta(cur, prev, obs.MShimMispredictions),
+		HistoryMisses:   delta(cur, prev, obs.MFleetHistoryLookups, obs.L("result", "miss")),
+		CacheHits:       delta(cur, prev, obs.MCacheLookups, obs.L("result", "hit")),
+		CacheMisses:     delta(cur, prev, obs.MCacheLookups, obs.L("result", "miss")),
+		CacheCoalesced:  delta(cur, prev, obs.MCacheCoalesced),
+		CacheFills:      delta(cur, prev, obs.MCacheFills),
+		CacheKeys:       delta(cur, prev, obs.MCacheKeys),
+		Shed:            deltaTotal(cur, prev, obs.MShardShed),
 		ShedRetries:     deltaTotal(cur, prev, obs.MShedRetries),
-		CkptEpochs:      deltaTotal(cur, prev, obs.MCkptEpochs),
-		CkptConflicts:   deltaTotal(cur, prev, obs.MCkptEpochConflicts),
 		SpecWarmImports: deltaTotal(cur, prev, obs.MSpecWarmImports),
 	}
 	if st.Commits > 0 {
 		st.SpecHitRate = float64(st.SpecCommits) / float64(st.Commits)
-	}
-	if st.CkptEpochs > 0 {
-		st.CkptConflictRate = float64(st.CkptConflicts) / float64(st.CkptEpochs)
 	}
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		st.CacheHitRate = float64(st.CacheHits) / float64(lookups)
@@ -447,10 +425,6 @@ func EvaluateHealth(cur, prev *obs.Snapshot, thr HealthThresholds) *HealthReport
 	}
 	if st.Shed > 0 {
 		raise(Degraded, "%d admission(s) shed by saturated shards", st.Shed)
-	}
-	if thr.MaxCkptConflictRate > 0 && st.CkptEpochs > 0 && st.CkptConflictRate > thr.MaxCkptConflictRate {
-		raise(Degraded, "checkpoint conflict rate %.2f exceeds %.2f (%d conflict(s) / %d epoch(s))",
-			st.CkptConflictRate, thr.MaxCkptConflictRate, st.CkptConflicts, st.CkptEpochs)
 	}
 	if st.DeviceFallOffs > 0 {
 		raise(Degraded, "%d GPU(s) fell off the bus (XID 79) this window", st.DeviceFallOffs)
@@ -562,9 +536,9 @@ func (r *HealthReport) Render() string {
 		fmt.Fprintf(&sb, "          cache hit rate %.2f (%d hit / %d miss), %d coalesced, %d filled, %d shed\n",
 			st.CacheHitRate, st.CacheHits, st.CacheMisses, st.CacheCoalesced, st.CacheFills, st.Shed)
 	}
-	if st.CkptEpochs+st.CkptConflicts+st.ShedRetries+st.SpecWarmImports > 0 {
-		fmt.Fprintf(&sb, "          ckpt epochs %d (conflict rate %.2f), %d shed retry(s), %d spec warm import(s)\n",
-			st.CkptEpochs, st.CkptConflictRate, st.ShedRetries, st.SpecWarmImports)
+	if st.ShedRetries+st.SpecWarmImports > 0 {
+		fmt.Fprintf(&sb, "          %d shed retry(s), %d spec warm import(s)\n",
+			st.ShedRetries, st.SpecWarmImports)
 	}
 	if len(r.Devices) > 0 {
 		fmt.Fprintf(&sb, "  devices:\n")

@@ -55,9 +55,10 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 }
 
 // SheddingError is a typed per-shard load-shedding rejection: the shard's
-// pool and queue are both full. It unwraps to grterr.ErrShedding (and,
-// transitively, to the underlying ErrCapacity via Cause) and carries a
-// deterministic retry-after hint derived from the shard's queue depth.
+// pool and queue are both full. It unwraps to grterr.ErrShedding only —
+// errors.Is(err, grterr.ErrCapacity) is false, so callers tell a shed
+// partition from an exhausted unsharded pool — and carries a deterministic
+// retry-after hint derived from the shard's queue depth.
 type SheddingError struct {
 	// Shard is the rejecting partition.
 	Shard int

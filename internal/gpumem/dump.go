@@ -130,7 +130,7 @@ func (cs *CaptureState) Prev() *Snapshot { return cs.prev }
 // Watermark returns the pool generation observed just before the committed
 // snapshot's regions were read. A range with no writes past this watermark
 // (Pool.DirtySince == false) is guaranteed to hold the same bytes the
-// snapshot holds — the invariant incremental fingerprint caching relies on.
+// snapshot holds — the invariant the checkpoint fingerprint cache relies on.
 func (cs *CaptureState) Watermark() uint64 { return cs.watermark }
 
 // Capture is a dirty-aware Capture: regions untouched since the previous

@@ -34,9 +34,10 @@ type Pool struct {
 	size  uint64
 	pages map[uint64][]byte // page index -> contents; absent pages read as zero
 
-	// Dirty tracking for incremental capture: gen is a monotonic mutation
-	// counter and pageGen records the generation at which each page was last
-	// (possibly) changed. Marking is conservative — rewriting identical bytes
+	// Dirty tracking for dirty-aware capture and the checkpoint fingerprint
+	// cache (internal/record): gen is a monotonic mutation counter and
+	// pageGen records the generation at which each page was last (possibly)
+	// changed. Marking is conservative — rewriting identical bytes
 	// marks the page — but writes that provably leave content unchanged
 	// (all-zero data over an unmaterialized page) do not.
 	gen     uint64

@@ -42,7 +42,7 @@ var (
 	// uncorrectable (double-bit) ECC fault poisoned a recorded region, or
 	// the device fell off the bus entirely (the Navarch XID-79 shape). It
 	// wraps ErrSessionLost — to the resume machinery a dead device is just
-	// another dead session, resumable from the epoch chain — but callers
+	// another dead session, resumable from its last checkpoint — but callers
 	// and the cloud device registry distinguish it with errors.Is to drive
 	// cross-VM migration: the replacement attempt must not land on the
 	// same device again.

@@ -48,14 +48,6 @@ const (
 	MResumeBackoff    = "grt_resume_backoff_seconds" // virtual backoff before re-admission
 	MShedRetries      = "grt_shed_retries_total"     // admissions retried at a shed hint
 
-	// incremental (epoch-chained) checkpointing: concurrent capture staged at
-	// one job boundary, validated at the next; conflicts fall back to a clean
-	// re-capture (the PhoenixOS-style protocol, DESIGN.md §14).
-	MCkptEpochs         = "grt_ckpt_epoch_commits_total" // capture=staged|clean
-	MCkptEpochBytes     = "grt_ckpt_epoch_bytes_total"   // sealed epoch payload bytes
-	MCkptEpochConflicts = "grt_ckpt_epoch_conflicts_total"
-	MCkptEpochEvents    = "grt_ckpt_epoch_events_total" // delta events captured
-
 	// fleet-shared speculation warm-start: validated commit histories
 	// exchanged between services (keyed like the castore cache key).
 	MSpecWarmExports = "grt_spec_warm_exports_total" // validated signatures exported
@@ -111,8 +103,6 @@ const (
 	FKCacheMiss     = "cache_miss"
 	FKCacheCoalesce = "cache_coalesce"
 	FKShardShed     = "shard_shed"
-	FKCkptEpoch     = "ckpt_epoch"
-	FKCkptConflict  = "ckpt_conflict"
 	FKSpecWarm      = "spec_warm"
 	FKHealthEvent   = "health_event"   // a device health fault fired (thermal/ECC/fall-off)
 	FKHealthMigrate = "health_migrate" // a session moved to a different device's VM

@@ -1,9 +1,9 @@
 // The fleet drill: one record session per workload on one discrete-event
 // engine, admitted through a sharded session manager. Every knob — engine,
 // shards, the cache-first admission path, warm start, a device-health plan,
-// checkpoint mode, instrumentation — is orthogonal to the recordings: a
-// workload's seal depends only on the model, SKU, seed and workload index, so
-// any drill is checked against its plain serial Reference drill.
+// instrumentation — is orthogonal to the recordings: a workload's seal
+// depends only on the model, SKU, seed and workload index, so any drill is
+// checked against its plain serial Reference drill.
 package platform
 
 import (
@@ -76,13 +76,10 @@ type DrillOptions struct {
 	// gets a private copy, so seeding never couples sessions.
 	WarmStart map[string]shim.Outcome
 	// HealthPlan afflicts every fourth workload's record session with this
-	// fault plan. A session that loses its device crashes its VM, re-admits
-	// on a different GPU and resumes from its last checkpoint, up to three
-	// times.
+	// fault plan. An afflicted session checkpoints after every job; one that
+	// loses its device crashes its VM, re-admits on a different GPU and
+	// resumes from its last checkpoint, up to three times.
 	HealthPlan *faultsim.Plan
-	// CkptMode is how an afflicted session checkpoints: full captures, or
-	// an incremental epoch chain stitched on loss.
-	CkptMode record.CkptMode
 	// Instrument attaches per-session telemetry scopes, a flight recorder
 	// and an engine execution trace. Instrumentation only reads the
 	// timeline, so it never changes a seal.
@@ -438,14 +435,18 @@ func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 			cfg.History = shim.NewHistory(3)
 			cfg.History.WarmStart(o.WarmStart)
 		}
-		var chain *ckpt.Chain
 		if faults != nil {
-			cfg.CkptMode = o.CkptMode
-			if o.CkptMode == record.CkptIncremental {
-				chain = &ckpt.Chain{}
-				cfg.OnEpoch = func(e *ckpt.Epoch) { _ = chain.Append(e) }
-			} else {
-				cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) { last = cp }
+			// Counted as RecordResumable counts it: on the session scope,
+			// which double-writes into the drill registry, else on the
+			// registry itself.
+			scope := cfg.Obs
+			cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) {
+				last = cp
+				if scope != nil {
+					scope.Count(obs.MCkptCheckpoints, 1)
+				} else {
+					d.reg.Add(obs.MCkptCheckpoints, 1)
+				}
 			}
 		}
 		res, err := record.RunContext(ctx, cfg)
@@ -488,11 +489,6 @@ func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 		}
 		d.svc.Crash(vm)
 		d.vms[w] = nil
-		if chain != nil && chain.Tip() != nil {
-			if cp, serr := chain.Stitch(); serr == nil {
-				last = cp
-			}
-		}
 		if attempt >= maxResumes {
 			d.reg.Add(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
 			return fmt.Errorf("platform: drill workload %d lost after %d attempts: %w", w, attempt+1, err)

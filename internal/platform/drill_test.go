@@ -83,13 +83,11 @@ func TestDrillSealOracle(t *testing.T) {
 		}
 		if rng.Intn(2) == 0 {
 			o.HealthPlan = plan(t, plans[rng.Intn(len(plans))])
-			o.CkptMode = record.CkptMode(rng.Intn(2))
 		}
 		o.Parallel = o.Workloads == 0 && o.HealthPlan == nil && rng.Intn(2) == 0
 		for knob, on := range map[string]bool{
 			"parallel": o.Parallel, "shards": o.Shards > 1, "cache": o.Workloads > 0,
 			"warm": o.WarmStart != nil, "plan": o.HealthPlan != nil, "instrument": o.Instrument,
-			"incremental": o.HealthPlan != nil && o.CkptMode == record.CkptIncremental,
 		} {
 			seen[fmt.Sprintf("%s=%v", knob, on)] = true
 		}
@@ -123,7 +121,7 @@ func TestDrillSealOracle(t *testing.T) {
 			t.Fatalf("draw %d: %d VMs live, %d queued after the drill", draw, a.Service.ActiveVMs(), a.Service.Queued())
 		}
 	}
-	for _, knob := range []string{"parallel", "shards", "cache", "warm", "plan", "instrument", "incremental"} {
+	for _, knob := range []string{"parallel", "shards", "cache", "warm", "plan", "instrument"} {
 		if !seen[knob+"=true"] || !seen[knob+"=false"] {
 			t.Errorf("the draws never set %s both ways", knob)
 		}
@@ -419,6 +417,9 @@ func TestDegradedFleetDrill(t *testing.T) {
 	if st.Sessions != 8 || st.Resumed != 4 || st.Crashes != 4 {
 		t.Fatalf("health window: %d sessions, %d resumed, %d crashes, want 8, 4, 4", st.Sessions, st.Resumed, st.Crashes)
 	}
+	if st.Checkpoints == 0 {
+		t.Fatal("health window counts no checkpoints, but the afflicted sessions checkpoint at every job")
+	}
 	if st.DeviceFallOffs != 2 || st.DeviceECCDBE != 2 || st.DeviceMigrations != 4 || st.DeviceThrottledNS <= 0 {
 		t.Fatalf("health window: falloffs=%d dbe=%d migrations=%d throttled=%dns",
 			st.DeviceFallOffs, st.DeviceECCDBE, st.DeviceMigrations, st.DeviceThrottledNS)
@@ -436,29 +437,23 @@ func TestDegradedFleetDrill(t *testing.T) {
 	}
 }
 
-// TestDegradedFleetDrillDeterministic runs a dying-gpu drill twice with full
-// checkpoints and once with incremental ones: every run must migrate the
-// same sessions and seal every recording identically to the undisturbed
-// reference drill.
+// TestDegradedFleetDrillDeterministic runs a dying-gpu drill twice: both
+// runs must migrate the same sessions and seal every recording identically
+// to the undisturbed reference drill.
 func TestDegradedFleetDrillDeterministic(t *testing.T) {
 	o := DrillOptions{Model: mlfw.MNIST(), SKU: mali.G71MP8, Seed: 7, Sessions: 4,
 		HealthPlan: plan(t, "dying-gpu")}
 	a, b := runDrill(t, o), runDrill(t, o)
-	o.CkptMode = record.CkptIncremental
-	c := runDrill(t, o)
 	ref := runDrill(t, o.Reference())
 	for i := range ref.Seals {
 		if a.Seals[i] != b.Seals[i] {
 			t.Fatalf("session %d: run-twice seals differ", i)
 		}
-		if a.Seals[i] != c.Seals[i] {
-			t.Fatalf("session %d: incremental-mode seal differs", i)
-		}
 		if a.Seals[i] != ref.Seals[i] {
 			t.Fatalf("session %d: seal differs from the reference", i)
 		}
 	}
-	if a.Migrated == 0 || a.Migrated != c.Migrated {
-		t.Fatalf("migrations: full=%d incremental=%d", a.Migrated, c.Migrated)
+	if a.Migrated == 0 || a.Migrated != b.Migrated {
+		t.Fatalf("migrations: first run %d, second run %d", a.Migrated, b.Migrated)
 	}
 }

@@ -116,21 +116,6 @@ type Config struct {
 	// completed job (skipping jobs a Resume already covers). The callback
 	// runs inside the session; it must not block.
 	OnCheckpoint func(*ckpt.Checkpoint)
-	// CkptMode selects the capture strategy when checkpointing is on:
-	// CkptFull drives OnCheckpoint with self-contained checkpoints;
-	// CkptIncremental drives OnEpoch with epoch-chained deltas captured
-	// concurrently with job execution (DESIGN.md §14).
-	CkptMode CkptMode
-	// CkptCadence is the number of completed jobs between captures; 0 and 1
-	// both mean every job.
-	CkptCadence int
-	// OnEpoch, when non-nil and CkptMode is CkptIncremental, receives each
-	// committed incremental epoch. Epochs arrive one boundary late (staged
-	// at boundary j, validated and delivered at j+1) except for base epochs
-	// and conflict fallbacks, which are captured synchronously. The callback
-	// runs inside the session; it must not block, and it must not mutate the
-	// epoch (its events alias the live log's immutable entries).
-	OnEpoch func(*ckpt.Epoch)
 	// Clock, when non-nil, supplies the session's virtual timeline instead
 	// of a freshly created Clock. The platform layer passes an engine
 	// process clock here, which is how a whole record session runs as one
@@ -174,10 +159,8 @@ type Stats struct {
 	// the resumable orchestration above this package; a single RunContext
 	// is always one attempt).
 	Resumes int
-	// CkptEpochs counts incremental checkpoint epochs committed this run;
-	// CkptConflicts counts staged captures discarded because a concurrent
-	// rollback or region-map change invalidated them (DESIGN.md §14). Both
-	// zero unless CkptMode is CkptIncremental.
+	// Deprecated: CkptEpochs and CkptConflicts are always zero; every
+	// session captures full checkpoints.
 	CkptEpochs    int
 	CkptConflicts int
 	// Obs is the session's metrics snapshot taken at the end of the run;
@@ -468,45 +451,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 		return wire
 	}
-	regionsNow := func() []trace.RegionInfo {
-		var out []trace.RegionInfo
-		for _, r := range rt.Context().Regions() {
-			out = append(out, trace.RegionInfo{
-				Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
-			})
-		}
-		return out
-	}
-	cadence := cfg.CkptCadence
-	if cadence < 1 {
-		cadence = 1
-	}
-	var ec *epochCapturer
-	if cfg.CkptMode == CkptIncremental && cfg.OnEpoch != nil {
-		ec = &epochCapturer{
-			cadence: cadence,
-			hdr: ckpt.Epoch{
-				SessionID: cfg.SessionID, Workload: cfg.Model.Name,
-				ProductID: cfg.SKU.ProductID, PoolSize: poolSize,
-				ClientSeed: cfg.ClientSeed, Variant: uint8(cfg.Variant),
-				Network: cfg.Network.Name,
-			},
-			onEpoch:    cfg.OnEpoch,
-			scope:      cfg.Obs,
-			eventCount: func() int { return len(dshim.EventLog()) },
-			events:     func(lo, hi int) []trace.Event { return dshim.EventLog()[lo:hi] },
-			// The client-direction structural fingerprint is refreshed in
-			// afterJob at the completion IRQ, so by AfterJobComplete it
-			// describes this boundary's region map — and reading it is
-			// allocation-free, unlike rebuilding it.
-			structFP: func() string { return sync.prevInFP },
-			metaFP:   sync.metaFP,
-			regions:  regionsNow,
-			mispred:  dshim.Mispredictions,
-			histSigs: func() uint32 { return uint32(dshim.History().Signatures()) },
-		}
-	}
-	sinceFull := 0
 	var jobLogOffsets []int
 	hooks := kbase.SyncHooks{
 		BeforeJobStart: func(*kbase.Context) {
@@ -534,22 +478,13 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 				}
 				cfg.Obs.Emit(obs.FKResync, "boundary_ok", obs.A("job", int64(job)))
 			}
-			if job > resumeJob && !dshim.Resyncing() {
-				if ec != nil {
-					ec.boundary(job)
-				}
-				if cfg.OnCheckpoint != nil {
-					sinceFull++
-					if sinceFull >= cadence {
-						sinceFull = 0
-						cp := snapshotCheckpoint(&cfg, dshim, sync, rt, poolSize, job)
-						cfg.Obs.Annotate("ckpt.capture", "record",
-							obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-						cfg.Obs.Emit(obs.FKCheckpoint, "capture",
-							obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-						cfg.OnCheckpoint(cp)
-					}
-				}
+			if cfg.OnCheckpoint != nil && job > resumeJob && !dshim.Resyncing() {
+				cp := snapshotCheckpoint(&cfg, dshim, sync, rt, poolSize, job)
+				cfg.Obs.Annotate("ckpt.capture", "record",
+					obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
+				cfg.Obs.Emit(obs.FKCheckpoint, "capture",
+					obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
+				cfg.OnCheckpoint(cp)
 			}
 			if cfg.Faults != nil {
 				if ferr := cfg.Faults.JobBoundary(job); ferr != nil {
@@ -607,10 +542,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	}
 	if st.Shim.Commits > 0 {
 		st.RegAccessesPerCommit = float64(st.Shim.RegAccesses) / float64(st.Shim.Commits)
-	}
-	if ec != nil {
-		st.CkptEpochs = ec.epochs
-		st.CkptConflicts = ec.conflicts
 	}
 	st.Energy = energy.Default().RecordThrottled(st.Link, st.GPUBusy, st.GPUThrottled, st.ClientCPU, st.RecordingDelay)
 	st.Obs = cfg.Obs.Snapshot()

@@ -40,10 +40,10 @@ type syncer struct {
 	// Per-region fingerprint caches for metaFP, one per direction. Keyed by
 	// region name; an entry is reused only while the pool's page-generation
 	// tracking proves the retained snapshot's bytes for that region cannot
-	// have changed (see snapFPCached). This makes metaFP cost proportional
-	// to what changed since the last call — the property the incremental
-	// checkpoint path depends on — while computing exactly the same value a
-	// cold cache (e.g. the resume side) computes from scratch.
+	// have changed (see snapFPCached). This makes metaFP, which every job
+	// boundary's checkpoint pays, cost proportional to what changed since
+	// the last call, while computing exactly the same value a cold cache
+	// (e.g. the resume side) computes from scratch.
 	outFPC map[string]regionFP
 	inFPC  map[string]regionFP
 }
@@ -120,8 +120,7 @@ func fingerprint(regions []*gpumem.Region) string {
 // The combination is a hash of per-region hashes (not a hash of concatenated
 // content) precisely so each region's hash can be cached: at a steady-state
 // job boundary only the regions actually written since the last call are
-// re-hashed, which is what lets the incremental checkpoint path stage a
-// boundary fingerprint at cost proportional to change.
+// re-hashed, so a checkpoint at every job costs in proportion to change.
 func (s *syncer) metaFP() (out, in uint64) {
 	if s.outFPC == nil {
 		s.outFPC = make(map[string]regionFP)
@@ -133,7 +132,7 @@ func (s *syncer) metaFP() (out, in uint64) {
 }
 
 // fnv64a is an inline, allocation-free FNV-64a accumulator (hash/fnv's
-// digest allocates; the steady-state epoch path is alloc-gated).
+// digest allocates, and metaFP runs at every checkpointed job boundary).
 type fnv64a uint64
 
 const (

@@ -267,16 +267,6 @@ func (s *DriverShim) EventLog() []trace.Event {
 	return s.log
 }
 
-// Mispredictions returns the misprediction count alone, without the map
-// copies a full Stats snapshot pays — the incremental checkpoint capturer
-// reads it at every job boundary to detect §4.2 rollbacks that raced a
-// staged capture.
-func (s *DriverShim) Mispredictions() int {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	return s.stats.Mispredictions
-}
-
 // History exposes the speculation history (shared across record runs).
 func (s *DriverShim) History() *History { return s.history }
 

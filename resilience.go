@@ -110,22 +110,27 @@ func CheckpointFromBundle(payload, mac, key []byte) (*Checkpoint, error) {
 	return &Checkpoint{cp: cp, signed: s, key: append([]byte(nil), key...)}, nil
 }
 
-// CkptMode selects the checkpoint capture strategy of a resumable record
-// run.
-type CkptMode = record.CkptMode
+// CkptMode named a checkpoint capture strategy. Every resumable session
+// captures a full checkpoint after each completed job, so every mode records
+// the same way.
+//
+// Deprecated: CkptMode has no effect.
+type CkptMode int
 
-// Checkpoint capture strategies.
+// Checkpoint modes. Both record the same way.
+//
+// Deprecated: see CkptMode.
 const (
-	// CkptFull captures a self-contained checkpoint at every cadence
-	// boundary — cost proportional to the whole session. The default.
-	CkptFull = record.CkptFull
-	// CkptIncremental captures epoch-chained deltas concurrently with job
-	// execution (DESIGN.md §14): each epoch carries only the events appended
-	// since its parent, staged at one job boundary and validated at the
-	// next. Resume stitches the chain back into an ordinary checkpoint
-	// transparently — recordings are byte-identical either way.
-	CkptIncremental = record.CkptIncremental
+	CkptFull CkptMode = iota
+	CkptIncremental
 )
+
+func (m CkptMode) String() string {
+	if m == CkptIncremental {
+		return "incremental"
+	}
+	return "full"
+}
 
 // ResilienceOptions tunes a resumable record run. The zero value records
 // like RecordOptions' zero value, with no injected faults, up to 3 resumes,
@@ -151,17 +156,13 @@ type ResilienceOptions struct {
 	Resume *Checkpoint
 	// OnCheckpoint, when non-nil, receives the sealed checkpoint after
 	// every fully completed job. The callback runs inside the record
-	// session and must not block. Under CkptIncremental each delivery is a
-	// freshly stitched and sealed full checkpoint — an O(session)
-	// convenience per capture; leave it nil on hot paths (in-process
-	// resumes never need it, the chain is kept internally).
+	// session and must not block. Sealing costs O(session) per job, so
+	// leave it nil on hot paths: in-process resumes keep the last
+	// checkpoint internally.
 	OnCheckpoint func(*Checkpoint)
-	// CkptMode selects full (default) or incremental epoch-chained
-	// checkpoint capture.
+	// Deprecated: CkptMode has no effect; every session checkpoints in full
+	// after each completed job.
 	CkptMode CkptMode
-	// CkptCadence is the number of completed jobs between checkpoint
-	// captures; 0 and 1 both mean every job.
-	CkptCadence int
 }
 
 const (
@@ -280,6 +281,22 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 		}
 	}
 
+	// Every completed job's checkpoint becomes the resume point; a caller
+	// that persists checkpoints gets each one sealed.
+	onCkpt := func(cp *ckpt.Checkpoint) {
+		last = cp
+		countFleet(obs.MCkptCheckpoints, 1)
+		if opts.OnCheckpoint == nil {
+			return
+		}
+		signed, serr := cp.Seal(ckptKey)
+		if serr != nil {
+			return
+		}
+		countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
+		opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signed, key: ckptKey})
+	}
+
 	kh := svc.cacheKeyFor(c.SKU, model).Hash()
 	for attempt := 0; ; attempt++ {
 		vm, err := svc.admit(ctx, c, kh, opts.Obs, seed)
@@ -311,75 +328,15 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			ckptKey = key
 		}
 
-		var onCkpt func(*ckpt.Checkpoint)
-		var onEpoch func(*ckpt.Epoch)
-		var chain *ckpt.Chain
-		if opts.CkptMode == CkptIncremental {
-			// Each attempt grows its own chain (a fresh attempt re-derives
-			// the full log, so its base epoch is self-contained again). The
-			// stitched checkpoint is materialized lazily: on session loss,
-			// or per epoch when an OnCheckpoint consumer asked for sealed
-			// full checkpoints.
-			ch := &ckpt.Chain{}
-			chain = ch
-			onEpoch = func(e *ckpt.Epoch) {
-				if aerr := ch.Append(e); aerr != nil {
-					return // a capture that does not chain is dropped, not fatal
-				}
-				countFleet(obs.MCkptCheckpoints, 1)
-				signed, serr := e.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
-				countFleet(obs.MCkptEpochBytes, int64(len(signed.Payload)))
-				if opts.OnCheckpoint == nil {
-					return
-				}
-				cp, serr := ch.Stitch()
-				if serr != nil {
-					return
-				}
-				last = cp
-				signedCp, serr := cp.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signedCp, key: ckptKey})
-			}
-		} else {
-			onCkpt = func(cp *ckpt.Checkpoint) {
-				last = cp
-				countFleet(obs.MCkptCheckpoints, 1)
-				if opts.OnCheckpoint == nil {
-					return
-				}
-				signed, serr := cp.Seal(ckptKey)
-				if serr != nil {
-					return
-				}
-				countFleet(obs.MCkptBytes, int64(len(signed.Payload)))
-				opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signed, key: ckptKey})
-			}
-		}
-
 		res, err := svc.run(ctx, c, model, opts.RecordOptions, record.Config{
 			SessionKey: key, ClientSeed: seed,
 			SessionID: sessionID, Faults: faults,
 			Resume: last, OnCheckpoint: onCkpt,
-			CkptMode: opts.CkptMode, CkptCadence: opts.CkptCadence, OnEpoch: onEpoch,
 		})
 		if err == nil {
 			bookHealth(vm)
 			svc.releaseVM(vm)
 			res.Stats.Resumes = attempt
-			if opts.Obs == nil && res.Stats.CkptEpochs > 0 {
-				// An instrumented session's scope already double-wrote the
-				// epoch counters into the fleet registry; an uninstrumented
-				// one still lands the fleet-level totals here.
-				svc.fleet.Add(obs.MCkptEpochs, int64(res.Stats.CkptEpochs))
-				svc.fleet.Add(obs.MCkptEpochConflicts, int64(res.Stats.CkptConflicts))
-			}
 			return &Recording{
 				signed: res.Signed, key: key,
 				Workload: res.Recording.Workload, ProductID: res.Recording.ProductID,
@@ -395,9 +352,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			}
 			return nil, RecordStats{}, err
 		}
-		// Session lost: the VM (and its key) are gone. Under incremental
-		// capture the resume point is the chain, stitched now — this is the
-		// only place an in-process resume pays the O(session) stitch.
+		// Session lost: the VM (and its key) are gone.
 		bookHealth(vm)
 		if errors.Is(err, grterr.ErrDeviceLost) && vm.Device != nil {
 			// The GPU itself failed, not the link or VM. Mark the device so
@@ -415,11 +370,6 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 				"device_lost "+vm.Device.ID(), obs.A("attempt", int64(attempt)))
 		}
 		svc.crashVM(vm)
-		if chain != nil && chain.Tip() != nil {
-			if cp, serr := chain.Stitch(); serr == nil {
-				last = cp
-			}
-		}
 		if attempt >= maxResumes {
 			countFleet(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
 			lastJob := -1

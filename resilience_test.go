@@ -7,15 +7,19 @@ package gpurelay
 // and TestObsResilience* verify the resilience counters surface in the
 // service's fleet metrics (those run under the CI telemetry smoke too).
 //
-// The CI chaos job runs `go test -race -run 'TestChaos|TestResumable|TestObsResilience'`
-// with GRT_CHAOS_METRICS set, publishing the fleet metrics snapshot of the
+// The chaos matrices run their MNIST row unless GRT_CHAOS_FULL=1 adds the
+// AlexNet and SqueezeNet rows. The CI chaos job sets it and runs
+// `go test -race -run 'TestChaos|TestResumable|TestObsResilience'` with
+// GRT_CHAOS_METRICS set, publishing the fleet metrics snapshot of the
 // shared chaos service as a build artifact.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -82,15 +86,11 @@ func replayOutputs(t *testing.T, client *Client, rec *Recording, inputElems int)
 // stitched recording against an undisturbed baseline: byte-identical payload,
 // verifiable seal, identical replay outputs.
 func TestChaosMatrix(t *testing.T) {
-	models := chaosModels
-	if raceDetectorEnabled && os.Getenv("GRT_CHAOS_FULL") == "" {
-		// The full matrix costs ~10 CPU-minutes under the race detector —
-		// past go test's default timeout on small machines. The plain -race
-		// sweep keeps the MNIST row (every plan, every code path); the CI
-		// chaos job opts back into the full matrix with GRT_CHAOS_FULL=1
-		// and a raised -timeout.
-		models = models[:1]
-		t.Logf("race detector: trimming the matrix to %s (set GRT_CHAOS_FULL=1 for all models)", models[0].name)
+	// The AlexNet and SqueezeNet rows take most of the root package's test
+	// time; the CI chaos jobs run them with GRT_CHAOS_FULL=1.
+	models := chaosModels[:1]
+	if os.Getenv("GRT_CHAOS_FULL") == "1" {
+		models = chaosModels
 	}
 
 	// One shared service hosts all chaos cells, so the fleet registry
@@ -222,10 +222,9 @@ var deviceChaosPlans = []struct {
 // the device; a bus fall-off kills it. Either fatal plan must drive exactly
 // one cross-VM migration, and all three must seal byte-identical bytes.
 func TestChaosDeviceMatrix(t *testing.T) {
-	models := chaosModels
-	if raceDetectorEnabled && os.Getenv("GRT_CHAOS_FULL") == "" {
-		models = models[:1]
-		t.Logf("race detector: trimming the matrix to %s (set GRT_CHAOS_FULL=1 for all models)", models[0].name)
+	models := chaosModels[:1] // every model with GRT_CHAOS_FULL=1, as in TestChaosMatrix
+	if os.Getenv("GRT_CHAOS_FULL") == "1" {
+		models = chaosModels
 	}
 
 	type baseline struct {
@@ -384,6 +383,141 @@ func TestResumableNoFaults(t *testing.T) {
 	payload, _, _ := rec.Bundle()
 	if !bytes.Equal(basePayload, payload) {
 		t.Fatal("RecordResumable without faults differs from Record")
+	}
+}
+
+// TestChaosIncrementalCheckpoint pins CkptMode as a no-op: under every fault
+// plan, at GOMAXPROCS 1 and 8, a session asking for CkptIncremental seals the
+// same bytes, with the same RecordingDelay and Resumes, as one asking for
+// CkptFull.
+func TestChaosIncrementalCheckpoint(t *testing.T) {
+	recordMode := func(t *testing.T, plan *FaultPlan, mode CkptMode) ([]byte, RecordStats) {
+		t.Helper()
+		rec, stats, err := NewClient("ckpt-mode", MaliG71MP8).RecordResumable(
+			context.Background(), NewService(), MNIST(), ResilienceOptions{Faults: plan, CkptMode: mode})
+		if err != nil {
+			t.Fatalf("%v record: %v", mode, err)
+		}
+		payload, _, _ := rec.Bundle()
+		return payload, stats
+	}
+	for _, planName := range chaosPlans {
+		plan, err := ParseFaultPlan(planName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fullStats := recordMode(t, plan, CkptFull)
+		if fullStats.Resumes < 1 {
+			t.Fatalf("plan %q never killed the session", planName)
+		}
+		for _, procs := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/procs=%d", planName, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				incr, stats := recordMode(t, plan, CkptIncremental)
+				if !bytes.Equal(full, incr) {
+					t.Fatal("CkptIncremental sealed different bytes from CkptFull")
+				}
+				if stats.RecordingDelay != fullStats.RecordingDelay || stats.Resumes != fullStats.Resumes {
+					t.Fatalf("CkptIncremental: delay %v, %d resumes; CkptFull: delay %v, %d resumes",
+						stats.RecordingDelay, stats.Resumes, fullStats.RecordingDelay, fullStats.Resumes)
+				}
+			})
+		}
+	}
+}
+
+// TestIncrementalExternalResume runs the grtrecord -resume flow with
+// CkptMode: CkptIncremental: the session still delivers a full checkpoint at
+// every job, and the last one round-trips through Bundle/CheckpointFromBundle
+// and resumes in a new client to the bytes of an uninterrupted run.
+func TestIncrementalExternalResume(t *testing.T) {
+	plan, err := ParseFaultPlan("vm-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var last *Checkpoint
+	checkpoints := 0
+	_, _, err = NewClient("epoch-mortal", MaliG71MP8).RecordResumable(
+		context.Background(), NewService(), MNIST(), ResilienceOptions{
+			Faults:     plan,
+			MaxResumes: -1,
+			CkptMode:   CkptIncremental,
+			OnCheckpoint: func(cp *Checkpoint) {
+				mu.Lock()
+				last = cp
+				checkpoints++
+				mu.Unlock()
+			},
+		})
+	if !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("err = %v, want ErrSessionLost", err)
+	}
+	if last == nil {
+		t.Fatal("no checkpoint delivered before the crash")
+	}
+	// A checkpoint per job boundary, as under CkptFull: the last is at the
+	// crash job.
+	if last.Job() != 8 || checkpoints < 2 {
+		t.Fatalf("%d checkpoints, last at job %d; want several, the last at the crash job 8", checkpoints, last.Job())
+	}
+
+	payload, mac, key := last.Bundle()
+	cp, err := CheckpointFromBundle(payload, mac, key)
+	if err != nil {
+		t.Fatalf("checkpoint bundle round-trip: %v", err)
+	}
+	rec, stats, err := NewClient("epoch-heir", MaliG71MP8).RecordResumable(
+		context.Background(), NewService(), MNIST(), ResilienceOptions{Resume: cp, CkptMode: CkptIncremental})
+	if err != nil {
+		t.Fatalf("resume from external checkpoint: %v", err)
+	}
+	if stats.Shim.ResyncEvents == 0 {
+		t.Fatal("resumed session replayed no checkpointed events")
+	}
+	base, _, err := NewClient("epoch-mortal-base", MaliG71MP8).Record(NewService(), MNIST(), RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePayload, _, _ := base.Bundle()
+	resumed, _, _ := rec.Bundle()
+	if !bytes.Equal(basePayload, resumed) {
+		t.Fatal("recording resumed under CkptIncremental differs from an uninterrupted run")
+	}
+}
+
+// TestResumableAcrossRollback crosses a §4.2 misprediction rollback with a
+// session loss: under each fatal link plan, a session whose 200th speculated
+// commit mispredicts must resume once and seal the bytes Record seals with
+// the same injection.
+func TestResumableAcrossRollback(t *testing.T) {
+	opts := RecordOptions{InjectMispredictionAt: 200}
+	base, _, err := NewClient("rollback-base", MaliG71MP8).Record(NewService(), MNIST(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePayload, _, _ := base.Bundle()
+	for _, planName := range []string{"vm-crash", "outage"} {
+		t.Run(planName, func(t *testing.T) {
+			plan, err := ParseFaultPlan(planName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, stats, err := NewClient("rollback", MaliG71MP8).RecordResumable(
+				context.Background(), NewService(), MNIST(),
+				ResilienceOptions{RecordOptions: opts, Faults: plan})
+			if err != nil {
+				t.Fatalf("resumable record: %v", err)
+			}
+			if stats.Resumes != 1 || stats.Shim.Mispredictions == 0 {
+				t.Fatalf("%d resumes, %d mispredictions in the sealing attempt; want 1 and a rollback",
+					stats.Resumes, stats.Shim.Mispredictions)
+			}
+			payload, _, _ := rec.Bundle()
+			if !bytes.Equal(basePayload, payload) {
+				t.Fatal("resumed recording differs from Record with the same injected misprediction")
+			}
+		})
 	}
 }
 
