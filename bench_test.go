@@ -234,7 +234,10 @@ func BenchmarkConcurrentRecord(b *testing.B) {
 // BenchmarkReplayMNIST measures one in-TEE replay. /first is a session's
 // first Run, which parses (range-decodes) every dump of the recording;
 // /repeat is every Run after it, which only applies the parsed dumps and
-// restores. Their ratio is the payoff of decoding once per session.
+// restores. Their ratio is the payoff of decoding once per session. Both
+// replay zero weights on a zero input, so every convolution takes the
+// interpreter's zero fast path; /weights repeats Run with real parameters
+// on a nonzero input, where the shader interpreter's arithmetic dominates.
 func BenchmarkReplayMNIST(b *testing.B) {
 	client := NewClient("bench", MaliG71MP8)
 	svc := NewService()
@@ -269,6 +272,35 @@ func BenchmarkReplayMNIST(b *testing.B) {
 	})
 	b.Run("repeat", func(b *testing.B) {
 		sess := open(b)
+		run(b, sess)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, sess)
+		}
+	})
+	b.Run("weights", func(b *testing.B) {
+		sess := open(b)
+		state := uint64(7)*2654435761 + 1 // the generator of mlfw's InitWeights(7)
+		for _, r := range sess.WeightRegions() {
+			w := make([]float32, r.Elems)
+			for i := range w {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				w[i] = (float32(state%2048)/1024 - 1) / 8
+			}
+			if err := sess.SetWeights(r.Name, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		digit := make([]float32, 28*28)
+		for i := range digit {
+			digit[i] = float32(i*37%256) / 255
+		}
+		if err := sess.SetInput(digit); err != nil {
+			b.Fatal(err)
+		}
 		run(b, sess)
 		b.ReportAllocs()
 		b.ResetTimer()

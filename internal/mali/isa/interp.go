@@ -59,8 +59,19 @@ func (m Mem) forEachPage(va gpumem.VA, n uint64, need gpumem.PTEFlag, fn func(pa
 	return nil
 }
 
-// ReadBytes copies n bytes starting at va into a fresh buffer.
+// checkRange faults unless every page of [va, va+n) translates with need.
+// Callers check a range before allocating a buffer sized by it, so a
+// hostile length costs a failed page walk, not the allocation.
+func (m Mem) checkRange(va gpumem.VA, n uint64, need gpumem.PTEFlag) error {
+	return m.forEachPage(va, n, need, func(gpumem.PA, uint64, uint64) error { return nil })
+}
+
+// ReadBytes copies n bytes starting at va into a fresh buffer. The whole
+// range translates before the buffer is allocated.
 func (m Mem) ReadBytes(va gpumem.VA, n uint64, need gpumem.PTEFlag) ([]byte, error) {
+	if err := m.checkRange(va, n, need); err != nil {
+		return nil, err
+	}
 	out := make([]byte, n)
 	err := m.forEachPage(va, n, need, func(pa gpumem.PA, off, cnt uint64) error {
 		m.Pool.Read(pa, out[off:off+cnt])
@@ -72,10 +83,14 @@ func (m Mem) ReadBytes(va gpumem.VA, n uint64, need gpumem.PTEFlag) ([]byte, err
 	return out, nil
 }
 
-// LoadF32 reads n float32 values starting at va. Each physically contiguous
-// chunk goes through a one-page stack buffer straight into the result, word
-// by word; a value straddling a page boundary is carried into the next chunk.
+// LoadF32 reads n float32 values starting at va. The whole range translates
+// before the result is allocated. Each physically contiguous chunk goes
+// through a one-page stack buffer straight into the result, word by word; a
+// value straddling a page boundary is carried into the next chunk.
 func (m Mem) LoadF32(va gpumem.VA, n int) ([]float32, error) {
+	if err := m.checkRange(va, uint64(n)*4, gpumem.PTERead); err != nil {
+		return nil, err
+	}
 	out := make([]float32, n)
 	var page [gpumem.PageSize]byte
 	var carry [4]byte
@@ -173,8 +188,8 @@ func Execute(mem Mem, shaderVA gpumem.VA, productID uint32) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for i := uint32(0); i < hdr.NumInstr; i++ {
-		in, err := DecodeInstr(code[i*InstrSize:])
+	for off := 0; off < len(code); off += InstrSize {
+		in, err := DecodeInstr(code[off:])
 		if err != nil {
 			return res, err
 		}
@@ -220,121 +235,262 @@ func exec(mem Mem, in *Instr, res *Result) error {
 	}
 }
 
-func outDim(in, k, stride, pad uint32) uint32 {
-	return (in+2*pad-k)/stride + 1
+// maxElems bounds the element count of every operand an instruction names,
+// counted from the operand's base to the end of the tile. Shader bytes
+// arrive inside recordings, so each opcode checks its parameters against it
+// in 64-bit arithmetic before it computes an offset or sizes a buffer.
+const maxElems = 1<<32 - 1
+
+// malformed is the fault of an instruction whose parameters no compiler
+// emits: the job fails instead of the interpreter panicking.
+func malformed(in *Instr, format string, args ...any) error {
+	return &Fault{Reason: fmt.Sprintf("malformed %v: %s", in.Op, fmt.Sprintf(format, args...))}
+}
+
+// extent returns the product of dims, and false when it exceeds maxElems.
+func extent(dims ...uint64) (uint64, bool) {
+	n := uint64(1)
+	for _, d := range dims {
+		if d > maxElems {
+			return 0, false
+		}
+		if n *= d; n > maxElems {
+			return 0, false
+		}
+	}
+	return n, true
+}
+
+// tileExtents checks a channel tile [c0, c1) and, for each operand, that its
+// per-channel extent times c1 fits maxElems.
+func tileExtents(in *Instr, c0, c1 uint32, perChannel ...uint64) error {
+	if c0 > c1 {
+		return malformed(in, "channel tile [%d, %d) is reversed", c0, c1)
+	}
+	for _, n := range perChannel {
+		if _, ok := extent(uint64(c1), n); !ok {
+			return malformed(in, "operand of %d channels x %d elements exceeds %d elements", c1, n, uint64(maxElems))
+		}
+	}
+	return nil
+}
+
+// window is the checked geometry of one sliding-window plane: an inH x inW
+// input, a k x k window moved by stride over the input padded by pad on
+// every side, and the outH x outW output.
+type window struct {
+	inH, inW, k, stride, pad, outH, outW int
+}
+
+// newWindow checks a sliding-window op's geometry in 64-bit arithmetic.
+func newWindow(in *Instr, inH, inW, k, stride, pad uint32) (window, error) {
+	if stride == 0 {
+		return window{}, malformed(in, "stride 0")
+	}
+	if k == 0 {
+		return window{}, malformed(in, "window size 0")
+	}
+	outDim := func(n uint32) (uint64, bool) {
+		padded := uint64(n) + 2*uint64(pad)
+		if uint64(k) > padded {
+			return 0, false
+		}
+		return (padded-uint64(k))/uint64(stride) + 1, true
+	}
+	outH, okH := outDim(inH)
+	outW, okW := outDim(inW)
+	if !okH || !okW {
+		return window{}, malformed(in, "window %d exceeds input %dx%d padded by %d", k, inH, inW, pad)
+	}
+	if _, ok := extent(uint64(inH), uint64(inW)); !ok {
+		return window{}, malformed(in, "input plane %dx%d exceeds %d elements", inH, inW, uint64(maxElems))
+	}
+	if _, ok := extent(outH, outW); !ok {
+		return window{}, malformed(in, "output plane %dx%d exceeds %d elements", outH, outW, uint64(maxElems))
+	}
+	return window{
+		inH: int(inH), inW: int(inW), k: int(k), stride: int(stride), pad: int(pad),
+		outH: int(outH), outW: int(outW),
+	}, nil
+}
+
+func (g *window) inPlane() uint64  { return uint64(g.inH) * uint64(g.inW) }
+func (g *window) outPlane() uint64 { return uint64(g.outH) * uint64(g.outW) }
+
+// interior returns the output rows [y0, y1) and columns [x0, x1) whose
+// every tap lies inside the input.
+func (g *window) interior() (y0, y1, x0, x1 int) {
+	span := func(in, out int) (lo, hi int) {
+		lo = min((g.pad+g.stride-1)/g.stride, out)
+		if last := in + g.pad - g.k; last >= 0 {
+			hi = min(last/g.stride+1, out)
+		}
+		return lo, max(lo, hi)
+	}
+	y0, y1 = span(g.inH, g.outH)
+	x0, x1 = span(g.inW, g.outW)
+	return y0, y1, x0, x1
+}
+
+// convolve runs one convolution tile: the zero fast path, then the operand
+// loads, then convTile into a buffer allocated only once the destination
+// translates. srcN, wN and dstN are the tile's element counts from each
+// operand's base address.
+func convolve(mem Mem, res *Result, g *window, inC, srcStep int,
+	src gpumem.VA, srcN uint64, w gpumem.VA, wN uint64, dst gpumem.VA, dstN uint64) error {
+	if mem.rangeZero(src, srcN*4) && mem.rangeZero(w, wN*4) {
+		res.FastPathed++
+		return mem.zeroOut(dst, dstN*4)
+	}
+	input, err := mem.LoadF32(src, int(srcN))
+	if err != nil {
+		return err
+	}
+	weights, err := mem.LoadF32(w, int(wN))
+	if err != nil {
+		return err
+	}
+	if err := mem.checkRange(dst, dstN*4, gpumem.PTEWrite); err != nil {
+		return err
+	}
+	out := make([]float32, dstN)
+	convTile(out, input, weights, inC, srcStep, g)
+	return mem.StoreF32(dst, out)
+}
+
+// convTile computes the output planes of one convolution tile. Plane c
+// reads inC input channels from src[c*srcStep:] and its filter from
+// w[c*inC*k*k:]: a full convolution shares one input among its planes
+// (srcStep 0), a depthwise one steps one channel per plane.
+//
+// Every output is the sum, in (ic, ky, kx) order and starting from +0, of
+// float32(input*weight) over the taps inside the input. Taps in the padding
+// are skipped, not added as zeros, which matters for -0 and Inf*0. Interior
+// outputs, whose taps all lie inside the input, are computed four adjacent
+// at a time with their sums in registers and each input row sliced once per
+// (ic, ky). The border, and the last one to three interior outputs of a
+// row, keep the per-tap bounds checks of convAt. Each sum adds the same
+// terms in the same order either way, so the bits are equal.
+func convTile(out, src, w []float32, inC, srcStep int, g *window) {
+	k, st, inH, inW := g.k, g.stride, g.inH, g.inW
+	taps, plane := inC*k*k, g.outH*g.outW
+	y0, y1, x0, x1 := g.interior()
+	for c := 0; c < len(out)/plane; c++ {
+		dst := out[c*plane : (c+1)*plane]
+		in := src[c*srcStep:]
+		wc := w[c*taps : (c+1)*taps]
+		for oy := 0; oy < g.outH; oy++ {
+			row := dst[oy*g.outW : (oy+1)*g.outW]
+			ox := 0
+			if oy >= y0 && oy < y1 {
+				for ; ox < x0; ox++ {
+					row[ox] = convAt(in, wc, inC, g, oy, ox)
+				}
+				top := oy*st - g.pad
+				for ; ox+4 <= x1; ox += 4 {
+					var s0, s1, s2, s3 float32
+					x := ox*st - g.pad
+					for ic := 0; ic < inC; ic++ {
+						for ky := 0; ky < k; ky++ {
+							line := in[(ic*inH+top+ky)*inW:]
+							wr := wc[(ic*k+ky)*k:][:k]
+							r0 := line[x:][:len(wr)]
+							r1 := line[x+st:][:len(wr)]
+							r2 := line[x+2*st:][:len(wr)]
+							r3 := line[x+3*st:][:len(wr)]
+							for kx, wv := range wr {
+								s0 += float32(r0[kx] * wv)
+								s1 += float32(r1[kx] * wv)
+								s2 += float32(r2[kx] * wv)
+								s3 += float32(r3[kx] * wv)
+							}
+						}
+					}
+					row[ox], row[ox+1], row[ox+2], row[ox+3] = s0, s1, s2, s3
+				}
+			}
+			for ; ox < g.outW; ox++ {
+				row[ox] = convAt(in, wc, inC, g, oy, ox)
+			}
+		}
+	}
+}
+
+// convAt is one border output of convTile: the reference per-output loop.
+func convAt(in, w []float32, inC int, g *window, oy, ox int) float32 {
+	var sum float32
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < g.k; ky++ {
+			iy := oy*g.stride + ky - g.pad
+			if iy < 0 || iy >= g.inH {
+				continue
+			}
+			for kx := 0; kx < g.k; kx++ {
+				ix := ox*g.stride + kx - g.pad
+				if ix < 0 || ix >= g.inW {
+					continue
+				}
+				sum += float32(in[(ic*g.inH+iy)*g.inW+ix] * w[(ic*g.k+ky)*g.k+kx])
+			}
+		}
+	}
+	return sum
 }
 
 func execConv(mem Mem, in *Instr, res *Result) error {
 	inC, inH, inW := in.P[0], in.P[1], in.P[2]
 	k, stride, pad := in.P[4], in.P[5], in.P[6]
 	oc0, oc1 := in.P[7], in.P[8]
-	outH, outW := outDim(inH, k, stride, pad), outDim(inW, k, stride, pad)
+	g, err := newWindow(in, inH, inW, k, stride, pad)
+	if err != nil {
+		return err
+	}
+	inN, okIn := extent(uint64(inC), g.inPlane())
+	taps, okW := extent(uint64(inC), uint64(k), uint64(k))
+	if !okIn || !okW {
+		return malformed(in, "%d channels of input or filter exceed %d elements", inC, uint64(maxElems))
+	}
+	if err := tileExtents(in, oc0, oc1, taps, g.outPlane()); err != nil {
+		return err
+	}
 	tileC := oc1 - oc0
-	res.FLOPs += int64(tileC) * int64(outH) * int64(outW) * int64(inC) * int64(k) * int64(k) * 2
-
-	inBytes := uint64(inC) * uint64(inH) * uint64(inW) * 4
-	wOff := gpumem.VA(uint64(oc0) * uint64(inC) * uint64(k) * uint64(k) * 4)
-	wBytes := uint64(tileC) * uint64(inC) * uint64(k) * uint64(k) * 4
-	dstOff := gpumem.VA(uint64(oc0) * uint64(outH) * uint64(outW) * 4)
-	dstBytes := uint64(tileC) * uint64(outH) * uint64(outW) * 4
-	if mem.rangeZero(in.Src0, inBytes) && mem.rangeZero(in.Src1+wOff, wBytes) {
-		res.FastPathed++
-		return mem.zeroOut(in.Dst+dstOff, dstBytes)
-	}
-
-	input, err := mem.LoadF32(in.Src0, int(inC*inH*inW))
-	if err != nil {
-		return err
-	}
-	weights, err := mem.LoadF32(in.Src1+wOff, int(tileC*inC*k*k))
-	if err != nil {
-		return err
-	}
-	out := make([]float32, tileC*outH*outW)
-	for oc := uint32(0); oc < tileC; oc++ {
-		for oy := uint32(0); oy < outH; oy++ {
-			for ox := uint32(0); ox < outW; ox++ {
-				var sum float32
-				for ic := uint32(0); ic < inC; ic++ {
-					for ky := uint32(0); ky < k; ky++ {
-						iy := int(oy*stride+ky) - int(pad)
-						if iy < 0 || iy >= int(inH) {
-							continue
-						}
-						for kx := uint32(0); kx < k; kx++ {
-							ix := int(ox*stride+kx) - int(pad)
-							if ix < 0 || ix >= int(inW) {
-								continue
-							}
-							sum += input[(ic*inH+uint32(iy))*inW+uint32(ix)] *
-								weights[((oc*inC+ic)*k+ky)*k+kx]
-						}
-					}
-				}
-				out[(oc*outH+oy)*outW+ox] = sum
-			}
-		}
-	}
-	return mem.StoreF32(in.Dst+dstOff, out)
+	res.FLOPs += int64(tileC) * int64(g.outH) * int64(g.outW) * int64(inC) * int64(k) * int64(k) * 2
+	return convolve(mem, res, &g, int(inC), 0,
+		in.Src0, inN,
+		in.Src1+gpumem.VA(uint64(oc0)*taps*4), uint64(tileC)*taps,
+		in.Dst+gpumem.VA(uint64(oc0)*g.outPlane()*4), uint64(tileC)*g.outPlane())
 }
 
 func execDWConv(mem Mem, in *Instr, res *Result) error {
-	c, inH, inW := in.P[0], in.P[1], in.P[2]
+	inH, inW := in.P[1], in.P[2]
 	k, stride, pad := in.P[3], in.P[4], in.P[5]
 	c0, c1 := in.P[6], in.P[7]
-	_ = c
-	outH, outW := outDim(inH, k, stride, pad), outDim(inW, k, stride, pad)
+	g, err := newWindow(in, inH, inW, k, stride, pad)
+	if err != nil {
+		return err
+	}
+	taps := uint64(k) * uint64(k)
+	if err := tileExtents(in, c0, c1, g.inPlane(), taps, g.outPlane()); err != nil {
+		return err
+	}
 	tileC := c1 - c0
-	res.FLOPs += int64(tileC) * int64(outH) * int64(outW) * int64(k) * int64(k) * 2
-
-	srcOff := gpumem.VA(uint64(c0) * uint64(inH) * uint64(inW) * 4)
-	srcBytes := uint64(tileC) * uint64(inH) * uint64(inW) * 4
-	wOff := gpumem.VA(uint64(c0) * uint64(k) * uint64(k) * 4)
-	wBytes := uint64(tileC) * uint64(k) * uint64(k) * 4
-	dstOff := gpumem.VA(uint64(c0) * uint64(outH) * uint64(outW) * 4)
-	dstBytes := uint64(tileC) * uint64(outH) * uint64(outW) * 4
-	if mem.rangeZero(in.Src0+srcOff, srcBytes) && mem.rangeZero(in.Src1+wOff, wBytes) {
-		res.FastPathed++
-		return mem.zeroOut(in.Dst+dstOff, dstBytes)
-	}
-
-	input, err := mem.LoadF32(in.Src0+srcOff, int(tileC*inH*inW))
-	if err != nil {
-		return err
-	}
-	weights, err := mem.LoadF32(in.Src1+wOff, int(tileC*k*k))
-	if err != nil {
-		return err
-	}
-	out := make([]float32, tileC*outH*outW)
-	for ch := uint32(0); ch < tileC; ch++ {
-		for oy := uint32(0); oy < outH; oy++ {
-			for ox := uint32(0); ox < outW; ox++ {
-				var sum float32
-				for ky := uint32(0); ky < k; ky++ {
-					iy := int(oy*stride+ky) - int(pad)
-					if iy < 0 || iy >= int(inH) {
-						continue
-					}
-					for kx := uint32(0); kx < k; kx++ {
-						ix := int(ox*stride+kx) - int(pad)
-						if ix < 0 || ix >= int(inW) {
-							continue
-						}
-						sum += input[(ch*inH+uint32(iy))*inW+uint32(ix)] * weights[(ch*k+ky)*k+kx]
-					}
-				}
-				out[(ch*outH+oy)*outW+ox] = sum
-			}
-		}
-	}
-	return mem.StoreF32(in.Dst+dstOff, out)
+	res.FLOPs += int64(tileC) * int64(g.outH) * int64(g.outW) * int64(k) * int64(k) * 2
+	return convolve(mem, res, &g, 1, g.inH*g.inW,
+		in.Src0+gpumem.VA(uint64(c0)*g.inPlane()*4), uint64(tileC)*g.inPlane(),
+		in.Src1+gpumem.VA(uint64(c0)*taps*4), uint64(tileC)*taps,
+		in.Dst+gpumem.VA(uint64(c0)*g.outPlane()*4), uint64(tileC)*g.outPlane())
 }
 
 func execGemm(mem Mem, in *Instr, res *Result) error {
 	_, n, k := in.P[0], in.P[1], in.P[2]
 	m0, m1 := in.P[3], in.P[4]
 	accumulate := in.P[5] != 0
+	if err := tileExtents(in, m0, m1, uint64(k), uint64(n)); err != nil {
+		return err
+	}
+	if _, ok := extent(uint64(k), uint64(n)); !ok {
+		return malformed(in, "B of %dx%d exceeds %d elements", k, n, uint64(maxElems))
+	}
 	rows := m1 - m0
 	res.FLOPs += int64(rows) * int64(n) * int64(k) * 2
 
@@ -365,6 +521,9 @@ func execGemm(mem Mem, in *Instr, res *Result) error {
 			return err
 		}
 	} else {
+		if err := mem.checkRange(in.Dst+cOff, uint64(rows)*uint64(n)*4, gpumem.PTEWrite); err != nil {
+			return err
+		}
 		c = make([]float32, rows*n)
 	}
 	for i := uint32(0); i < rows; i++ {
@@ -376,7 +535,7 @@ func execGemm(mem Mem, in *Instr, res *Result) error {
 			row := b[kk*n : kk*n+n]
 			out := c[i*n : i*n+n]
 			for j := range row {
-				out[j] += av * row[j]
+				out[j] += float32(av * row[j])
 			}
 		}
 	}
@@ -385,6 +544,9 @@ func execGemm(mem Mem, in *Instr, res *Result) error {
 
 func execBiasAct(mem Mem, in *Instr, res *Result) error {
 	count, n, actKind := in.P[0], in.P[1], in.P[2]
+	if n == 0 || count < n {
+		return malformed(in, "%d elements over %d channels", count, n)
+	}
 	res.FLOPs += int64(count) * 2
 	if mem.rangeZero(in.Src0, uint64(count)*4) && mem.rangeZero(in.Src1, uint64(n)*4) {
 		res.FastPathed++
@@ -407,41 +569,50 @@ func execBiasAct(mem Mem, in *Instr, res *Result) error {
 }
 
 func execPool(mem Mem, in *Instr, res *Result) error {
-	_, inH, inW := in.P[0], in.P[1], in.P[2]
+	inH, inW := in.P[1], in.P[2]
 	k, stride, pad := in.P[3], in.P[4], in.P[5]
 	c0, c1 := in.P[6], in.P[7]
-	outH, outW := outDim(inH, k, stride, pad), outDim(inW, k, stride, pad)
-	tileC := c1 - c0
-	res.FLOPs += int64(tileC) * int64(outH) * int64(outW) * int64(k) * int64(k)
-
-	srcOff := gpumem.VA(uint64(c0) * uint64(inH) * uint64(inW) * 4)
-	dstOff := gpumem.VA(uint64(c0) * uint64(outH) * uint64(outW) * 4)
-	if mem.rangeZero(in.Src0+srcOff, uint64(tileC)*uint64(inH)*uint64(inW)*4) {
-		res.FastPathed++
-		return mem.zeroOut(in.Dst+dstOff, uint64(tileC)*uint64(outH)*uint64(outW)*4)
-	}
-	input, err := mem.LoadF32(in.Src0+srcOff, int(tileC*inH*inW))
+	g, err := newWindow(in, inH, inW, k, stride, pad)
 	if err != nil {
 		return err
 	}
-	out := make([]float32, tileC*outH*outW)
-	for ch := uint32(0); ch < tileC; ch++ {
-		for oy := uint32(0); oy < outH; oy++ {
-			for ox := uint32(0); ox < outW; ox++ {
+	if err := tileExtents(in, c0, c1, g.inPlane(), g.outPlane()); err != nil {
+		return err
+	}
+	tileC := uint64(c1 - c0)
+	res.FLOPs += int64(tileC) * int64(g.outH) * int64(g.outW) * int64(k) * int64(k)
+
+	src := in.Src0 + gpumem.VA(uint64(c0)*g.inPlane()*4)
+	dst := in.Dst + gpumem.VA(uint64(c0)*g.outPlane()*4)
+	if mem.rangeZero(src, tileC*g.inPlane()*4) {
+		res.FastPathed++
+		return mem.zeroOut(dst, tileC*g.outPlane()*4)
+	}
+	input, err := mem.LoadF32(src, int(tileC*g.inPlane()))
+	if err != nil {
+		return err
+	}
+	if err := mem.checkRange(dst, tileC*g.outPlane()*4, gpumem.PTEWrite); err != nil {
+		return err
+	}
+	out := make([]float32, tileC*g.outPlane())
+	for ch := 0; ch < int(tileC); ch++ {
+		for oy := 0; oy < g.outH; oy++ {
+			for ox := 0; ox < g.outW; ox++ {
 				var acc float32
 				cnt := 0
 				first := true
-				for ky := uint32(0); ky < k; ky++ {
-					iy := int(oy*stride+ky) - int(pad)
-					if iy < 0 || iy >= int(inH) {
+				for ky := 0; ky < g.k; ky++ {
+					iy := oy*g.stride + ky - g.pad
+					if iy < 0 || iy >= g.inH {
 						continue
 					}
-					for kx := uint32(0); kx < k; kx++ {
-						ix := int(ox*stride+kx) - int(pad)
-						if ix < 0 || ix >= int(inW) {
+					for kx := 0; kx < g.k; kx++ {
+						ix := ox*g.stride + kx - g.pad
+						if ix < 0 || ix >= g.inW {
 							continue
 						}
-						v := input[(ch*inH+uint32(iy))*inW+uint32(ix)]
+						v := input[(ch*g.inH+iy)*g.inW+ix]
 						if in.Op == OpPoolMax {
 							if first || v > acc {
 								acc = v
@@ -456,11 +627,11 @@ func execPool(mem Mem, in *Instr, res *Result) error {
 				if in.Op == OpPoolAvg && cnt > 0 {
 					acc /= float32(cnt)
 				}
-				out[(ch*outH+oy)*outW+ox] = acc
+				out[(ch*g.outH+oy)*g.outW+ox] = acc
 			}
 		}
 	}
-	return mem.StoreF32(in.Dst+dstOff, out)
+	return mem.StoreF32(dst, out)
 }
 
 func execAdd(mem Mem, in *Instr, res *Result) error {
@@ -499,6 +670,9 @@ func execCopy(mem Mem, in *Instr, res *Result) error {
 
 func execSoftmax(mem Mem, in *Instr, res *Result) error {
 	count := in.P[0]
+	if count == 0 {
+		return malformed(in, "no elements")
+	}
 	res.FLOPs += int64(count) * 4
 	// Softmax is NOT zero-preserving: softmax(0) is uniform. No fast path.
 	x, err := mem.LoadF32(in.Src0, int(count))

@@ -2,7 +2,10 @@ package isa
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,14 +16,14 @@ import (
 // enough for small kernels, and returns a Mem view plus an allocator that
 // hands out mapped VA ranges.
 type testEnv struct {
-	t      *testing.T
+	t      testing.TB
 	pool   *gpumem.Pool
 	pt     *gpumem.PageTable
 	mem    Mem
 	nextVA gpumem.VA
 }
 
-func newTestEnv(t *testing.T) *testEnv {
+func newTestEnv(t testing.TB) *testEnv {
 	t.Helper()
 	pool := gpumem.NewPool(32 << 20)
 	pt, err := gpumem.NewPageTable(pool, gpumem.FormatLPAE)
@@ -477,5 +480,89 @@ func TestFormatInstrAllOps(t *testing.T) {
 		if FormatInstr(&in) == "" {
 			t.Fatalf("empty format for %v", op)
 		}
+	}
+}
+
+// TestMalformedInstrFaults feeds the interpreter shader streams no compiler
+// emits. Shader bytes arrive inside recordings, so every row must fail its
+// job with a *Fault: no panic, and, because every buffer is sized only
+// after its range translates, no more than 1 MiB allocated.
+func TestMalformedInstrFaults(t *testing.T) {
+	e := newTestEnv(t)
+	data := e.alloc(gpumem.PageSize, gpumem.PTERead|gpumem.PTEWrite)
+	ones := make([]float32, gpumem.PageSize/4)
+	for i := range ones {
+		ones[i] = 1
+	}
+	e.writeF32viaPA(data, ones)
+	const unmapped = gpumem.VA(0x4000000000)
+	op := func(o Op, p ...uint32) Instr {
+		in := Instr{Op: o, Src0: data, Src1: data, Dst: data}
+		copy(in.P[:], p)
+		return in
+	}
+	to := func(in Instr, src0, dst gpumem.VA) Instr {
+		in.Src0, in.Dst = src0, dst
+		return in
+	}
+	for _, tc := range []struct {
+		name     string
+		numInstr uint32 // the header's count, when not 1
+		in       Instr
+		reason   string // what the fault must name
+	}{
+		{"shader-count-0xffffffff", 0xFFFFFFFF, op(OpNop), "translation fault"},
+		{"shader-count-4194304", 1 << 22, op(OpNop), "translation fault"},
+		{"conv-stride-0", 0, op(OpConvTile, 1, 4, 4, 1, 3, 0, 0, 0, 1), "stride 0"},
+		{"conv-window-0", 0, op(OpConvTile, 1, 4, 4, 1, 0, 1, 0, 0, 1), "window size 0"},
+		{"conv-window-exceeds-padded-input", 0, op(OpConvTile, 1, 4, 4, 1, 7, 1, 1, 0, 1), "window 7 exceeds"},
+		{"conv-reversed-tile", 0, op(OpConvTile, 1, 4, 4, 2, 3, 1, 0, 1, 0), "reversed"},
+		{"conv-input-over-maxelems", 0, op(OpConvTile, 2, 65536, 65536, 1, 1, 1, 0, 0, 1), "input plane"},
+		{"conv-filter-over-maxelems", 0, op(OpConvTile, 65536, 1, 1, 1, 256, 1, 128, 0, 1), "input or filter"},
+		{"conv-output-plane-over-maxelems", 0, op(OpConvTile, 1, 1, 1, 1, 1, 1, 1<<20, 0, 1), "output plane"},
+		{"conv-tile-over-maxelems", 0, op(OpConvTile, 1, 4, 4, 1, 1, 1, 0, 0, 1<<30), "channels x"},
+		{"conv-unmapped-input-65535x65535", 0, to(op(OpConvTile, 1, 65535, 65535, 1, 1, 1, 0, 0, 1), unmapped, data), "translation fault"},
+		{"conv-unmapped-output-40001x40001", 0, to(op(OpConvTile, 1, 1, 1, 1, 1, 1, 20000, 0, 1), data, unmapped), "translation fault"},
+		{"dwconv-stride-0", 0, op(OpDWConvTile, 1, 4, 4, 3, 0, 0, 0, 1), "stride 0"},
+		{"dwconv-window-exceeds-padded-input", 0, op(OpDWConvTile, 1, 4, 4, 7, 1, 1, 0, 1), "window 7 exceeds"},
+		{"dwconv-reversed-tile", 0, op(OpDWConvTile, 2, 4, 4, 3, 1, 0, 1, 0), "reversed"},
+		{"pool-stride-0", 0, op(OpPoolMax, 1, 4, 4, 2, 0, 0, 0, 1), "stride 0"},
+		{"pool-window-exceeds-padded-input", 0, op(OpPoolAvg, 1, 4, 4, 7, 1, 1, 0, 1), "window 7 exceeds"},
+		{"pool-reversed-tile", 0, op(OpPoolMax, 2, 4, 4, 2, 2, 0, 1, 0), "reversed"},
+		{"pool-unmapped-output-40001x40001", 0, to(op(OpPoolMax, 1, 1, 1, 1, 1, 20000, 0, 1), data, unmapped), "translation fault"},
+		{"gemm-reversed-tile", 0, op(OpGemmTile, 4, 4, 4, 2, 1, 0), "reversed"},
+		{"gemm-b-over-maxelems", 0, op(OpGemmTile, 1, 1<<20, 1<<20, 0, 1, 0), "B of"},
+		{"gemm-unmapped-output-1024x1024", 0, to(op(OpGemmTile, 1024, 1024, 1, 0, 1024, 0), data, unmapped), "translation fault"},
+		{"biasact-zero-channels", 0, op(OpBiasAct, 16, 0, 0), "over 0 channels"},
+		{"biasact-count-below-channels", 0, op(OpBiasAct, 2, 4, 0), "2 elements over 4"},
+		{"softmax-zero-count", 0, op(OpSoftmax, 0), "no elements"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := e.buildShader(testProduct, []Instr{tc.in})
+			if tc.numInstr != 0 {
+				pa, _, _ := e.mem.Walker.Translate(sh)
+				e.pool.Write32(pa+12, tc.numInstr)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err = Execute(e.mem, sh, testProduct)
+				return err
+			}()
+			runtime.ReadMemStats(&after)
+			var f *Fault
+			if !errors.As(err, &f) || !strings.Contains(f.Reason, tc.reason) {
+				t.Fatalf("got %v, want a *Fault naming %q", err, tc.reason)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("allocated %d bytes before faulting (%v)", grew, err)
+			}
+		})
 	}
 }
