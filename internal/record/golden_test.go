@@ -1,43 +1,66 @@
 package record
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
+	"gpurelay/internal/trace"
 )
 
 // TestRecordingGolden pins the full record pipeline end to end: the exact
-// recording bytes and HMAC seal of a deterministic MNIST record run are
-// hashed against values committed from the original serial memory-sync
-// implementation. This is the proof that the dirty-tracked capture, the
-// parallel encoder, and the pooled codecs change no observable byte: the
-// recording, its dumps, and its seal are bit-identical to the slow path.
-// Regenerate with GRT_UPDATE_GOLDEN=1 after an intentional format change.
+// recording bytes and HMAC seal of deterministic record runs are hashed
+// against values committed from the original serial memory-sync
+// implementation. MNIST is pinned under Naive and OursMDS, every other
+// benchmark model and Micro under OursMDS. This is the proof that the
+// dirty-tracked capture, the parallel encoder, and the pooled codecs change
+// no observable byte: the recording, its dumps, and its seal are
+// bit-identical to the slow path. Regenerate with GRT_UPDATE_GOLDEN=1 after
+// an intentional format change.
+//
+// Every meta-only recording also checks the echo property the memsync codec
+// relies on: each job's client→cloud dump is byte-identical to its
+// cloud→client dump. After job j both directions hold the cloud's metastate
+// at j XOR its metastate at j−1, since the GPU never writes metastate.
 func TestRecordingGolden(t *testing.T) {
+	type row struct {
+		v     Variant
+		model *mlfw.Model
+	}
+	rows := []row{{Naive, mlfw.MNIST()}, {OursMDS, mlfw.MNIST()}}
+	for _, m := range []*mlfw.Model{mlfw.AlexNet(), mlfw.MobileNet(), mlfw.SqueezeNet(),
+		mlfw.ResNet12(), mlfw.VGG16(), mlfw.Micro()} {
+		rows = append(rows, row{OursMDS, m})
+	}
 	got := map[string]string{}
-	for _, v := range []Variant{Naive, OursMDS} {
+	for _, r := range rows {
 		res, err := Run(Config{
-			Variant: v, Model: mlfw.MNIST(), SKU: mali.G71MP8,
+			Variant: r.v, Model: r.model, SKU: mali.G71MP8,
 			Network: netsim.WiFi, SessionKey: testKey,
 			ClientSeed: 42, InjectMispredictionAt: -1,
 		})
 		if err != nil {
-			t.Fatalf("record %v: %v", v, err)
+			t.Fatalf("record %s/%v: %v", r.model.Name, r.v, err)
 		}
 		blob, err := res.Recording.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
+		key := strings.ToLower(r.model.Name) + "/" + r.v.String()
 		sum := sha256.Sum256(blob)
-		got["mnist/"+v.String()+"/recording"] = hex.EncodeToString(sum[:])
-		got["mnist/"+v.String()+"/seal"] = hex.EncodeToString(res.Signed.MAC[:])
+		got[key+"/recording"] = hex.EncodeToString(sum[:])
+		got[key+"/seal"] = hex.EncodeToString(res.Signed.MAC[:])
+		if r.v.MetaOnly() {
+			checkEchoDumps(t, key, res)
+		}
 	}
 
 	path := filepath.Join("testdata", "recording_golden.json")
@@ -71,4 +94,32 @@ func TestRecordingGolden(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden file has %d entries, produced %d", len(want), len(got))
 	}
+}
+
+// checkEchoDumps asserts that every job's client→cloud dump equals the
+// cloud→client dump that started it.
+func checkEchoDumps(t *testing.T, key string, res *Result) {
+	t.Helper()
+	var toClient, toCloud [][]byte
+	for _, e := range res.Recording.Events {
+		switch e.Kind {
+		case trace.KDumpToClient:
+			toClient = append(toClient, e.Dump)
+		case trace.KDumpToCloud:
+			toCloud = append(toCloud, e.Dump)
+		}
+	}
+	if len(toClient) != res.Stats.Jobs || len(toCloud) != res.Stats.Jobs {
+		t.Fatalf("%s: %d/%d dumps for %d jobs", key, len(toClient), len(toCloud), res.Stats.Jobs)
+	}
+	echoes := 0
+	for j := range toCloud {
+		if bytes.Equal(toCloud[j], toClient[j]) {
+			echoes++
+		} else {
+			t.Errorf("%s: job %d's client→cloud dump (%d B) differs from its cloud→client dump (%d B)",
+				key, j, len(toCloud[j]), len(toClient[j]))
+		}
+	}
+	t.Logf("%s: %d of %d client→cloud dumps echo their cloud→client dump", key, echoes, res.Stats.Jobs)
 }
