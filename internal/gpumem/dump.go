@@ -1,6 +1,7 @@
 package gpumem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -252,6 +253,11 @@ func (s *Snapshot) putHeader(out []byte, flags uint8) int {
 // the compressor consumes the chunk list in region order — so the wire bytes
 // are identical to serially encoding the concatenation.
 func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
+	return s.encode(prev, opts, nil)
+}
+
+// encode is Encode with the range coding done by c (nil: stateless).
+func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte, error) {
 	flags := uint8(0)
 	if opts.Delta {
 		flags |= 1
@@ -301,7 +307,7 @@ func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 	hdrLen := s.headerLen()
 	var out []byte
 	if opts.Compress {
-		body := rangeEncodeChunks(chunks)
+		body := rangeEncodeChunks(chunks, c)
 		out = make([]byte, hdrLen+4+len(body))
 		s.putHeader(out, flags)
 		binary.LittleEndian.PutUint32(out[hdrLen:], uint32(len(body)))
@@ -430,13 +436,14 @@ type Dump struct {
 // uncompressed dump aliases data, which must stay unmodified while the Dump
 // is in use.
 func ParseDump(data []byte, lim wire.DecodeLimits) (*Dump, error) {
-	return parseDump(data, lim, newBuf)
+	return parseDump(data, lim, newBuf, nil)
 }
 
 func newBuf(n int) []byte { return make([]byte, n) }
 
-// parseDump is ParseDump taking the RLE stream's buffer from alloc.
-func parseDump(data []byte, lim wire.DecodeLimits, alloc func(int) []byte) (*Dump, error) {
+// parseDump is ParseDump with the range decoding done by c (nil: stateless,
+// the RLE stream's buffer taken from alloc).
+func parseDump(data []byte, lim wire.DecodeLimits, alloc func(int) []byte, c *Codec) (*Dump, error) {
 	hdr, body, flags, err := parseWireHeader(data, lim.Budget())
 	if err != nil {
 		return nil, err
@@ -453,7 +460,7 @@ func parseDump(data []byte, lim wire.DecodeLimits, alloc func(int) []byte) (*Dum
 		d.raw = body
 		return d, nil
 	}
-	if d.rle, err = decodeRLE(body, total, alloc); err != nil {
+	if d.rle, err = c.rangeDecode(body, total, alloc); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -550,11 +557,19 @@ func Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
 // allocation the input has not paid for (compressed payloads are bounded by
 // the budget, since expansion past wire size is what compression is for).
 func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapshot, error) {
-	d, err := parseDump(data, lim, getBuf)
+	return decodeLimited(data, prev, lim, nil)
+}
+
+// decodeLimited is DecodeLimited with the range decoding done by c (nil:
+// stateless).
+func decodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits, c *Codec) (*Snapshot, error) {
+	d, err := parseDump(data, lim, getBuf, c)
 	if err != nil {
 		return nil, err
 	}
-	defer putBuf(d.rle)
+	if c == nil {
+		defer putBuf(d.rle)
+	}
 	var base *Snapshot
 	if d.delta {
 		if err := d.checkBase(prev); err != nil {
@@ -563,6 +578,88 @@ func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapsho
 		base = prev.Clone()
 	}
 	return d.Apply(base)
+}
+
+// Codec is one session's dump coder: Snapshot.Encode and Decode with a
+// one-entry memo on each side of the range coder. A record session's
+// memsync dumps come in echo pairs — a job's client→cloud dump is
+// byte-identical to the cloud→client dump that started it whenever the GPU
+// wrote no metastate — so a Codec that range-codes the same zero-RLE stream,
+// or range-decodes the same body, twice in a row does the work once. An
+// entry is reused only when the new input is byte-identical to the kept one,
+// and the encoder's entry never stands in for the decoder's. Every other
+// step of a dump (delta XOR, zero-RLE pre-pass, header parse and budget,
+// base check, apply) runs on every call, so a Codec returns exactly the wire
+// bytes, snapshots and errors of the stateless calls. The zero value is
+// ready to use; a Codec is not safe for concurrent use.
+type Codec struct {
+	// The last zero-RLE stream range-coded, a recycled buffer the Codec
+	// owns, and the body it coded to.
+	encRLE, encBody []byte
+	// A copy of the last body range-decoded, the payload total its header
+	// declared, and the validated zero-RLE stream it decoded to, a recycled
+	// buffer the Codec owns.
+	decBody  []byte
+	decTotal int
+	decRLE   []byte
+	// Range-coder runs, read by tests.
+	codes, decodes int
+}
+
+// Encode is s.Encode(prev, opts) through the codec.
+func (c *Codec) Encode(s, prev *Snapshot, opts EncodeOptions) ([]byte, error) {
+	return s.encode(prev, opts, c)
+}
+
+// Decode is Decode(data, prev) through the codec.
+func (c *Codec) Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
+	return decodeLimited(data, prev, wire.DefaultLimits(), c)
+}
+
+// rangeCode range-codes a zero-RLE stream held in a recycled buffer, taking
+// ownership of the buffer. A nil Codec codes and recycles every stream. A
+// Codec keeps the stream and its body until the next stream differs, and
+// returns the kept body for a byte-identical one; the body must not be
+// modified.
+func (c *Codec) rangeCode(rle []byte) []byte {
+	if c == nil {
+		body := rangeCodeRLE(rle)
+		putBuf(rle)
+		return body
+	}
+	if c.encBody != nil && bytes.Equal(rle, c.encRLE) {
+		putBuf(rle)
+		return c.encBody
+	}
+	c.codes++
+	body := rangeCodeRLE(rle)
+	putBuf(c.encRLE)
+	c.encRLE, c.encBody = rle, body
+	return body
+}
+
+// rangeDecode returns the validated zero-RLE stream of a compressed body
+// whose header declares total payload bytes, in a buffer from alloc. A nil
+// Codec hands the buffer to the caller. A Codec keeps it, with a copy of the
+// body, until a decode of a different body or total succeeds, and returns
+// the kept stream for the same body and total; the caller must then neither
+// modify nor recycle it.
+func (c *Codec) rangeDecode(body []byte, total int, alloc func(int) []byte) ([]byte, error) {
+	if c == nil {
+		return decodeRLE(body, total, alloc)
+	}
+	if c.decBody != nil && total == c.decTotal && bytes.Equal(body, c.decBody) {
+		return c.decRLE, nil
+	}
+	c.decodes++
+	rle, err := decodeRLE(body, total, alloc)
+	if err != nil {
+		return nil, err
+	}
+	putBuf(c.decRLE)
+	c.decBody = append(c.decBody[:0], body...)
+	c.decTotal, c.decRLE = total, rle
+	return rle, nil
 }
 
 // xorInto stores a XOR b into dst, word-wise. All three must have the same

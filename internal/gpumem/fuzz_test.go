@@ -213,4 +213,9 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, s := range codecFuzzSeeds(t) {
+		if err := fuzzcorpus.WriteSeed("FuzzCodecMatchesStateless", s[0], s[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -112,6 +112,62 @@ func BenchmarkCaptureDirty(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotSyncPair is one job's memsync exchange on a footprint's
+// metastate as the recorder codes it: the cloud→client delta dump and its
+// self-check decode, then the client→cloud dump, byte-identical to the first,
+// and its decode. codec runs the four steps through one Codec, which
+// range-codes and range-decodes the echo's stream once; stateless runs them
+// through Snapshot.Encode and Decode. A job rewrites its share of every
+// metastate region (the regions are sized from the job count). Iterations
+// alternate between two jobs, so each iteration's first dump is new to the
+// Codec.
+func BenchmarkSnapshotSyncPair(b *testing.B) {
+	opts := EncodeOptions{Delta: true, Compress: true}
+	for _, spec := range FootprintSpecs() {
+		fp := buildFootprint(b, spec)
+		prev := Capture(fp.Pool, fp.Regions, MetastateOnly)
+		var jobs [2]*Snapshot
+		for j := range jobs {
+			rng := xorshift64(0x5EED + uint64(j))
+			for _, r := range fp.Regions {
+				if r.Kind.Metastate() {
+					share := make([]byte, r.Size/uint64(spec.Kernels))
+					rng.fill(share)
+					fp.Pool.Write(r.PA+PA(j*len(share)), share)
+				}
+			}
+			jobs[j] = Capture(fp.Pool, fp.Regions, MetastateOnly)
+		}
+		for _, mode := range []string{"codec", "stateless"} {
+			b.Run(spec.Name+"/"+mode, func(b *testing.B) {
+				enc := func(s *Snapshot) ([]byte, error) { return s.Encode(prev, opts) }
+				dec := func(wire []byte) (*Snapshot, error) { return Decode(wire, prev) }
+				if mode == "codec" {
+					c := &Codec{}
+					enc = func(s *Snapshot) ([]byte, error) { return c.Encode(s, prev, opts) }
+					dec = func(wire []byte) (*Snapshot, error) { return c.Decode(wire, prev) }
+				}
+				b.SetBytes(2 * prev.RawBytes())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for echo := 0; echo < 2; echo++ {
+						wire, err := enc(jobs[i%2])
+						if err != nil {
+							b.Fatal(err)
+						}
+						s, err := dec(wire)
+						if err != nil {
+							b.Fatal(err)
+						}
+						s.Release()
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestSnapshotEncodeAllocBudget is the CI allocation gate: encoding a warm
 // MNIST snapshot must stay within a small, committed allocs/op budget. The
 // budget has headroom over the measured value (~7) but fails loudly if

@@ -234,17 +234,12 @@ func zeroFill(b []byte) {
 }
 
 // rangeEncodeChunks compresses the logical concatenation of chunks: a
-// zero-RLE pre-pass followed by the adaptive range coder. The stream starts
-// with a uvarint of the RLE stream length. The returned buffer is freshly
-// allocated at its exact size (it typically outlives the call inside a
-// recording); all scratch is pooled.
-func rangeEncodeChunks(chunks []chunk) []byte {
-	total := chunksLen(chunks)
-	rleScratch := getBuf(total/8 + 64)
-	rle := zeroRLEChunks(chunks, rleScratch)
-	out := rangeCodeRLE(rle)
-	putBuf(rle)
-	return out
+// zero-RLE pre-pass followed by the adaptive range coder, run by c (nil:
+// stateless). The stream starts with a uvarint of the RLE stream length.
+// The returned buffer is allocated at its exact size and must not be
+// modified (a Codec may return it again); all scratch is pooled.
+func rangeEncodeChunks(chunks []chunk, c *Codec) []byte {
+	return c.rangeCode(zeroRLEChunks(chunks, getBuf(chunksLen(chunks)/8+64)))
 }
 
 // rangeCodeRLE range-codes a zero-RLE stream behind its uvarint length.
@@ -397,7 +392,7 @@ func expandRLE(rle []byte, regions []RegionSnapshot, xor bool) {
 // adaptive range coder. The stream starts with a uvarint of the RLE stream
 // length.
 func RangeEncode(data []byte) []byte {
-	return rangeEncodeChunks([]chunk{dataChunk(data)})
+	return rangeEncodeChunks([]chunk{dataChunk(data)}, nil)
 }
 
 // RangeDecode decompresses a RangeEncode stream of the given original length.

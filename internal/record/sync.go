@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpurelay/internal/gpumem"
 	"gpurelay/internal/kbase"
@@ -28,6 +29,11 @@ type syncer struct {
 	// time — the traffic's latency is paid on the link — so dumps are
 	// annotated as instant events rather than spans.
 	obs *obs.Scope
+
+	// codec codes both directions' dumps, so a job's client→cloud encode
+	// and self-check decode reuse the range coding of its cloud→client
+	// dump whenever the two are byte-identical.
+	codec gpumem.Codec
 
 	firstDone bool
 	prevOutFP string
@@ -94,7 +100,7 @@ func (s *syncer) regions() []*gpumem.Region {
 	}
 	for _, pa := range s.ctx.PageTable().Pages() {
 		out = append(out, &gpumem.Region{
-			Name: fmt.Sprintf("pt@%x", pa), Kind: gpumem.KindPageTable,
+			Name: "pt@" + strconv.FormatUint(uint64(pa), 16), Kind: gpumem.KindPageTable,
 			PA: pa, Size: gpumem.PageSize,
 			Flags: gpumem.DefaultFlags(gpumem.KindPageTable),
 		})
@@ -102,12 +108,25 @@ func (s *syncer) regions() []*gpumem.Region {
 	return out
 }
 
+// fingerprint is the structural fingerprint of a region list: per region,
+// its name, then PA and size in lowercase hex, as "name:pa:size;". A change
+// means the delta base no longer lines up; the string also feeds metaFP, so
+// its bytes are part of every checkpoint.
 func fingerprint(regions []*gpumem.Region) string {
-	fp := ""
+	n := 0
 	for _, r := range regions {
-		fp += fmt.Sprintf("%s:%x:%x;", r.Name, r.PA, r.Size)
+		n += len(r.Name) + 3 + 2*16
 	}
-	return fp
+	fp := make([]byte, 0, n)
+	for _, r := range regions {
+		fp = append(fp, r.Name...)
+		fp = append(fp, ':')
+		fp = strconv.AppendUint(fp, uint64(r.PA), 16)
+		fp = append(fp, ':')
+		fp = strconv.AppendUint(fp, r.Size, 16)
+		fp = append(fp, ';')
+	}
+	return string(fp)
 }
 
 // metaFP fingerprints the delta-encoder metastate in both directions: the
@@ -219,11 +238,11 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 	if fp != s.prevOutFP {
 		prev = nil // structural change (new allocations): full dump
 	}
-	wire, err := snap.Encode(prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
+	wire, err := s.codec.Encode(snap, prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
 	if err != nil {
 		return nil, fmt.Errorf("record: encoding meta dump for job %d: %w", j, err)
 	}
-	decoded, err := gpumem.Decode(wire, prev)
+	decoded, err := s.codec.Decode(wire, prev)
 	if err != nil {
 		return nil, fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
 	}
@@ -290,11 +309,11 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		if fp != s.prevInFP {
 			prev = nil
 		}
-		wire, err := snap.Encode(prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
+		wire, err := s.codec.Encode(snap, prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
 		if err != nil {
 			return nil, fmt.Errorf("record: encoding client meta dump after job %d: %w", j, err)
 		}
-		decoded, err := gpumem.Decode(wire, prev)
+		decoded, err := s.codec.Decode(wire, prev)
 		if err != nil {
 			return nil, fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
 		}
