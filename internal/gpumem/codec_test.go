@@ -12,16 +12,21 @@ import (
 
 // codecRun drives one Codec through a sequence of dumps and checks every
 // step against the stateless Snapshot.Encode and DecodeLimited: the same wire
-// bytes, the same decoded regions, the same error text. It also checks when
-// the Codec may skip the range coder, and what it does with the RLE buffers
-// it keeps: a kept buffer is never in the recycler and, when recycled is
-// set, a replaced one is. That second check needs the garbage collector off
-// and the race detector too.
+// bytes, the same decoded regions, the same error text. Dumps are received,
+// through Codec.receive, onto img, one receiving side's image. It also checks
+// when the Codec may skip the range coder, and what it does with the RLE
+// buffers it keeps: a kept buffer is never in the recycler and, when
+// recycled is set, a replaced one is. That second check needs the garbage
+// collector off and the race detector too.
 type codecRun struct {
 	tb       testing.TB
 	c        *Codec
 	lim      wire.DecodeLimits
 	recycled bool
+	img      *Snapshot
+	// chain forbids resetting img: every dump must find the image at the
+	// sender's base, as one receiver of a session's chain does.
+	chain bool
 }
 
 // anyRuns is a range-coder run count codecRun does not check.
@@ -99,39 +104,85 @@ func (r *codecRun) encode(step string, cur, prev *Snapshot, opts EncodeOptions, 
 	return got
 }
 
-// decode decodes data against prev through the Codec and statelessly, and
-// returns the Codec's error. runs is how often the Codec must run the range
-// decoder.
-func (r *codecRun) decode(step string, data []byte, prev *Snapshot, runs int) error {
+// setImage replaces the receiver's image, recycling the old one.
+func (r *codecRun) setImage(img *Snapshot) {
+	if r.img != nil && r.img != img {
+		r.img.Release()
+	}
+	r.img = img
+}
+
+// decode receives data through the Codec onto the run's image and checks it
+// against DecodeLimited(data, base), where base is the sender's delta base,
+// and returns the Codec's error. The image stands for a receiver whose last
+// dump produced base: when it holds anything else (the sequence switched
+// bases), it is reset to a copy of base first. Without a base the image
+// stays as it is for a full dump, which never reads it, and is dropped for
+// any other dump, as before a receiver's first. A delta patches the image in
+// place and a full dump reuses it; a failed receive leaves it untouched.
+// runs is how often the Codec must run the range decoder.
+func (r *codecRun) decode(step string, data []byte, base *Snapshot, runs int) error {
 	r.tb.Helper()
+	switch {
+	case base != nil:
+		if d := snapshotDiff(r.img, base); d != "" {
+			if r.chain {
+				r.tb.Fatalf("%s: the image is not at the sender's base: %s", step, d)
+			}
+			r.setImage(base.Clone())
+		}
+	case r.chain:
+	case len(data) < 5 || data[4]&1 != 0:
+		r.setImage(nil)
+	}
+	var before *Snapshot
+	if r.img != nil {
+		before = r.img.Clone()
+	}
 	old, decodes := r.c.decRLE, r.c.decodes
-	got, gerr := decodeLimited(data, prev, r.lim, r.c)
+	got, gerr := r.c.receive(data, r.img, r.lim)
 	if ran := r.c.decodes - decodes; runs != anyRuns && ran != runs {
 		r.tb.Fatalf("%s: decode ran the range decoder %d times, want %d", step, ran, runs)
 	}
 	r.checkHeld(step)
 	// The only recycler reads after the Codec lets go of a stream are the
-	// region buffers of the snapshot it decodes.
+	// region buffers a full dump gives the image.
 	if r.recycled && replaced(old, r.c.decRLE) && !pooled(old) && (gerr != nil || !aliases(got, old)) {
 		r.tb.Fatalf("%s: the replaced decoder stream was not recycled", step)
 	}
-	want, werr := DecodeLimited(data, prev, r.lim)
+	want, werr := DecodeLimited(data, base, r.lim)
 	if errText(gerr) != errText(werr) {
 		r.tb.Fatalf("%s: codec decode error %q, stateless %q", step, errText(gerr), errText(werr))
 	}
-	if gerr == nil {
+	if gerr != nil {
+		if d := snapshotDiff(r.img, before); d != "" {
+			r.tb.Fatalf("%s: a failed receive changed the image: %s", step, d)
+		}
+	} else {
+		if r.img != nil && got != r.img {
+			r.tb.Fatalf("%s: the dump was not applied to the image in place", step)
+		}
 		if d := snapshotDiff(got, want); d != "" {
 			r.tb.Fatalf("%s: codec decode differs from stateless: %s", step, d)
 		}
-		got.Release()
+		r.img = got
 		want.Release()
+	}
+	if before != nil {
+		before.Release()
 	}
 	return gerr
 }
 
-// snapshotDiff describes the first difference between two snapshots, or
-// returns "".
+// snapshotDiff describes the first difference between two snapshots, either
+// of which may be nil, or returns "".
 func snapshotDiff(a, b *Snapshot) string {
+	if a == nil || b == nil {
+		if a != b {
+			return fmt.Sprintf("snapshot %v vs %v", a != nil, b != nil)
+		}
+		return ""
+	}
 	if len(a.Regions) != len(b.Regions) {
 		return fmt.Sprintf("%d regions vs %d", len(a.Regions), len(b.Regions))
 	}
@@ -245,6 +296,91 @@ func TestCodecMatchesStateless(t *testing.T) {
 				run.decode("full dump after a delta", dump, nil, 1)
 			})
 		}
+	}
+}
+
+// TestReceiverImageChain drives one session's chain of dumps through one
+// Codec and two receivers that never reset their images, the client's and
+// the cloud's, as the syncer does: a full dump, deltas, each echoed back
+// byte-identically, a structural change to a full dump, a corrupt body, then
+// the good delta and one more. Every step must give what DecodeLimited(wire,
+// senderBase) gives, and the sender's snapshot; a failed step must leave the
+// image as it was, and an echo must not run the range decoder.
+func TestReceiverImageChain(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	delta := EncodeOptions{Delta: true, Compress: true}
+	full := EncodeOptions{Compress: true}
+	for _, spec := range FootprintSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			fp := buildFootprint(t, spec)
+			scratch := fp.Regions[len(fp.Regions)-1]
+			structural := false // the scratch region joins the dumps
+			filter := func(r *Region) bool { return r.Kind.Metastate() || structural && r == scratch }
+			c := &Codec{}
+			client := &codecRun{tb: t, c: c, lim: wire.DefaultLimits(), recycled: !raceDetectorEnabled, chain: true}
+			cloud := &codecRun{tb: t, c: c, lim: wire.DefaultLimits(), recycled: !raceDetectorEnabled, chain: true}
+			var cs CaptureState
+			// capture returns the sender's next snapshot and delta base: none
+			// on the first dump and after a structural change.
+			capture := func() (*Snapshot, *Snapshot, EncodeOptions) {
+				snap := cs.Capture(fp.Pool, fp.Regions, filter)
+				if base := cs.Prev(); base != nil && len(base.Regions) == len(snap.Regions) {
+					return snap, base, delta
+				}
+				return snap, nil, full
+			}
+			// pair sends dump to the client and its echo to the cloud.
+			pair := func(step string, snap, base *Snapshot, opts EncodeOptions, dump []byte) {
+				client.decode(step, dump, base, 1)
+				if w := client.encode(step+" echo", snap, base, opts, 0); !bytes.Equal(w, dump) {
+					t.Fatalf("%s: the echo changed the wire", step)
+				}
+				cloud.decode(step+" echo", dump, base, 0)
+				for _, img := range []*Snapshot{client.img, cloud.img} {
+					if d := snapshotDiff(img, snap); d != "" {
+						t.Fatalf("%s: an image differs from the sender's snapshot: %s", step, d)
+					}
+				}
+				cs.Commit(snap)
+			}
+
+			snap, base, opts := capture()
+			pair("full dump", snap, base, opts, client.encode("full dump", snap, base, opts, 1))
+			for job := uint64(1); job <= 6; job++ {
+				step := fmt.Sprintf("job %d", job)
+				switch job {
+				case 3:
+					step += ", structural change"
+					structural = true
+				case 5:
+					step += " after a corrupt body"
+				}
+				fp.DirtySome(job)
+				snap, base, opts = capture()
+				if (base == nil) != (job == 3) {
+					t.Fatalf("%s: full dump = %v", step, base == nil)
+				}
+				dump := client.encode(step, snap, base, opts, 1)
+				if job == 5 {
+					bad := append([]byte(nil), dump...)
+					body := snap.headerLen() + 4
+					for k := body; ; k++ {
+						if k == len(bad) {
+							t.Fatalf("%s: no one-byte corruption of the body fails", step)
+						}
+						bad[k] ^= 0x40
+						if _, err := DecodeLimited(bad, base, client.lim); err != nil {
+							break
+						}
+						bad[k] ^= 0x40
+					}
+					if client.decode(step+": the corrupt body", bad, base, 1) == nil {
+						t.Fatalf("%s: the corrupt body was received", step)
+					}
+				}
+				pair(step, snap, base, opts, dump)
+			}
+		})
 	}
 }
 

@@ -246,12 +246,12 @@ func (s *Snapshot) putHeader(out []byte, flags uint8) int {
 // false). The returned buffer is what crosses the network; its length is the
 // MemSync traffic Table 1 accounts.
 //
-// The encoder works region-at-a-time without ever materializing the
-// concatenated payload: delta XOR runs across regions on a bounded worker
-// pool into per-region buffers, regions whose buffers alias the delta base
-// (clean regions under CaptureState) become logical zero runs outright, and
-// the compressor consumes the chunk list in region order — so the wire bytes
-// are identical to serially encoding the concatenation.
+// The encoder never materializes the concatenated payload: a delta compares
+// each region with its base page by page and XORs only the pages that
+// differ, regions whose buffers alias the delta base (clean regions under
+// CaptureState) become logical zero runs outright, and the compressor
+// consumes the chunk list in region order — so the wire bytes are identical
+// to serially encoding the concatenation.
 func (s *Snapshot) Encode(prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 	return s.encode(prev, opts, nil)
 }
@@ -279,28 +279,15 @@ func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte,
 		}
 	}
 
-	chunks := make([]chunk, len(s.Regions))
-	var owned []int // chunk indexes whose buffers must be recycled
-	if opts.Delta && prev != nil {
-		var work int64
+	chunks := make([]chunk, 0, len(s.Regions))
+	delta := opts.Delta && prev != nil // its data chunks are recycled page buffers
+	if delta {
 		for i := range s.Regions {
-			r, p := &s.Regions[i], &prev.Regions[i]
-			if sameBuffer(r.Data, p.Data) || len(r.Data) == 0 {
-				// Clean region: XOR against itself is all zeros. O(1).
-				chunks[i] = zeroChunk(len(r.Data))
-				continue
-			}
-			chunks[i] = dataChunk(getBuf(len(r.Data)))
-			owned = append(owned, i)
-			work += int64(len(r.Data))
+			chunks = appendDelta(chunks, s.Regions[i].Data, prev.Regions[i].Data)
 		}
-		parallelFor(len(owned), work, func(k int) {
-			i := owned[k]
-			xorInto(chunks[i].data, s.Regions[i].Data, prev.Regions[i].Data)
-		})
 	} else {
 		for i := range s.Regions {
-			chunks[i] = dataChunk(s.Regions[i].Data)
+			chunks = append(chunks, dataChunk(s.Regions[i].Data))
 		}
 	}
 
@@ -329,10 +316,50 @@ func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte,
 			}
 		})
 	}
-	for _, i := range owned {
-		putBuf(chunks[i].data)
+	if delta {
+		for i := range chunks {
+			putBuf(chunks[i].data)
+		}
 	}
 	return out, nil
+}
+
+// appendDelta appends the chunks of cur XOR base, two equal-length buffers.
+// A cur that aliases base (a clean region under CaptureState) is one zero
+// span, unread. Otherwise the two are compared one PageSize span at a time:
+// equal spans extend a zero chunk, and each differing span is XORed into a
+// recycled page buffer of its own. The comparison is on content, so a page
+// rewritten to its old bytes costs no XOR. The zero-RLE writer merges runs
+// across chunks, so the chunks code to the same bytes as one whole-region
+// XOR.
+func appendDelta(chunks []chunk, cur, base []byte) []chunk {
+	if sameBuffer(cur, base) {
+		return appendZero(chunks, len(cur))
+	}
+	for off := 0; off < len(cur); off += PageSize {
+		end := min(off+PageSize, len(cur))
+		if bytes.Equal(cur[off:end], base[off:end]) {
+			chunks = appendZero(chunks, end-off)
+			continue
+		}
+		d := getBuf(PageSize)[:end-off]
+		xorInto(d, cur[off:end], base[off:end])
+		chunks = append(chunks, dataChunk(d))
+	}
+	return chunks
+}
+
+// appendZero appends n zero bytes to a chunk list, extending a trailing zero
+// chunk.
+func appendZero(chunks []chunk, n int) []chunk {
+	if n == 0 {
+		return chunks
+	}
+	if k := len(chunks) - 1; k >= 0 && chunks[k].isZeroRun() {
+		chunks[k].n += n
+		return chunks
+	}
+	return append(chunks, zeroChunk(n))
 }
 
 // WireRegion describes one region entry of an encoded snapshot's header:
@@ -557,19 +584,11 @@ func Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
 // allocation the input has not paid for (compressed payloads are bounded by
 // the budget, since expansion past wire size is what compression is for).
 func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapshot, error) {
-	return decodeLimited(data, prev, lim, nil)
-}
-
-// decodeLimited is DecodeLimited with the range decoding done by c (nil:
-// stateless).
-func decodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits, c *Codec) (*Snapshot, error) {
-	d, err := parseDump(data, lim, getBuf, c)
+	d, err := parseDump(data, lim, getBuf, nil)
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
-		defer putBuf(d.rle)
-	}
+	defer putBuf(d.rle)
 	var base *Snapshot
 	if d.delta {
 		if err := d.checkBase(prev); err != nil {
@@ -580,18 +599,20 @@ func decodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits, c *Codec)
 	return d.Apply(base)
 }
 
-// Codec is one session's dump coder: Snapshot.Encode and Decode with a
-// one-entry memo on each side of the range coder. A record session's
-// memsync dumps come in echo pairs — a job's client→cloud dump is
-// byte-identical to the cloud→client dump that started it whenever the GPU
-// wrote no metastate — so a Codec that range-codes the same zero-RLE stream,
-// or range-decodes the same body, twice in a row does the work once. An
-// entry is reused only when the new input is byte-identical to the kept one,
-// and the encoder's entry never stands in for the decoder's. Every other
-// step of a dump (delta XOR, zero-RLE pre-pass, header parse and budget,
-// base check, apply) runs on every call, so a Codec returns exactly the wire
-// bytes, snapshots and errors of the stateless calls. The zero value is
-// ready to use; a Codec is not safe for concurrent use.
+// Codec is one session's dump coder: Snapshot.Encode on the sending side,
+// and on each receiving side Receive, which patches that side's image of the
+// session's snapshots in place. A Codec keeps a one-entry memo on each side
+// of the range coder. A record session's memsync dumps come in echo pairs — a
+// job's client→cloud dump is byte-identical to the cloud→client dump that
+// started it whenever the GPU wrote no metastate — so a Codec that
+// range-codes the same zero-RLE stream, or range-decodes the same body, twice
+// in a row does the work once. An entry is reused only when the new input is
+// byte-identical to the kept one, and the encoder's entry never stands in for
+// the decoder's. Every other step of a dump (delta XOR, zero-RLE pre-pass,
+// header parse and budget, base check, apply) runs on every call, so a Codec
+// returns exactly the wire bytes, snapshots and errors of the stateless
+// calls. The zero value is ready to use; a Codec is not safe for concurrent
+// use.
 type Codec struct {
 	// The last zero-RLE stream range-coded, a recycled buffer the Codec
 	// owns, and the body it coded to.
@@ -611,9 +632,25 @@ func (c *Codec) Encode(s, prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 	return s.encode(prev, opts, c)
 }
 
-// Decode is Decode(data, prev) through the codec.
-func (c *Codec) Decode(data []byte, prev *Snapshot) (*Snapshot, error) {
-	return decodeLimited(data, prev, wire.DefaultLimits(), c)
+// Receive applies an encoded snapshot, under the default decode limits, to
+// img: the snapshot the previous dump to the same receiver produced, nil
+// before the first. It returns the snapshot the dump describes, which is img
+// patched in place by a delta, or built in img's buffers by a full dump
+// (Dump.Apply); the caller keeps it as the image the next dump applies to.
+// With a lossless coder the image holds the sender's delta base, so Receive
+// returns what Decode(data, base) would, without copying the base. On error
+// img is left untouched.
+func (c *Codec) Receive(data []byte, img *Snapshot) (*Snapshot, error) {
+	return c.receive(data, img, wire.DefaultLimits())
+}
+
+// receive is Receive under a caller-supplied decode budget.
+func (c *Codec) receive(data []byte, img *Snapshot, lim wire.DecodeLimits) (*Snapshot, error) {
+	d, err := parseDump(data, lim, getBuf, c)
+	if err != nil {
+		return nil, err
+	}
+	return d.Apply(img)
 }
 
 // rangeCode range-codes a zero-RLE stream held in a recycled buffer, taking

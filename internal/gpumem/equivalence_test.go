@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// TestDirtyParallelEncodeEquivalence is the tentpole's property test: across
-// randomized workloads and GOMAXPROCS settings, the fast path — dirty-aware
-// CaptureState capture (clean regions aliased, not copied) followed by the
-// chunked, worker-pool encoder — must produce wire bytes identical to the
-// reference path of a full fresh capture encoded with one worker. Any
-// divergence, however subtle (a zero run split differently, a stale aliased
-// buffer, a scheduling-dependent concatenation order), fails the byte
-// comparison.
+// TestDirtyParallelEncodeEquivalence is the memsync encoder's property test:
+// across randomized workloads and GOMAXPROCS settings, the fast path —
+// dirty-aware CaptureState capture (clean regions aliased, not copied)
+// followed by the chunked encoder (page-wise delta, worker-pool raw
+// assembly) — must produce wire bytes identical to the reference path of a
+// full fresh capture encoded by refEncode, which XORs whole regions and
+// codes the concatenation. Any divergence, however subtle (a zero run split
+// differently, a stale aliased buffer, an unequal page sent as zeros, a
+// scheduling-dependent concatenation order), fails the byte comparison.
 func TestDirtyParallelEncodeEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	procs := []int{1, 2, 4, runtime.NumCPU()}
@@ -34,20 +35,13 @@ func TestDirtyParallelEncodeEquivalence(t *testing.T) {
 			applyMutations(poolRef, mutations)
 			applyMutations(poolFast, mutations)
 
-			// Reference: full capture, single-worker encode.
-			runtime.GOMAXPROCS(1)
+			// Reference: full capture, whole-region encode.
 			refSnap := Capture(poolRef, regionsRef, nil)
-			refDelta, err := refSnap.Encode(refPrev, EncodeOptions{Delta: refPrev != nil, Compress: true})
-			if err != nil {
-				t.Fatalf("trial %d step %d: reference encode: %v", trial, step, err)
-			}
-			refRaw, err := refSnap.Encode(nil, EncodeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			refDelta := refEncode(refSnap, refPrev, EncodeOptions{Delta: refPrev != nil, Compress: true})
+			refRaw := refEncode(refSnap, nil, EncodeOptions{})
 
-			// Fast path: dirty capture, parallel encode, at a randomized
-			// worker count.
+			// Fast path: dirty capture and encode at a randomized worker
+			// count.
 			runtime.GOMAXPROCS(procs[rnd.Intn(len(procs))])
 			snap := cs.Capture(poolFast, regionsFast, nil)
 			prev := cs.Prev()

@@ -218,4 +218,9 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, s := range deltaFuzzSeeds() {
+		if err := fuzzcorpus.WriteSeed("FuzzDeltaEncodeMatchesReference", s[0], s[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // parallelMinBytes gates the worker pool: fan-out only pays for itself when
-// the per-region work (XOR deltas, undeltas, copies) moves enough memory.
+// the per-region work (raw payload copies and undeltas) moves enough memory.
 // Below the threshold the serial loop wins on latency and allocates nothing.
 const parallelMinBytes = 1 << 20
 

@@ -1,6 +1,7 @@
 package gpumem
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -113,80 +114,141 @@ func BenchmarkCaptureDirty(b *testing.B) {
 }
 
 // BenchmarkSnapshotSyncPair is one job's memsync exchange on a footprint's
-// metastate as the recorder codes it: the cloud→client delta dump and its
-// self-check decode, then the client→cloud dump, byte-identical to the first,
-// and its decode. codec runs the four steps through one Codec, which
-// range-codes and range-decodes the echo's stream once; stateless runs them
-// through Snapshot.Encode and Decode. A job rewrites its share of every
-// metastate region (the regions are sized from the job count). Iterations
-// alternate between two jobs, so each iteration's first dump is new to the
-// Codec.
+// metastate as the recorder codes it: the cloud→client delta dump, received
+// onto the client's image, then the client→cloud dump, byte-identical to the
+// first, received onto the cloud's image. codec runs the four steps through
+// one Codec and Codec.Receive, which range-codes and range-decodes the
+// echo's stream once and patches each image in place; stateless runs them
+// through Snapshot.Encode and Decode, which copies the base. Two traffic
+// shapes:
+//
+//   - <footprint>: a job rewrites its share of every metastate region (the
+//     regions are sized from the job count);
+//   - <footprint>-cmd-<k>of<n>: a job rewrites k pages of one n-page
+//     command-stream region, as a recorded job does (MNIST 4 of 66 pages,
+//     VGG16 5 of 370).
+//
+// The rewritten bytes cycle through three contents, so every job's dump
+// differs from the one before it (and is new to the Codec), and the images
+// always hold the sender's delta base.
 func BenchmarkSnapshotSyncPair(b *testing.B) {
-	opts := EncodeOptions{Delta: true, Compress: true}
 	for _, spec := range FootprintSpecs() {
 		fp := buildFootprint(b, spec)
-		prev := Capture(fp.Pool, fp.Regions, MetastateOnly)
-		var jobs [2]*Snapshot
-		for j := range jobs {
-			rng := xorshift64(0x5EED + uint64(j))
-			for _, r := range fp.Regions {
-				if r.Kind.Metastate() {
-					share := make([]byte, r.Size/uint64(spec.Kernels))
-					rng.fill(share)
-					fp.Pool.Write(r.PA+PA(j*len(share)), share)
-				}
+		var regions []*Region
+		for _, r := range fp.Regions {
+			if r.Kind.Metastate() {
+				regions = append(regions, r)
 			}
-			jobs[j] = Capture(fp.Pool, fp.Regions, MetastateOnly)
 		}
-		for _, mode := range []string{"codec", "stateless"} {
-			b.Run(spec.Name+"/"+mode, func(b *testing.B) {
-				enc := func(s *Snapshot) ([]byte, error) { return s.Encode(prev, opts) }
-				dec := func(wire []byte) (*Snapshot, error) { return Decode(wire, prev) }
-				if mode == "codec" {
-					c := &Codec{}
-					enc = func(s *Snapshot) ([]byte, error) { return c.Encode(s, prev, opts) }
-					dec = func(wire []byte) (*Snapshot, error) { return c.Decode(wire, prev) }
-				}
-				b.SetBytes(2 * prev.RawBytes())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for echo := 0; echo < 2; echo++ {
-						wire, err := enc(jobs[i%2])
+		benchSyncPair(b, spec.Name, fp.Pool, regions, func(rng *xorshift64) {
+			for _, r := range regions {
+				share := make([]byte, r.Size/uint64(spec.Kernels))
+				rng.fill(share)
+				fp.Pool.Write(r.PA, share)
+			}
+		})
+	}
+	for _, row := range []struct {
+		name         string
+		pages, dirty int
+	}{{"MNIST", 66, 4}, {"VGG16", 370, 5}} {
+		pool := NewPool(uint64(row.pages+1) * PageSize)
+		cmds := &Region{Name: "cmds", Kind: KindCommands, VA: 0x10000000, Size: uint64(row.pages) * PageSize}
+		dense := make([]byte, cmds.Size)
+		rng := xorshift64(0xC0DE)
+		rng.fill(dense)
+		pool.Write(cmds.PA, dense)
+		name := fmt.Sprintf("%s-cmd-%dof%d", row.name, row.dirty, row.pages)
+		benchSyncPair(b, name, pool, []*Region{cmds}, func(rng *xorshift64) {
+			page := make([]byte, PageSize)
+			for k := 0; k < row.dirty; k++ {
+				rng.fill(page)
+				pool.Write(cmds.PA+PA(k*row.pages/row.dirty*PageSize), page)
+			}
+		})
+	}
+}
+
+// benchSyncPair runs the codec and stateless rows of one traffic shape on
+// regions of pool. job rewrites the bytes a job rewrites, from rng.
+func benchSyncPair(b *testing.B, name string, pool *Pool, regions []*Region, job func(rng *xorshift64)) {
+	opts := EncodeOptions{Delta: true, Compress: true}
+	var states [3]*Snapshot
+	for j := range states {
+		rng := xorshift64(0x5EED + uint64(j))
+		job(&rng)
+		states[j] = Capture(pool, regions, nil)
+	}
+	for _, mode := range []string{"codec", "stateless"} {
+		b.Run(name+"/"+mode, func(b *testing.B) {
+			c := &Codec{}
+			// The client's and the cloud's images, both at states[0].
+			imgs := [2]*Snapshot{states[0].Clone(), states[0].Clone()}
+			b.SetBytes(2 * states[0].RawBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prev, cur := states[i%3], states[(i+1)%3]
+				for side := range imgs {
+					if mode == "stateless" {
+						wire, err := cur.Encode(prev, opts)
 						if err != nil {
 							b.Fatal(err)
 						}
-						s, err := dec(wire)
+						s, err := Decode(wire, prev)
 						if err != nil {
 							b.Fatal(err)
 						}
 						s.Release()
+						continue
+					}
+					wire, err := c.Encode(cur, prev, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if imgs[side], err = c.Receive(wire, imgs[side]); err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestSnapshotEncodeAllocBudget is the CI allocation gate: encoding a warm
-// MNIST snapshot must stay within a small, committed allocs/op budget. The
-// budget has headroom over the measured value (~7) but fails loudly if
+// MNIST snapshot must stay within a small, committed allocs/op budget, in
+// full and as a delta in which a few pages changed. The budgets have
+// headroom over the measured values (~5 full, ~12 delta) but fail loudly if
 // buffer recycling regresses back to per-call allocation (the original
-// encoder sat at several hundred).
+// encoder sat at several hundred) or the delta encoder stops recycling its
+// page buffers.
 func TestSnapshotEncodeAllocBudget(t *testing.T) {
-	const allocBudget = 24
 	fp := buildFootprint(t, MNISTFootprint)
-	snap := Capture(fp.Pool, fp.Regions, nil)
-	// Warm the buffer recycler so the measurement sees the steady state.
-	if _, err := snap.Encode(nil, EncodeOptions{Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := snap.Encode(nil, EncodeOptions{Compress: true}); err != nil {
+	prev := Capture(fp.Pool, fp.Regions, nil)
+	fp.DirtySome(1)
+	fp.DirtySome(2)
+	cur := Capture(fp.Pool, fp.Regions, nil)
+	for _, row := range []struct {
+		name   string
+		base   *Snapshot
+		opts   EncodeOptions
+		budget float64
+	}{
+		{"full", nil, EncodeOptions{Compress: true}, 24},
+		{"delta", prev, EncodeOptions{Delta: true, Compress: true}, 32},
+	} {
+		// Warm the buffer recycler so the measurement sees the steady state.
+		if _, err := cur.Encode(row.base, row.opts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > allocBudget {
-		t.Fatalf("Snapshot.Encode allocates %.1f objects/op, budget is %d", avg, allocBudget)
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := cur.Encode(row.base, row.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs/op", row.name, avg)
+		if avg > row.budget {
+			t.Fatalf("Snapshot.Encode (%s) allocates %.1f objects/op, budget is %.0f", row.name, avg, row.budget)
+		}
 	}
 }

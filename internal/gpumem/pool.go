@@ -259,19 +259,20 @@ func (p *Pool) Write(pa PA, data []byte) {
 	}
 }
 
+// zeroPage is a page of zeros that allZero compares against. It is never
+// written.
+var zeroPage [PageSize]byte
+
+// allZero reports whether b holds only zero bytes, comparing it a page at a
+// time against zeroPage at memequal speed.
 func allZero(b []byte) bool {
-	for len(b) >= 8 {
-		if b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] != 0 {
+	for len(b) > PageSize {
+		if !bytes.Equal(b[:PageSize], zeroPage[:]) {
 			return false
 		}
-		b = b[8:]
+		b = b[PageSize:]
 	}
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(b, zeroPage[:len(b)])
 }
 
 // ReadMaterialized copies only materialized pages of [pa, pa+len(buf)) into

@@ -189,3 +189,37 @@ func TestGuardWithoutHandlerPanics(t *testing.T) {
 	}()
 	p.Write(0, []byte{1})
 }
+
+// TestAllZeroMatchesByteLoop checks allZero against a byte loop on every
+// length from 0 to two pages and eight bytes, at two alignments, all-zero
+// and with one nonzero byte at the first position, the last, and each side
+// of every page boundary.
+func TestAllZeroMatchesByteLoop(t *testing.T) {
+	byteLoop := func(b []byte) bool {
+		for _, v := range b {
+			if v != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	backing := make([]byte, 2*PageSize+8+3)
+	for _, align := range []int{0, 3} {
+		for n := 0; n <= 2*PageSize+7; n++ {
+			b := backing[align : align+n]
+			if !allZero(b) {
+				t.Fatalf("align %d, len %d: all zeros reported nonzero", align, n)
+			}
+			for _, at := range []int{0, n - 1, PageSize - 1, PageSize, 2*PageSize - 1, 2 * PageSize} {
+				if at < 0 || at >= n {
+					continue
+				}
+				b[at] = 0x80
+				if got, want := allZero(b), byteLoop(b); got != want {
+					t.Fatalf("align %d, len %d, nonzero at %d: allZero = %v, byte loop %v", align, n, at, got, want)
+				}
+				b[at] = 0
+			}
+		}
+	}
+}

@@ -435,6 +435,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		ctx: rt.Context(), rt: rt,
 		obs: cfg.Obs,
 	}
+	defer sync.release()
 	guardViolations := 0
 	cloudPool.OnGuardViolation(func(v *gpumem.GuardViolation) {
 		guardViolations++

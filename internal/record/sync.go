@@ -34,6 +34,12 @@ type syncer struct {
 	// and self-check decode reuse the range coding of its cloud→client
 	// dump whenever the two are byte-identical.
 	codec gpumem.Codec
+	// The receiving sides' images: the snapshot the last dump to the
+	// client (toClient) and to the cloud (toCloud) produced. Each dump is
+	// applied to its side's image in place, and the image is what the side
+	// restores. A lossless coder keeps each image equal to the sender's
+	// delta base (capOut.Prev(), capIn.Prev()).
+	toClient, toCloud *gpumem.Snapshot
 
 	firstDone bool
 	prevOutFP string
@@ -217,6 +223,17 @@ func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 	return uint64(h)
 }
 
+// release returns the receivers' images to the buffer recycler at the end
+// of the session.
+func (s *syncer) release() {
+	for _, img := range []*gpumem.Snapshot{s.toClient, s.toCloud} {
+		if img != nil {
+			img.Release()
+		}
+	}
+	s.toClient, s.toCloud = nil, nil
+}
+
 // beforeJob produces the cloud→client dump for job j and applies it to the
 // client pool, returning the wire bytes (for traffic accounting and the
 // recording log).
@@ -242,12 +259,12 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record: encoding meta dump for job %d: %w", j, err)
 	}
-	decoded, err := s.codec.Decode(wire, prev)
+	img, err := s.codec.Receive(wire, s.toClient)
 	if err != nil {
 		return nil, fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
 	}
-	decoded.Restore(s.client)
-	decoded.Release()
+	s.toClient = img
+	img.Restore(s.client)
 	s.capOut.Commit(snap)
 	s.prevOutFP = fp
 	s.bytesOut += int64(len(wire))
@@ -313,12 +330,12 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("record: encoding client meta dump after job %d: %w", j, err)
 		}
-		decoded, err := s.codec.Decode(wire, prev)
+		img, err := s.codec.Receive(wire, s.toCloud)
 		if err != nil {
 			return nil, fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
 		}
-		decoded.Restore(s.cloud)
-		decoded.Release()
+		s.toCloud = img
+		img.Restore(s.cloud)
 		s.capIn.Commit(snap)
 		s.prevInFP = fp
 		s.bytesIn += int64(len(wire))
