@@ -44,7 +44,6 @@ func TestFlagRejections(t *testing.T) {
 		{"bad_model", []string{"-fleet", "-model", "lenet"}},
 		{"bad_engine", []string{"-fleet", "-engine", "quantum"}},
 		{"unknown_kind", []string{"-fleet", "-health-plan", "meteor"}},
-		{"no_health_faults", []string{"-fleet", "-health-plan", "vm-crash"}},
 		{"bad_sessions", []string{"-fleet", "-sessions", "-1"}},
 		{"bad_workloads", []string{"-fleet", "-workloads", "-1"}},
 		{"bad_shards", []string{"-fleet", "-shards", "-1"}},

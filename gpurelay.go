@@ -997,13 +997,24 @@ func (s *Service) admit(ctx context.Context, c *Client, kh [32]byte, scope *obs.
 	return vm, nil
 }
 
-// run records one session on an admitted VM. cfg carries what differs
-// between entry points (session key and seed, resume and checkpoint hooks);
-// run fills in what they share from opts: variant, network (WiFi by
-// default), speculation history (the service's shared store by default),
-// misprediction injection (0 disables) and telemetry. On success the
-// client's clock advances by the recording delay.
+// run records one session on an admitted VM. On success the client's clock
+// advances by the recording delay.
 func (s *Service) run(ctx context.Context, c *Client, model *Model, opts RecordOptions, cfg record.Config) (*record.Result, error) {
+	res, err := record.RunContext(ctx, s.recordConfig(c, model, opts, cfg))
+	if err != nil {
+		return nil, err
+	}
+	c.clock.Advance(res.Stats.RecordingDelay)
+	return res, nil
+}
+
+// recordConfig completes the record configuration of a session. cfg carries
+// what differs between entry points (session key and seed, resume and
+// checkpoint hooks); recordConfig fills in what they share from opts:
+// variant, network (WiFi by default), speculation history (the service's
+// shared store by default), misprediction injection (0 disables) and
+// telemetry.
+func (s *Service) recordConfig(c *Client, model *Model, opts RecordOptions, cfg record.Config) record.Config {
 	cfg.Variant, cfg.Model, cfg.SKU, cfg.Obs = opts.Variant, model, c.SKU, opts.Obs
 	cfg.Network = opts.Network
 	if cfg.Network.Name == "" {
@@ -1017,12 +1028,7 @@ func (s *Service) run(ctx context.Context, c *Client, model *Model, opts RecordO
 	if opts.InjectMispredictionAt > 0 {
 		cfg.InjectMispredictionAt = opts.InjectMispredictionAt
 	}
-	res, err := record.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.clock.Advance(res.Stats.RecordingDelay)
-	return res, nil
+	return cfg
 }
 
 // keyJitter seeds a session's shed-retry jitter from its cache key.

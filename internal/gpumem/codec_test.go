@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // when the Codec may skip the range coder, and what it does with the RLE
 // buffers it keeps: a kept buffer is never in the recycler and, when
 // recycled is set, a replaced one is. That second check needs the garbage
-// collector off and the race detector too.
+// collector and the race detector off, and one P (see pooled).
 type codecRun struct {
 	tb       testing.TB
 	c        *Codec
@@ -41,7 +42,9 @@ func errText(err error) string {
 
 // pooled reports whether b's backing array sits in the recycler. It drains
 // b's size class and puts every buffer back, so it must run with the garbage
-// collector off (a collection may drop pooled buffers) and on one goroutine.
+// collector off (a collection may drop pooled buffers) and on one P: a
+// sync.Pool's Get never reaches another P's private slot, so a buffer put
+// back before the goroutine migrated would read as missing.
 func pooled(b []byte) bool {
 	if cap(b) < 1<<bufMinShift {
 		return false
@@ -225,6 +228,7 @@ func xorMask(s *Snapshot, rnd *rand.Rand) {
 // the stateless calls.
 func TestCodecMatchesStateless(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	delta := EncodeOptions{Delta: true, Compress: true}
 	full := EncodeOptions{Compress: true}
 	for _, spec := range FootprintSpecs() {
@@ -308,6 +312,7 @@ func TestCodecMatchesStateless(t *testing.T) {
 // image as it was, and an echo must not run the range decoder.
 func TestReceiverImageChain(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	delta := EncodeOptions{Delta: true, Compress: true}
 	full := EncodeOptions{Compress: true}
 	for _, spec := range FootprintSpecs() {

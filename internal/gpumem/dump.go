@@ -304,17 +304,13 @@ func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte,
 		out = make([]byte, hdrLen+4+total)
 		s.putHeader(out, flags)
 		binary.LittleEndian.PutUint32(out[hdrLen:], uint32(total))
-		offs := make([]int, len(chunks))
 		off := hdrLen + 4
-		for i := range chunks {
-			offs[i] = off
-			off += chunks[i].n
-		}
-		parallelFor(len(chunks), int64(total), func(i int) {
-			if !chunks[i].isZeroRun() { // zero runs: out is freshly zeroed
-				copy(out[offs[i]:], chunks[i].data)
+		for _, ch := range chunks {
+			if !ch.isZeroRun() { // zero runs: out is freshly zeroed
+				copy(out[off:], ch.data)
 			}
-		})
+			off += ch.n
+		}
 	}
 	if delta {
 		for i := range chunks {
@@ -533,20 +529,15 @@ func (d *Dump) Apply(base *Snapshot) (*Snapshot, error) {
 		expandRLE(d.rle, s.Regions, d.delta)
 		return s, nil
 	}
-	offs := make([]int, len(s.Regions))
-	o := 0
-	for i := range s.Regions {
-		offs[i] = o
-		o += len(s.Regions[i].Data)
-	}
-	parallelFor(len(s.Regions), int64(o), func(i int) {
-		dst := s.Regions[i].Data
+	raw := d.raw
+	for _, r := range s.Regions {
 		if d.delta {
-			xorWith(dst, d.raw[offs[i]:])
+			xorWith(r.Data, raw)
 		} else {
-			copy(dst, d.raw[offs[i]:])
+			copy(r.Data, raw)
 		}
-	})
+		raw = raw[len(r.Data):]
+	}
 	return s, nil
 }
 

@@ -82,8 +82,8 @@ func TestDirtyParallelEncodeEquivalence(t *testing.T) {
 }
 
 // randomFootprint builds a pool with a randomized region layout: mixed
-// kinds, sizes from sub-page to multi-megabyte (so encodes cross the
-// parallel threshold), contents from dense-random to all-zero.
+// kinds, sizes from sub-page to multi-megabyte (a region spans from part of
+// one page to hundreds of pages), contents from dense-random to all-zero.
 func randomFootprint(t *testing.T, rnd *rand.Rand) (*Pool, []*Region) {
 	t.Helper()
 	pool := NewPool(256 << 20)

@@ -1,21 +1,21 @@
 // The fleet drill: one record session per workload on one discrete-event
-// engine, admitted through a sharded session manager. Every knob — engine,
-// shards, the cache-first admission path, warm start, a device-health plan,
-// instrumentation — is orthogonal to the recordings: a workload's seal
-// depends only on the model, SKU, seed and workload index, so any drill is
-// checked against its plain serial Reference drill.
+// engine, admitted and attested through a sharded session manager, and
+// carried across lost VMs by the resume loop every record path shares
+// (record.RunResumable). Every knob — engine, shards, the cache-first
+// admission path, warm start, a fault plan, instrumentation — is orthogonal
+// to the recordings: a workload's seal depends only on the model, SKU, seed
+// and workload index, so any drill is checked against its plain serial
+// Reference drill.
 package platform
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"gpurelay/internal/audit"
 	"gpurelay/internal/castore"
-	"gpurelay/internal/ckpt"
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/faultsim"
 	"gpurelay/internal/gpumem"
@@ -34,8 +34,6 @@ const (
 	arrivalGap = 50 * time.Microsecond
 	// faultEvery is the stride of the workloads a health plan afflicts.
 	faultEvery = 4
-	// maxResumes bounds a session's migrations before the drill fails.
-	maxResumes = 3
 )
 
 // DrillOptions configures a fleet drill. The zero value of every knob but
@@ -76,9 +74,11 @@ type DrillOptions struct {
 	// gets a private copy, so seeding never couples sessions.
 	WarmStart map[string]shim.Outcome
 	// HealthPlan afflicts every fourth workload's record session with this
-	// fault plan. An afflicted session checkpoints after every job; one that
-	// loses its device crashes its VM, re-admits on a different GPU and
-	// resumes from its last checkpoint, up to three times.
+	// fault plan: link outages and loss, VM crashes, device-health faults. An
+	// afflicted session checkpoints after every job. One that loses its
+	// link, VM or GPU crashes its VM, backs off on its engine process clock,
+	// re-admits (on a different GPU after a device loss) and resumes from
+	// its last checkpoint, up to three times, as RecordResumable does.
 	HealthPlan *faultsim.Plan
 	// Instrument attaches per-session telemetry scopes, a flight recorder
 	// and an engine execution trace. Instrumentation only reads the
@@ -174,8 +174,8 @@ type DrillCounts struct {
 	Coalesced int `json:"coalesced"`
 	Shed      int `json:"shed"`
 	// Faulted counts record sessions the health plan afflicted, Interrupted
-	// those that lost at least one device, Migrated the moves to a
-	// different VM's GPU.
+	// those that lost their session at least once, Migrated the moves off a
+	// lost device to a different VM's GPU.
 	Faulted     int `json:"faulted"`
 	Interrupted int `json:"interrupted"`
 	Migrated    int `json:"migrated"`
@@ -199,7 +199,7 @@ type DrillResult struct {
 	// Seals are the per-workload recording HMACs in workload order. A
 	// workload whose every leader was shed has a zero seal.
 	Seals [][32]byte
-	// Resumes counts each workload's survived device losses.
+	// Resumes counts each workload's survived session losses.
 	Resumes []int
 	// Wall is the host wall-clock duration of the engine run.
 	Wall time.Duration
@@ -237,12 +237,16 @@ type queuedLeader struct {
 type drill struct {
 	o      DrillOptions
 	eng    timesim.Engine
+	trace  *timesim.EngineTrace
 	svc    *cloud.ShardedService
 	store  *castore.Store
 	reg    *obs.Registry
 	flight *obs.FlightRecorder
 	compat string
 	pool   uint64
+	// want is the measurement every admitted VM must attest to: the
+	// drill's image booted for its SKU.
+	want [32]byte
 
 	// Per workload.
 	models    []*mlfw.Model
@@ -253,7 +257,6 @@ type drill struct {
 	vms       []*cloud.VM
 	seals     [][32]byte
 	resume    []int
-	moved     []int
 	afflicted []bool
 
 	// Cached admission.
@@ -268,6 +271,16 @@ type drill struct {
 
 // Drill runs one fleet drill.
 func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
+	d, err := newDrill(opts)
+	if err != nil {
+		return nil, err
+	}
+	return d.run(ctx)
+}
+
+// newDrill validates opts and builds the drill's engine, admission layer,
+// store and per-workload state.
+func newDrill(opts DrillOptions) (*drill, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -286,15 +299,17 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 		n, pool = o.Sessions, cloud.SessionConfig{Capacity: o.Sessions}
 	}
 	img := cloud.DefaultImage()
+	if d.want, err = cloud.ExpectedMeasurement(img, d.compat); err != nil {
+		return nil, err
+	}
 	d.svc = cloud.NewShardedService(img, cloud.ShardedConfig{Shards: o.Shards, Shard: pool})
 	d.svc.Instrument(d.reg)
 	d.svc.SetTimeSource(d.eng)
-	var trace *timesim.EngineTrace
 	if o.Instrument {
 		d.flight = obs.NewFlightRecorder(0)
 		d.svc.InstrumentFlight(d.flight)
-		trace = timesim.NewEngineTrace(0)
-		d.eng.SetTrace(trace)
+		d.trace = timesim.NewEngineTrace(0)
+		d.eng.SetTrace(d.trace)
 	}
 	for w := 0; w < n; w++ {
 		m := *o.Model
@@ -311,7 +326,6 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 	d.vms = make([]*cloud.VM, n)
 	d.seals = make([][32]byte, n)
 	d.resume = make([]int, n)
-	d.moved = make([]int, n)
 	d.afflicted = make([]bool, n)
 
 	if cached {
@@ -330,6 +344,16 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 		d.queued = make([][]queuedLeader, o.Shards)
 		d.inflight = make([]bool, n)
 		d.pending = make([]int, n)
+	}
+	return d, nil
+}
+
+// run admits the drill's clients, runs the engine and reports. Every VM is
+// released when it returns, on error too.
+func (d *drill) run(ctx context.Context) (*DrillResult, error) {
+	o := d.o
+	var err error
+	if d.store != nil {
 		for i := 0; i < o.Sessions; i++ {
 			i := i
 			d.eng.Schedule(&timesim.FuncEvent{
@@ -339,15 +363,15 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 			})
 		}
 	} else {
-		for w := 0; w < n; w++ {
-			if err := d.start(ctx, w); err != nil {
-				return nil, err
-			}
+		for w := 0; w < len(d.models) && err == nil; w++ {
+			err = d.start(ctx, w)
 		}
 	}
 
 	start := time.Now()
-	err = d.eng.Run()
+	if err == nil {
+		err = d.eng.Run()
+	}
 	wall := time.Since(start)
 	for _, vm := range d.vms {
 		if vm != nil {
@@ -364,7 +388,7 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 	res := &DrillResult{
 		DrillCounts: d.counts, Options: o,
 		Seals: d.seals, Resumes: d.resume, Wall: wall, Service: d.svc,
-		Fleet: d.reg, Scopes: d.scopes, Flight: d.flight, EngineTrace: trace,
+		Fleet: d.reg, Scopes: d.scopes, Flight: d.flight, EngineTrace: d.trace,
 	}
 	res.VirtualTime, res.Events, res.Batches = d.eng.Now(), d.eng.Events(), d.eng.Batches()
 	res.P99AdmissionWait = quantileWait(d.waits, 0.99)
@@ -378,7 +402,9 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 		if d.resume[w] > 0 {
 			res.Interrupted++
 		}
-		res.Migrated += d.moved[w]
+	}
+	for _, dev := range d.svc.Devices() {
+		res.Migrated += dev.Migrations
 	}
 	res.Health = cloud.EvaluateHealth(d.reg.Snapshot(), nil, cloud.DefaultHealthThresholds())
 	for _, sc := range d.scopes {
@@ -387,126 +413,67 @@ func Drill(ctx context.Context, opts DrillOptions) (*DrillResult, error) {
 	return res, nil
 }
 
-// admit takes a VM for workload w on its shard. A cached drill mirrors the
-// shards' slot accounting, so this always takes the immediate path: a wait
-// inside an engine process would stall the timeline.
-func (d *drill) admit(ctx context.Context, w int) error {
+// admit takes an attested VM for workload w on its shard. A VM whose
+// measurement is not the one the drill's image should have on its SKU is
+// released and refused with ErrAttestation, as Service.admit refuses it. A
+// cached drill mirrors the shards' slot accounting, so this always takes the
+// immediate path: a wait inside an engine process would stall the timeline.
+func (d *drill) admit(ctx context.Context, w int) (*cloud.VM, error) {
 	vm, err := d.svc.Acquire(ctx, d.khash[w], d.models[w].Name, d.compat, d.skeys[w][:16])
 	if err != nil {
-		return fmt.Errorf("platform: admitting workload %d: %w", w, err)
+		return nil, fmt.Errorf("platform: admitting workload %d: %w", w, err)
+	}
+	if vm.Measurement != d.want {
+		d.svc.Release(vm)
+		return nil, fmt.Errorf("platform: workload %d: VM measurement mismatch for image %q on %q: %w",
+			w, d.svc.Image().Name, d.compat, grterr.ErrAttestation)
 	}
 	d.vms[w] = vm
-	return nil
+	return vm, nil
 }
 
-// session records workload w on its VM as one engine process. A session
-// that loses its device marks the silicon, crashes the VM, re-admits on a
-// different GPU and resumes from its last checkpoint.
+// session records workload w as one engine process, on the VM start
+// admitted, through the resume loop: a session its fault plan interrupts
+// backs off on the process clock, re-admits and resumes from its last
+// checkpoint. Its attempts share one warm-start copy of the history.
 func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 	o := d.o
 	seed := o.Seed*1_000_003 + uint64(w)*7 + 1
-	id := d.models[w].Name
-	var faults *faultsim.Session
+	cfg := record.Config{
+		Model: d.models[w], SKU: o.SKU, Network: o.Network,
+		SessionKey: d.skeys[w], ClientSeed: seed,
+		InjectMispredictionAt: -1,
+		PoolSize:              d.pool,
+		SessionID:             d.models[w].Name,
+		Clock:                 tm,
+	}
+	if d.scopes != nil {
+		cfg.Obs = d.scopes[w]
+	}
+	if o.WarmStart != nil {
+		cfg.History = shim.NewHistory(3)
+		cfg.History.WarmStart(o.WarmStart)
+	}
 	if o.HealthPlan != nil && w%faultEvery == 0 {
 		d.afflicted[w] = true
-		faults = o.HealthPlan.Start(seed)
-		faults.Instrument(nil, d.reg)
+		cfg.Faults = o.HealthPlan.Start(seed)
 	}
-	var (
-		last          *ckpt.Checkpoint
-		bookedSBE     int
-		bookedStretch time.Duration
-	)
-	for attempt := 0; ; attempt++ {
-		cfg := record.Config{
-			Model: d.models[w], SKU: o.SKU, Network: o.Network,
-			SessionKey: d.skeys[w], ClientSeed: seed,
-			InjectMispredictionAt: -1,
-			PoolSize:              d.pool,
-			SessionID:             id,
-			Clock:                 tm,
-			Faults:                faults,
-			Resume:                last,
-		}
-		if d.scopes != nil {
-			cfg.Obs = d.scopes[w]
-		}
-		if o.WarmStart != nil {
-			cfg.History = shim.NewHistory(3)
-			cfg.History.WarmStart(o.WarmStart)
-		}
-		if faults != nil {
-			// Counted as RecordResumable counts it: on the session scope,
-			// which double-writes into the drill registry, else on the
-			// registry itself.
-			scope := cfg.Obs
-			cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) {
-				last = cp
-				if scope != nil {
-					scope.Count(obs.MCkptCheckpoints, 1)
-				} else {
-					d.reg.Add(obs.MCkptCheckpoints, 1)
-				}
-			}
-		}
-		res, err := record.RunContext(ctx, cfg)
-		vm := d.vms[w]
-		if faults != nil && vm.Device != nil {
-			// Book the attempt's corrected ECC faults and throttled time on
-			// the device that hosted it: faultsim's cross-attempt tally
-			// outlives the attempts whose record stats died with them.
-			hc := faults.HealthCounts()
-			if n := hc.SBE - bookedSBE; n > 0 {
-				vm.Device.AddSBE(n)
-				bookedSBE = hc.SBE
-			}
-			if n := hc.Throttled - bookedStretch; n > 0 {
-				vm.Device.AddThrottle(n)
-				bookedStretch = hc.Throttled
-			}
-		}
-		if err == nil {
-			d.seals[w], d.resume[w] = res.Signed.MAC, attempt
-			if d.store == nil {
-				return nil
-			}
-			return d.publish(ctx, w, res)
-		}
-		if !errors.Is(err, grterr.ErrSessionLost) {
-			return fmt.Errorf("platform: drill workload %d: %w", w, err)
-		}
-		// Mark lost silicon before re-admitting, so the replacement VM
-		// cannot land on it.
-		var lost *cloud.Device
-		if errors.Is(err, grterr.ErrDeviceLost) && vm.Device != nil {
-			lost = vm.Device
-			if errors.Is(err, grterr.ErrBadRecording) {
-				lost.MarkDBE()
-			} else {
-				lost.MarkFallOff()
-			}
-			d.flight.Emit(tm.Now(), id, obs.FKHealthEvent, "device_lost "+lost.ID(), obs.A("attempt", int64(attempt)))
-		}
-		d.svc.Crash(vm)
-		d.vms[w] = nil
-		if attempt >= maxResumes {
-			d.reg.Add(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
-			return fmt.Errorf("platform: drill workload %d lost after %d attempts: %w", w, attempt+1, err)
-		}
-		d.reg.Add(obs.MFleetResumes, 1, obs.L("outcome", "resumed"))
-		if err := d.admit(ctx, w); err != nil {
-			return err
-		}
-		if lost != nil {
-			lost.NoteMigration()
-			d.moved[w]++
-			to := ""
-			if dev := d.vms[w].Device; dev != nil {
-				to = dev.ID()
-			}
-			d.flight.Emit(tm.Now(), id, obs.FKHealthMigrate, lost.ID()+"->"+to, obs.A("attempt", int64(attempt+1)))
-		}
+	res, _, err := record.RunResumable(ctx, cfg, record.ResumePolicy{}, d.vms[w], record.ResumeHost{
+		Admit: func(ctx context.Context) (*cloud.VM, error) { return d.admit(ctx, w) },
+		Crash: func(vm *cloud.VM) {
+			d.svc.Crash(vm)
+			d.vms[w] = nil
+		},
+		Fleet: d.reg, Flight: d.flight, Clock: tm,
+	})
+	if err != nil {
+		return fmt.Errorf("platform: drill workload %d: %w", w, err)
 	}
+	d.seals[w], d.resume[w] = res.Signed.MAC, res.Stats.Resumes
+	if d.store == nil {
+		return nil
+	}
+	return d.publish(ctx, w, res)
 }
 
 // arrive admits one cached-drill client at its arrival time: lookup, then
@@ -553,7 +520,7 @@ func (d *drill) arrive(ctx context.Context, client int) error {
 // start admits workload w and launches its record session as an engine
 // process, keyed after every client arrival sharing its timestamp.
 func (d *drill) start(ctx context.Context, w int) error {
-	if err := d.admit(ctx, w); err != nil {
+	if _, err := d.admit(ctx, w); err != nil {
 		return err
 	}
 	d.eng.Go(uint64(1_000_000+w), func(tm timesim.Time) error { return d.session(ctx, w, tm) })

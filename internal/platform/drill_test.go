@@ -9,10 +9,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"gpurelay/internal/cloud"
 	"gpurelay/internal/faultsim"
+	"gpurelay/internal/grterr"
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
@@ -68,7 +70,7 @@ func warmSnapshot(t *testing.T, m *mlfw.Model) map[string]shim.Outcome {
 func TestDrillSealOracle(t *testing.T) {
 	micro := mlfw.Micro()
 	warm := warmSnapshot(t, micro)
-	plans := []string{"dying-gpu", "falloff", "ecc"}
+	plans := []string{"dying-gpu", "falloff", "ecc", "vm-crash", "outage", "flaky"}
 	rng := rand.New(rand.NewSource(4))
 	refs := map[int]*DrillResult{}
 	seen := map[string]bool{}
@@ -124,6 +126,34 @@ func TestDrillSealOracle(t *testing.T) {
 	for _, knob := range []string{"parallel", "shards", "cache", "warm", "plan", "instrument"} {
 		if !seen[knob+"=true"] || !seen[knob+"=false"] {
 			t.Errorf("the draws never set %s both ways", knob)
+		}
+	}
+}
+
+// TestDrillRefusesUnattestedVM checks that the drill attests the VMs it
+// admits, as every record entry point does: a drill expecting another
+// measurement than its image boots is refused with ErrAttestation, holds no
+// VM afterwards and publishes nothing, cached or not.
+func TestDrillRefusesUnattestedVM(t *testing.T) {
+	for _, workloads := range []int{0, 2} {
+		d, err := newDrill(DrillOptions{Model: mlfw.Micro(), SKU: mali.G71MP8, Seed: 3, Sessions: 4, Workloads: workloads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.want[0] ^= 0xff
+		if _, err := d.run(context.Background()); !errors.Is(err, grterr.ErrAttestation) {
+			t.Fatalf("workloads=%d: err = %v, want ErrAttestation", workloads, err)
+		}
+		if n := d.svc.ActiveVMs(); n != 0 {
+			t.Fatalf("workloads=%d: %d VMs still held after a refused attestation", workloads, n)
+		}
+		if d.store != nil && d.store.Len() != 0 {
+			t.Fatalf("workloads=%d: %d recordings published from unattested VMs", workloads, d.store.Len())
+		}
+		for w, seal := range d.seals {
+			if seal != ([32]byte{}) {
+				t.Fatalf("workloads=%d: workload %d sealed on an unattested VM", workloads, w)
+			}
 		}
 	}
 }
@@ -427,13 +457,19 @@ func TestDegradedFleetDrill(t *testing.T) {
 	if res.Health.State != cloud.Degraded {
 		t.Fatalf("fleet state = %s, want degraded (GPUs died)", res.Health.State)
 	}
-	kinds := map[string]int{}
+	// The journal also carries faultsim's own health events, so device
+	// losses are counted by their note.
+	var lost, migrated int
 	for _, e := range res.Flight.Events() {
-		kinds[e.Kind]++
+		switch {
+		case e.Kind == obs.FKHealthEvent && strings.HasPrefix(e.Note, "device_lost "):
+			lost++
+		case e.Kind == obs.FKHealthMigrate:
+			migrated++
+		}
 	}
-	if kinds[obs.FKHealthEvent] != 4 || kinds[obs.FKHealthMigrate] != 4 {
-		t.Fatalf("flight journal: %d device losses, %d migrations, want 4 of each",
-			kinds[obs.FKHealthEvent], kinds[obs.FKHealthMigrate])
+	if lost != 4 || migrated != 4 {
+		t.Fatalf("flight journal: %d device losses, %d migrations, want 4 of each", lost, migrated)
 	}
 }
 

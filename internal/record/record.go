@@ -155,9 +155,9 @@ type Stats struct {
 	// cloud-side accesses to memory already synchronized to the client.
 	// Zero in any healthy record run.
 	GuardViolations int
-	// Resumes counts session losses survived via checkpoint resume (set by
-	// the resumable orchestration above this package; a single RunContext
-	// is always one attempt).
+	// Resumes counts session losses survived via checkpoint resume. The
+	// resume loop, RunResumable, sets it; a single RunContext is always one
+	// attempt and leaves it 0.
 	Resumes int
 	// Deprecated: CkptEpochs and CkptConflicts are always zero; every
 	// session captures full checkpoints.

@@ -18,11 +18,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpurelay/internal/obs"
 )
@@ -518,6 +520,136 @@ func TestResumableAcrossRollback(t *testing.T) {
 				t.Fatal("resumed recording differs from Record with the same injected misprediction")
 			}
 		})
+	}
+}
+
+// TestResumableOracle is RecordResumable's seeded oracle. Knob combinations
+// drawn from a fixed seed (the fault plan: none, a link preset, a device
+// preset, or a crash job or fall-off instant drawn from the seed; one or two
+// shards; a telemetry scope; a warm start from a donor service's exported
+// history) must each seal the payload and replay to the outputs of the same
+// combination without faults, and repeat their payload, RecordingDelay,
+// Resumes and fleet crash, resume and checkpoint counters on a second run.
+// Each VM draws its own session key, so payloads are compared, not seals.
+func TestResumableOracle(t *testing.T) {
+	donor := NewService()
+	if _, _, err := NewClient("oracle-donor", MaliG71MP8).Record(donor, MNIST(), RecordOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	warm := donor.ExportSpecHistory()
+	if warm.Keys() == 0 {
+		t.Fatal("the donor service exported no speculation history")
+	}
+
+	type knobs struct {
+		shards        int
+		scope, warmed bool
+	}
+	type outcome struct {
+		payload                 []byte
+		delay                   time.Duration
+		resumes                 int
+		crashes, resumed, ckpts int64
+	}
+	record := func(t *testing.T, k knobs, plan *FaultPlan) (outcome, []float32) {
+		t.Helper()
+		svc := NewServiceWith(ServiceConfig{Shards: k.shards})
+		if k.warmed && svc.ImportSpecHistory(warm) == 0 {
+			t.Fatal("the warm start seeded no signature")
+		}
+		opts := ResilienceOptions{Faults: plan}
+		if k.scope {
+			opts.Obs = NewScope("oracle")
+		}
+		client := NewClient("oracle", MaliG71MP8)
+		rec, st, err := client.RecordResumable(context.Background(), svc, MNIST(), opts)
+		if err != nil {
+			t.Fatalf("%+v under %v: %v", k, plan, err)
+		}
+		payload, _, _ := rec.Bundle()
+		m := svc.Metrics()
+		return outcome{
+			payload: payload, delay: st.RecordingDelay, resumes: st.Resumes,
+			crashes: m.Counter(obs.MFleetVMCrashes),
+			resumed: m.Counter(obs.MFleetResumes, obs.L("outcome", "resumed")),
+			ckpts:   m.Counter(obs.MCkptCheckpoints),
+		}, replayOutputs(t, client, rec, 28*28)
+	}
+
+	type baseline struct {
+		payload []byte
+		outputs []float32
+	}
+	baselines := map[knobs]baseline{}
+	links := []string{"outage", "vm-crash", "flaky"}
+	devices := []string{"falloff", "ecc", "dying-gpu", "thermal"}
+	rng := rand.New(rand.NewSource(20))
+	seen := map[string]bool{}
+	for draw := 0; draw < 14; draw++ {
+		kind := []string{"none", "link", "device", "instant"}[rng.Intn(4)]
+		var spec string
+		switch kind {
+		case "link":
+			spec = links[rng.Intn(len(links))]
+		case "device":
+			spec = devices[rng.Intn(len(devices))]
+		case "instant":
+			if rng.Intn(2) == 0 {
+				spec = fmt.Sprintf("crash@job%d", 1+rng.Intn(21))
+			} else {
+				spec = fmt.Sprintf("falloff@%dms", 100+rng.Intn(4000))
+			}
+		}
+		k := knobs{shards: 1 + rng.Intn(2), scope: rng.Intn(2) == 0, warmed: rng.Intn(2) == 0}
+		seen["plan="+kind] = true
+		for knob, on := range map[string]bool{
+			"faults": spec != "", "shards": k.shards > 1, "scope": k.scope, "warm": k.warmed,
+		} {
+			seen[fmt.Sprintf("%s=%v", knob, on)] = true
+		}
+
+		base, ok := baselines[k]
+		if !ok {
+			o, outputs := record(t, k, nil)
+			base = baseline{o.payload, outputs}
+			baselines[k] = base
+		}
+		var plan *FaultPlan
+		if spec != "" {
+			var err error
+			if plan, err = ParseFaultPlan(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, outputs := record(t, k, plan)
+		b, _ := record(t, k, plan)
+		if !bytes.Equal(a.payload, base.payload) {
+			t.Fatalf("draw %d %+v under %q: payload differs from the undisturbed one", draw, k, spec)
+		}
+		if len(outputs) != len(base.outputs) {
+			t.Fatalf("draw %d %+v under %q: %d outputs, undisturbed %d", draw, k, spec, len(outputs), len(base.outputs))
+		}
+		for i := range outputs {
+			if outputs[i] != base.outputs[i] {
+				t.Fatalf("draw %d %+v under %q: output %d = %v, undisturbed %v", draw, k, spec, i, outputs[i], base.outputs[i])
+			}
+		}
+		if !bytes.Equal(a.payload, b.payload) || a.delay != b.delay || a.resumes != b.resumes ||
+			a.crashes != b.crashes || a.resumed != b.resumed || a.ckpts != b.ckpts {
+			t.Fatalf("draw %d %+v under %q: second run diverged: %v/%d resumes/%d crashes/%d resumed/%d checkpoints vs %v/%d/%d/%d/%d",
+				draw, k, spec, a.delay, a.resumes, a.crashes, a.resumed, a.ckpts, b.delay, b.resumes, b.crashes, b.resumed, b.ckpts)
+		}
+		t.Logf("draw %d %+v under %q: %v, %d resumes", draw, k, spec, a.delay, a.resumes)
+	}
+	for _, knob := range []string{"faults", "shards", "scope", "warm"} {
+		if !seen[knob+"=true"] || !seen[knob+"=false"] {
+			t.Errorf("the draws never set %s both ways", knob)
+		}
+	}
+	for _, kind := range []string{"none", "link", "device", "instant"} {
+		if !seen["plan="+kind] {
+			t.Errorf("the draws never drew a %s plan", kind)
+		}
 	}
 }
 
