@@ -63,11 +63,13 @@ func getBufZ(n int) (b []byte, zeroed bool) {
 	return make([]byte, n), true
 }
 
-// putBuf recycles a buffer. The caller must not touch it afterwards.
+// putBuf recycles a buffer. The caller must not touch it afterwards. The
+// slice header the pool keeps is a variable of its own, so that only a call
+// that recycles allocates it: a nil or small b costs nothing.
 func putBuf(b []byte) {
 	if cap(b) < 1<<bufMinShift {
 		return
 	}
-	b = b[:0]
-	bufClasses[bufClass(cap(b))].Put(&b)
+	kept := b[:0]
+	bufClasses[bufClass(cap(kept))].Put(&kept)
 }

@@ -99,12 +99,14 @@ func checkDeltaEncode(tb testing.TB, name string, cur, base *Snapshot) {
 	}
 }
 
-// checkDeltaChunks checks appendDelta's chunk list for one region: no two
-// zero chunks in a row, every data chunk one page span that differs from its
-// base (so equal spans cost no buffer), and the whole spanning the region.
-func checkDeltaChunks(tb testing.TB, name string, cur, base []byte) {
+// checkDeltaChunks checks appendDelta's chunk list for one region, with the
+// region's page list from its capture (nil to compare every page): no two
+// zero chunks in a row, no unequal bytes sent as zeros, every data chunk one
+// page span that differs from its base (so equal spans cost no buffer), and
+// the whole spanning the region.
+func checkDeltaChunks(tb testing.TB, name string, cur, base []byte, pages []int) {
 	tb.Helper()
-	chunks := appendDelta(nil, cur, base)
+	chunks := appendDelta(nil, cur, base, pages)
 	off := 0
 	for i, c := range chunks {
 		if c.isZeroRun() {
@@ -211,7 +213,8 @@ func TestDeltaEncodeMatchesReference(t *testing.T) {
 				}
 			}
 			for i := range cur.Regions {
-				checkDeltaChunks(t, fmt.Sprintf("region %d", i), cur.Regions[i].Data, base.Regions[i].Data)
+				checkDeltaChunks(t, fmt.Sprintf("region %d", i), cur.Regions[i].Data, base.Regions[i].Data, cur.Regions[i].pages)
+				checkDeltaChunks(t, fmt.Sprintf("region %d, every page", i), cur.Regions[i].Data, base.Regions[i].Data, nil)
 			}
 			checkDeltaEncode(t, row.name, cur, base)
 		})
@@ -281,7 +284,7 @@ func FuzzDeltaEncodeMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, layout, edits []byte) {
 		cur, base := deltaFuzzSnapshots(layout, edits)
 		for i := range cur.Regions {
-			checkDeltaChunks(t, fmt.Sprintf("region %d", i), cur.Regions[i].Data, base.Regions[i].Data)
+			checkDeltaChunks(t, fmt.Sprintf("region %d", i), cur.Regions[i].Data, base.Regions[i].Data, nil)
 		}
 		checkDeltaEncode(t, "fuzz", cur, base)
 	})

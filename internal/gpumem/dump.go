@@ -14,6 +14,18 @@ import (
 // right after the completion interrupt).
 type Snapshot struct {
 	Regions []RegionSnapshot
+
+	// base is the committed snapshot CaptureState.Capture captured this one
+	// against, until Commit: every page that can differ between the two is
+	// in the regions' page lists.
+	base *Snapshot
+	// image marks a snapshot that Dump.Apply produced, a receiver's image.
+	// An image remembers the pool it was last restored into and that pool's
+	// generation before the restore; restored is nil until then, and again
+	// after a dump that Apply cannot follow page by page.
+	image       bool
+	restored    *Pool
+	restoredGen uint64
 }
 
 // RegionSnapshot is one region's captured bytes.
@@ -23,6 +35,14 @@ type RegionSnapshot struct {
 	VA   VA
 	PA   PA
 	Data []byte
+
+	// pages lists PageSize spans of Data by index from its start. In a
+	// snapshot CaptureState.Capture read page by page, it is the spans read
+	// back from the pool, in increasing order and never empty; every other
+	// span holds the bytes of the region in the capture base. It is empty
+	// for a region read whole or aliased. In an image, it is the spans that
+	// the literals of the dumps applied since the last Restore touched.
+	pages []int
 }
 
 // RawBytes returns the uncompressed size of the snapshot — the traffic a
@@ -35,13 +55,25 @@ func (s *Snapshot) RawBytes() int64 {
 	return n
 }
 
+// newSnapshot returns an empty snapshot with room for the regions filter
+// accepts.
+func newSnapshot(regions []*Region, filter func(*Region) bool) *Snapshot {
+	n := 0
+	for _, r := range regions {
+		if filter == nil || filter(r) {
+			n++
+		}
+	}
+	return &Snapshot{Regions: make([]RegionSnapshot, 0, n)}
+}
+
 // Capture reads every region accepted by filter out of pool. A nil filter
 // captures everything. Regions are captured in the order given, which both
 // sides must agree on for delta encoding to line up. Buffers come from the
 // internal recycler; a caller done with the snapshot may hand them back with
 // Release, and a caller that doesn't simply leaves them to the GC.
 func Capture(pool *Pool, regions []*Region, filter func(*Region) bool) *Snapshot {
-	s := &Snapshot{}
+	s := newSnapshot(regions, filter)
 	for _, r := range regions {
 		if filter != nil && !filter(r) {
 			continue
@@ -73,10 +105,28 @@ func MetastateOnly(r *Region) bool { return r.Kind.Metastate() }
 
 // Restore writes the snapshot's regions back into pool at their physical
 // addresses. The receiving shim uses this to reconstruct the shared-memory
-// view.
+// view. Restoring an image into the pool it was last restored into writes,
+// of each region, only the pages that the dumps applied since touched and
+// the pages the pool changed since: by the pool's generation invariant every
+// other page already holds the image's bytes. (So an image's bytes may
+// change only through Dump.Apply.) Guards are checked over every whole
+// region either way, and the pool ends as a write of every region would
+// leave it.
 func (s *Snapshot) Restore(pool *Pool) {
-	for _, r := range s.Regions {
-		pool.Write(r.PA, r.Data)
+	gen := pool.Gen()
+	for i := range s.Regions {
+		r := &s.Regions[i]
+		if s.restored == pool {
+			pool.writeSpans(r.PA, r.Data, r.pages, s.restoredGen)
+		} else {
+			pool.Write(r.PA, r.Data)
+		}
+		if s.image {
+			r.pages = r.pages[:0]
+		}
+	}
+	if s.image {
+		s.restored, s.restoredGen = pool, gen
 	}
 }
 
@@ -87,7 +137,7 @@ func (s *Snapshot) Clone() *Snapshot {
 	for i, r := range s.Regions {
 		data := getBuf(len(r.Data))
 		copy(data, r.Data)
-		r.Data = data
+		r.Data, r.pages = data, nil
 		c.Regions[i] = r
 	}
 	return c
@@ -97,14 +147,17 @@ func (s *Snapshot) Clone() *Snapshot {
 // clears them. The caller must guarantee no other snapshot aliases the
 // buffers — in particular, a snapshot produced by CaptureState may share
 // clean-region buffers with its predecessor and successor, so capture chains
-// must be retired through CaptureState.Commit, never Release.
+// must be retired through CaptureState.Commit and CaptureState.Release,
+// never Release.
 func (s *Snapshot) Release() {
 	for i := range s.Regions {
 		if s.Regions[i].Data != nil {
 			putBuf(s.Regions[i].Data)
 			s.Regions[i].Data = nil
 		}
+		s.Regions[i].pages = nil
 	}
+	s.base, s.restored = nil, nil
 }
 
 // sameBuffer reports whether two slices share backing storage (same base and
@@ -114,14 +167,25 @@ func sameBuffer(a, b []byte) bool {
 }
 
 // CaptureState tracks the previous snapshot and the pool's mutation
-// watermark so successive captures only read regions that were actually
-// written in between. A clean region's buffer is shared with the previous
-// snapshot — the encoder recognizes the aliasing and emits its delta as a
-// zero run without touching a byte of it.
+// watermark so successive captures only read what was written in between.
+// A clean region's buffer is shared with the previous snapshot — the encoder
+// recognizes the aliasing and emits its delta as a zero run without touching
+// a byte of it. A written region is read page by page: only the pages
+// changed since the watermark come from the pool, and the capture lists them
+// (RegionSnapshot.pages) for the delta encoder. Captures and commits
+// alternate: Capture, encode, Commit.
 type CaptureState struct {
 	prev      *Snapshot
 	watermark uint64 // pool generation before prev's regions were read
 	pending   uint64 // generation watermark for the not-yet-committed capture
+
+	// retired holds, by region index, the buffers of the snapshot before
+	// prev that prev does not share. Each holds its region's bytes in that
+	// snapshot, which prev's page list for the region turns into prev's:
+	// the next capture of a written region builds its buffer there.
+	retired [][]byte
+	// The backing arrays of prev's page lists and of the next capture's.
+	prevPages, nextPages []int
 }
 
 // Prev returns the last committed snapshot (nil before the first Commit).
@@ -135,62 +199,120 @@ func (cs *CaptureState) Prev() *Snapshot { return cs.prev }
 func (cs *CaptureState) Watermark() uint64 { return cs.watermark }
 
 // Capture is a dirty-aware Capture: regions untouched since the previous
-// committed snapshot alias its buffers instead of being re-read. The caller
-// must pass the same pool, regions, and filter on every call; after encoding,
-// Commit retires the previous snapshot.
+// committed snapshot alias its buffers instead of being re-read, and a
+// written region reads from the pool only the pages written since. The
+// caller must pass the same pool, regions, and filter on every call; after
+// encoding, Commit retires the previous snapshot. The snapshot's page lists
+// stay valid until the Commit after next.
 func (cs *CaptureState) Capture(pool *Pool, regions []*Region, filter func(*Region) bool) *Snapshot {
 	// The watermark is read before any region is, so a write racing the
 	// capture is seen either by this read pass or by the next DirtySince.
 	cs.pending = pool.Gen()
-	s := &Snapshot{}
+	s := newSnapshot(regions, filter)
+	s.base = cs.prev
+	pages := cs.nextPages[:0]
 	for _, r := range regions {
 		if filter != nil && !filter(r) {
 			continue
 		}
-		i := len(s.Regions)
-		if cs.prev != nil && i < len(cs.prev.Regions) {
-			p := &cs.prev.Regions[i]
-			if p.Name == r.Name && p.Kind == r.Kind && p.VA == r.VA && p.PA == r.PA &&
-				len(p.Data) == int(r.Size) && !pool.DirtySince(r.PA, r.Size, cs.watermark) {
-				s.Regions = append(s.Regions, *p)
-				continue
-			}
+		rs := RegionSnapshot{Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA}
+		switch p := cs.prevRegion(len(s.Regions), r); {
+		case p == nil:
+			rs.Data = captureRegion(pool, r)
+		case !pool.DirtySince(r.PA, r.Size, cs.watermark):
+			rs.Data = p.Data
+		default:
+			rs.Data = cs.rebuild(len(s.Regions), p)
+			n := len(pages)
+			pages = pool.readDirty(r.PA, rs.Data, cs.watermark, pages)
+			rs.pages = pages[n:len(pages):len(pages)]
 		}
-		s.Regions = append(s.Regions, RegionSnapshot{
-			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA,
-			Data: captureRegion(pool, r),
-		})
+		s.Regions = append(s.Regions, rs)
 	}
+	cs.nextPages = pages
 	return s
 }
 
-// Commit makes snap the new baseline, recycling the buffers of the previous
-// snapshot that snap does not share. Call it once snap has been encoded and
-// the previous snapshot is no longer needed as a delta base.
-func (cs *CaptureState) Commit(snap *Snapshot) {
-	if cs.prev != nil {
-		for i := range cs.prev.Regions {
-			old := cs.prev.Regions[i].Data
-			if old == nil {
-				continue
-			}
-			if i < len(snap.Regions) && sameBuffer(old, snap.Regions[i].Data) {
-				continue
-			}
-			putBuf(old)
-			cs.prev.Regions[i].Data = nil
-		}
+// prevRegion returns region i of the committed snapshot if it is a capture
+// of r: the same name, kind, addresses and size.
+func (cs *CaptureState) prevRegion(i int, r *Region) *RegionSnapshot {
+	if cs.prev == nil || i >= len(cs.prev.Regions) {
+		return nil
 	}
-	cs.prev = snap
-	cs.watermark = cs.pending
+	p := &cs.prev.Regions[i]
+	if p.Name != r.Name || p.Kind != r.Kind || p.VA != r.VA || p.PA != r.PA || len(p.Data) != int(r.Size) {
+		return nil
+	}
+	return p
 }
 
-// Reset drops the baseline (without recycling, in case the caller still
-// holds it) so the next Capture reads every region afresh.
-func (cs *CaptureState) Reset() {
-	cs.prev = nil
-	cs.watermark = 0
-	cs.pending = 0
+// rebuild returns a buffer holding p's bytes, region i of the committed
+// snapshot. The buffer retired from region i at the last Commit takes only
+// the pages p's list names, copied from p; any other buffer takes all of p.
+func (cs *CaptureState) rebuild(i int, p *RegionSnapshot) []byte {
+	var buf []byte
+	if i < len(cs.retired) {
+		buf, cs.retired[i] = cs.retired[i], nil
+	}
+	if buf != nil && len(p.pages) > 0 {
+		for _, k := range p.pages {
+			off := k * PageSize
+			copy(buf[off:min(off+PageSize, len(buf))], p.Data[off:])
+		}
+		return buf
+	}
+	if buf == nil {
+		buf = getBuf(len(p.Data))
+	}
+	copy(buf, p.Data)
+	return buf
+}
+
+// Commit makes snap the new baseline. Of the previous snapshot's buffers
+// that snap does not share, each one a capture of the same region can build
+// on is retired for the next capture, and the others are recycled, as are
+// the buffers retired at the last Commit that the last capture did not take.
+// Call it once snap has been encoded and the previous snapshot is no longer
+// needed as a delta base.
+func (cs *CaptureState) Commit(snap *Snapshot) {
+	for i, b := range cs.retired {
+		putBuf(b)
+		cs.retired[i] = nil
+	}
+	cs.retired = cs.retired[:0]
+	if cs.prev != nil {
+		cs.retired = append(cs.retired, make([][]byte, len(cs.prev.Regions))...)
+		for i := range cs.prev.Regions {
+			old := &cs.prev.Regions[i]
+			old.pages = nil
+			if old.Data == nil || i < len(snap.Regions) && sameBuffer(old.Data, snap.Regions[i].Data) {
+				continue
+			}
+			if i < len(snap.Regions) && len(old.Data) == len(snap.Regions[i].Data) {
+				cs.retired[i] = old.Data
+			} else {
+				putBuf(old.Data)
+			}
+			old.Data = nil
+		}
+	}
+	snap.base = nil
+	cs.prev, cs.watermark = snap, cs.pending
+	cs.prevPages, cs.nextPages = cs.nextPages, cs.prevPages
+}
+
+// Release hands the committed snapshot's buffers and the retired ones back
+// to the recycler when the capture chain ends, as at the end of a session.
+// The committed snapshot must not be used afterwards; a later Capture reads
+// every region afresh.
+func (cs *CaptureState) Release() {
+	for _, b := range cs.retired {
+		putBuf(b)
+	}
+	if cs.prev != nil {
+		cs.prev.Release()
+	}
+	*cs = CaptureState{}
 }
 
 // EncodeOptions controls how a snapshot is serialized for the wire.
@@ -248,7 +370,8 @@ func (s *Snapshot) putHeader(out []byte, flags uint8) int {
 //
 // The encoder never materializes the concatenated payload: a delta compares
 // each region with its base page by page and XORs only the pages that
-// differ, regions whose buffers alias the delta base (clean regions under
+// differ (against the snapshot's capture base, only the pages its capture
+// listed), regions whose buffers alias the delta base (clean regions under
 // CaptureState) become logical zero runs outright, and the compressor
 // consumes the chunk list in region order — so the wire bytes are identical
 // to serially encoding the concatenation.
@@ -282,8 +405,16 @@ func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte,
 	chunks := make([]chunk, 0, len(s.Regions))
 	delta := opts.Delta && prev != nil // its data chunks are recycled page buffers
 	if delta {
+		// Against its capture base, a snapshot's page lists name every page
+		// that can differ; against any other base, every page can.
+		listed := prev == s.base
 		for i := range s.Regions {
-			chunks = appendDelta(chunks, s.Regions[i].Data, prev.Regions[i].Data)
+			r := &s.Regions[i]
+			var pages []int
+			if listed {
+				pages = r.pages
+			}
+			chunks = appendDelta(chunks, r.Data, prev.Regions[i].Data, pages)
 		}
 	} else {
 		for i := range s.Regions {
@@ -324,25 +455,41 @@ func (s *Snapshot) encode(prev *Snapshot, opts EncodeOptions, c *Codec) ([]byte,
 // A cur that aliases base (a clean region under CaptureState) is one zero
 // span, unread. Otherwise the two are compared one PageSize span at a time:
 // equal spans extend a zero chunk, and each differing span is XORed into a
-// recycled page buffer of its own. The comparison is on content, so a page
-// rewritten to its old bytes costs no XOR. The zero-RLE writer merges runs
-// across chunks, so the chunks code to the same bytes as one whole-region
-// XOR.
-func appendDelta(chunks []chunk, cur, base []byte) []chunk {
+// recycled page buffer of its own. With a page list (cur captured page by
+// page against base), only the listed spans are compared and every other
+// span is zero, unread: the capture left it holding base's bytes. The
+// comparison is on content, so a page rewritten to its old bytes costs no
+// XOR. The zero-RLE writer merges runs across chunks, so the chunks code to
+// the same bytes as one whole-region XOR.
+func appendDelta(chunks []chunk, cur, base []byte, pages []int) []chunk {
 	if sameBuffer(cur, base) {
 		return appendZero(chunks, len(cur))
 	}
-	for off := 0; off < len(cur); off += PageSize {
-		end := min(off+PageSize, len(cur))
-		if bytes.Equal(cur[off:end], base[off:end]) {
-			chunks = appendZero(chunks, end-off)
-			continue
+	if len(pages) == 0 {
+		for off := 0; off < len(cur); off += PageSize {
+			chunks = appendSpan(chunks, cur, base, off)
 		}
-		d := getBuf(PageSize)[:end-off]
-		xorInto(d, cur[off:end], base[off:end])
-		chunks = append(chunks, dataChunk(d))
+		return chunks
 	}
-	return chunks
+	done := 0 // bytes of cur chunked so far
+	for _, k := range pages {
+		off := k * PageSize
+		chunks = appendSpan(appendZero(chunks, off-done), cur, base, off)
+		done = min(off+PageSize, len(cur))
+	}
+	return appendZero(chunks, len(cur)-done)
+}
+
+// appendSpan appends the delta of the PageSize span at off of cur and base:
+// a zero run where they are equal, else their XOR in a recycled page buffer.
+func appendSpan(chunks []chunk, cur, base []byte, off int) []chunk {
+	end := min(off+PageSize, len(cur))
+	if bytes.Equal(cur[off:end], base[off:end]) {
+		return appendZero(chunks, end-off)
+	}
+	d := getBuf(PageSize)[:end-off]
+	xorInto(d, cur[off:end], base[off:end])
+	return append(chunks, dataChunk(d))
 }
 
 // appendZero appends n zero bytes to a chunk list, extending a trailing zero
@@ -512,6 +659,11 @@ func (d *Dump) checkBase(base *Snapshot) error {
 // and its zero runs skipped. A full dump never reads base's contents; it
 // reuses the buffers whose sizes fit, recycles the rest, zero-fills and
 // writes its literals. On error base is left untouched.
+//
+// The result is an image (see Restore). A compressed delta that moves no
+// region, applied to an image that has been restored, notes the pages its
+// literals touch in the regions' page lists; any other dump makes the next
+// Restore write the image whole.
 func (d *Dump) Apply(base *Snapshot) (*Snapshot, error) {
 	s := base
 	if d.delta {
@@ -521,12 +673,25 @@ func (d *Dump) Apply(base *Snapshot) (*Snapshot, error) {
 	} else {
 		s = d.reshape(base)
 	}
+	if !s.image {
+		// Page lists the snapshot carries as a capture are not the image's.
+		s.image, s.base = true, nil
+		for i := range s.Regions {
+			s.Regions[i].pages = nil
+		}
+	}
+	track := d.delta && d.rle != nil && s.restored != nil
 	for i := range d.regions {
 		h, r := &d.regions[i], &s.Regions[i]
+		// A region the header moves is written whole where it lands.
+		track = track && r.PA == h.PA
 		r.Name, r.Kind, r.VA, r.PA = h.Name, h.Kind, h.VA, h.PA
 	}
+	if !track {
+		s.restored = nil
+	}
 	if d.rle != nil {
-		expandRLE(d.rle, s.Regions, d.delta)
+		expandRLE(d.rle, s.Regions, d.delta, track)
 		return s, nil
 	}
 	raw := d.raw

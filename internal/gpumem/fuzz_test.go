@@ -223,4 +223,9 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, s := range pagewiseFuzzSeeds() {
+		if err := fuzzcorpus.WriteSeed("FuzzPagewiseSyncMatchesWhole", s[0], s[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package gpumem
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 )
 
@@ -130,7 +131,9 @@ func BenchmarkCaptureDirty(b *testing.B) {
 //
 // The rewritten bytes cycle through three contents, so every job's dump
 // differs from the one before it (and is new to the Codec), and the images
-// always hold the sender's delta base.
+// always hold the sender's delta base. The command-stream shapes also have a
+// cycle row: the recorder's whole exchange (syncCycle), capture and restore
+// included, with the job's page writes.
 func BenchmarkSnapshotSyncPair(b *testing.B) {
 	for _, spec := range FootprintSpecs() {
 		fp := buildFootprint(b, spec)
@@ -152,21 +155,92 @@ func BenchmarkSnapshotSyncPair(b *testing.B) {
 		name         string
 		pages, dirty int
 	}{{"MNIST", 66, 4}, {"VGG16", 370, 5}} {
-		pool := NewPool(uint64(row.pages+1) * PageSize)
-		cmds := &Region{Name: "cmds", Kind: KindCommands, VA: 0x10000000, Size: uint64(row.pages) * PageSize}
-		dense := make([]byte, cmds.Size)
-		rng := xorshift64(0xC0DE)
-		rng.fill(dense)
-		pool.Write(cmds.PA, dense)
+		pool, cmds, job := cmdStream(row.pages, row.dirty)
 		name := fmt.Sprintf("%s-cmd-%dof%d", row.name, row.dirty, row.pages)
-		benchSyncPair(b, name, pool, []*Region{cmds}, func(rng *xorshift64) {
-			page := make([]byte, PageSize)
-			for k := 0; k < row.dirty; k++ {
-				rng.fill(page)
-				pool.Write(cmds.PA+PA(k*row.pages/row.dirty*PageSize), page)
+		benchSyncPair(b, name, pool, []*Region{cmds}, job)
+		b.Run(name+"/cycle", func(b *testing.B) {
+			y := newSyncCycle(pool, []*Region{cmds})
+			y.exchange(b) // the first dumps are full ones
+			b.SetBytes(2 * int64(cmds.Size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rng := xorshift64(0x5EED + uint64(i%3))
+				job(&rng)
+				y.exchange(b)
 			}
+			b.StopTimer()
+			y.release()
 		})
 	}
+}
+
+// cmdStream lays out one dense command-stream region of the given number of
+// pages, and returns the job that rewrites dirty of its pages, spread evenly,
+// from rng.
+func cmdStream(pages, dirty int) (*Pool, *Region, func(rng *xorshift64)) {
+	pool := NewPool(uint64(pages+1) * PageSize)
+	cmds := &Region{Name: "cmds", Kind: KindCommands, VA: 0x10000000, Size: uint64(pages) * PageSize}
+	dense := make([]byte, cmds.Size)
+	rng := xorshift64(0xC0DE)
+	rng.fill(dense)
+	pool.Write(cmds.PA, dense)
+	page := make([]byte, PageSize)
+	return pool, cmds, func(rng *xorshift64) {
+		for k := 0; k < dirty; k++ {
+			rng.fill(page)
+			pool.Write(cmds.PA+PA(k*pages/dirty*PageSize), page)
+		}
+	}
+}
+
+// syncCycle is the recorder's memsync loop (record.syncer) between two
+// pools that hold the same regions, the cloud's and the client's: at each
+// job boundary a side captures its regions (CaptureState.Capture), codes the
+// capture against its last one (Codec.Encode), the other side receives the
+// dump onto its image (Codec.Receive) and restores the image into its pool,
+// and the capture is committed; then the other side sends its dump back.
+type syncCycle struct {
+	pools   [2]*Pool
+	regions []*Region
+	caps    [2]CaptureState // by sending side
+	imgs    [2]*Snapshot    // by receiving side
+	c       Codec
+}
+
+// newSyncCycle starts a cycle between near and an empty pool of its size.
+func newSyncCycle(near *Pool, regions []*Region) *syncCycle {
+	return &syncCycle{pools: [2]*Pool{near, NewPool(near.Size())}, regions: regions}
+}
+
+// exchange runs one job boundary: near's dump to the far side, and the far
+// side's dump back.
+func (y *syncCycle) exchange(tb testing.TB) {
+	for from, to := range []int{1, 0} {
+		cs := &y.caps[from]
+		snap := cs.Capture(y.pools[from], y.regions, nil)
+		prev := cs.Prev()
+		wire, err := y.c.Encode(snap, prev, EncodeOptions{Delta: prev != nil, Compress: true})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if y.imgs[to], err = y.c.Receive(wire, y.imgs[to]); err != nil {
+			tb.Fatal(err)
+		}
+		y.imgs[to].Restore(y.pools[to])
+		cs.Commit(snap)
+	}
+}
+
+// release recycles the images and both capture chains.
+func (y *syncCycle) release() {
+	for _, img := range y.imgs {
+		if img != nil {
+			img.Release()
+		}
+	}
+	y.caps[0].Release()
+	y.caps[1].Release()
 }
 
 // benchSyncPair runs the codec and stateless rows of one traffic shape on
@@ -217,11 +291,15 @@ func benchSyncPair(b *testing.B, name string, pool *Pool, regions []*Region, job
 
 // TestSnapshotEncodeAllocBudget is the CI allocation gate: encoding a warm
 // MNIST snapshot must stay within a small, committed allocs/op budget, in
-// full and as a delta in which a few pages changed. The budgets have
-// headroom over the measured values (~5 full, ~12 delta) but fail loudly if
+// full and as a delta in which a few pages changed, and so must one warm
+// steady-state job boundary of the recorder's memsync loop (syncCycle), in
+// which a job rewrites 4 of 66 command-stream pages. The encode budgets have
+// headroom over the measured values (~5 full, ~8 delta) but fail loudly if
 // buffer recycling regresses back to per-call allocation (the original
 // encoder sat at several hundred) or the delta encoder stops recycling its
-// page buffers.
+// page buffers. The cycle's budget is its measured count plus one, with the
+// garbage collector off so the recycler keeps what it is given: a page list
+// or a region buffer that each capture allocates adds two.
 func TestSnapshotEncodeAllocBudget(t *testing.T) {
 	fp := buildFootprint(t, MNISTFootprint)
 	prev := Capture(fp.Pool, fp.Regions, nil)
@@ -250,5 +328,30 @@ func TestSnapshotEncodeAllocBudget(t *testing.T) {
 		if avg > row.budget {
 			t.Fatalf("Snapshot.Encode (%s) allocates %.1f objects/op, budget is %.0f", row.name, avg, row.budget)
 		}
+	}
+
+	if raceDetectorEnabled {
+		t.Log("cycle: skipped, the race detector makes the recycler drop buffers")
+		return
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pool, cmds, job := cmdStream(66, 4)
+	y := newSyncCycle(pool, []*Region{cmds})
+	defer y.release()
+	i := 0
+	cycle := func() {
+		rng := xorshift64(0x5EED + uint64(i%3))
+		job(&rng)
+		y.exchange(t)
+		i++
+	}
+	for i < 4 {
+		cycle()
+	}
+	const budget = 35
+	avg := testing.AllocsPerRun(10, cycle)
+	t.Logf("cycle: %.1f allocs/op", avg)
+	if avg > budget {
+		t.Fatalf("a warm memsync cycle allocates %.1f objects/op, budget is %d", avg, budget)
 	}
 }

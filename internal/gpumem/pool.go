@@ -34,12 +34,16 @@ type Pool struct {
 	size  uint64
 	pages map[uint64][]byte // page index -> contents; absent pages read as zero
 
-	// Dirty tracking for dirty-aware capture and the checkpoint fingerprint
-	// cache (internal/record): gen is a monotonic mutation counter and
-	// pageGen records the generation at which each page was last (possibly)
-	// changed. Marking is conservative — rewriting identical bytes
-	// marks the page — but writes that provably leave content unchanged
-	// (all-zero data over an unmaterialized page) do not.
+	// Dirty tracking: gen is a mutation counter that every Write, ZeroRange
+	// and FreePages call bumps, and pageGen records the generation at which
+	// each page's content last changed. The property every user relies on —
+	// region aliasing in CaptureState, the page-wise capture, delta encode
+	// and restore, and the checkpoint fingerprint cache (internal/record) —
+	// is: a page whose generation has not moved past G holds the bytes it
+	// held at G. Every content change moves it. A write that leaves the bytes
+	// as they were (an identical rewrite, zeros over an unmaterialized page)
+	// does not, but a sequence that changes a page and changes it back, A→B→A,
+	// does.
 	gen     uint64
 	pageGen map[uint64]uint64
 
@@ -88,12 +92,68 @@ func (p *Pool) DirtySince(pa PA, n uint64, since uint64) bool {
 	p.check(pa, int(n))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for page := uint64(pa) / PageSize; page <= (uint64(pa)+n-1)/PageSize; page++ {
-		if g, ok := p.pageGen[page]; ok && g > since {
+	return p.dirtySince(uint64(pa), n, since)
+}
+
+// dirtySince is DirtySince for n > 0 under p.mu.
+func (p *Pool) dirtySince(off, n, since uint64) bool {
+	for page := off / PageSize; page <= (off+n-1)/PageSize; page++ {
+		if p.pageGen[page] > since {
 			return true
 		}
 	}
 	return false
+}
+
+// readDirty brings buf up to date with [pa, pa+len(buf)), given that it
+// holds the range's bytes at generation since: it reads back every
+// PageSize span of buf, counted from pa, that overlaps a page changed after
+// since, and appends the spans' indices to spans in increasing order. By the
+// generation invariant every other span still holds the pool's bytes. Like
+// ReadInto, it does not consult guards.
+func (p *Pool) readDirty(pa PA, buf []byte, since uint64, spans []int) []int {
+	p.check(pa, len(buf))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k, off := 0, 0; off < len(buf); k, off = k+1, off+PageSize {
+		span := buf[off:min(off+PageSize, len(buf))]
+		at := uint64(pa) + uint64(off)
+		if p.dirtySince(at, uint64(len(span)), since) {
+			p.readInto(at, span)
+			spans = append(spans, k)
+		}
+	}
+	return spans
+}
+
+// writeSpans is Write(pa, data) for data that differs from the pool's bytes
+// at most in the PageSize spans of data, counted from pa, that spans lists
+// and in those overlapping a page changed after generation since: it checks
+// the guards over the whole range and bumps the generation as Write does,
+// then writes only those spans. Since Write leaves content-identical pages
+// untouched, the pool ends in the state Write would leave.
+func (p *Pool) writeSpans(pa PA, data []byte, spans []int, since uint64) {
+	p.check(pa, len(data))
+	p.mu.Lock()
+	v := p.checkGuards(pa, len(data), true)
+	p.mu.Unlock()
+	if v != nil {
+		p.trap(v)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.gen++
+	span := func(off int) (uint64, []byte) {
+		return uint64(pa) + uint64(off), data[off:min(off+PageSize, len(data))]
+	}
+	for off := 0; off < len(data); off += PageSize {
+		if at, d := span(off); p.dirtySince(at, uint64(len(d)), since) {
+			p.write(at, d)
+		}
+	}
+	for _, k := range spans {
+		p.write(span(k * PageSize))
+	}
 }
 
 // markDirty records a mutation of page under p.mu.
@@ -226,7 +286,11 @@ func (p *Pool) Write(pa PA, data []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gen++
-	off := uint64(pa)
+	p.write(uint64(pa), data)
+}
+
+// write is Write's copy under p.mu, with the generation already bumped.
+func (p *Pool) write(off uint64, data []byte) {
 	for len(data) > 0 {
 		page, in := off/PageSize, off%PageSize
 		n := PageSize - in
@@ -306,7 +370,11 @@ func (p *Pool) ReadInto(pa PA, buf []byte) {
 	p.check(pa, len(buf))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	off := uint64(pa)
+	p.readInto(uint64(pa), buf)
+}
+
+// readInto is ReadInto under p.mu.
+func (p *Pool) readInto(off uint64, buf []byte) {
 	for len(buf) > 0 {
 		page, in := off/PageSize, off%PageSize
 		n := PageSize - in

@@ -2,6 +2,7 @@ package gpumem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,98 @@ func TestZeroRange(t *testing.T) {
 	if p.MaterializedBytes() != 2*PageSize {
 		t.Fatalf("materialized %d, want 2 pages (edges only)", p.MaterializedBytes())
 	}
+}
+
+// TestPoolGenerationInvariant checks the property every user of the pool's
+// page generations relies on: a page whose generation has not moved past G
+// holds the bytes it held at G. Seeded sequences of Write, Write32 and
+// Write64 (partial pages, page-straddling spans, identical rewrites, A→B→A
+// rewrites, zeros over unmaterialized pages), ZeroRange and FreePages run on
+// a small pool, which is copied at a generation every few operations. After
+// every operation, each page that DirtySince reports clean since one of the
+// last four copies must equal that copy.
+func TestPoolGenerationInvariant(t *testing.T) {
+	const pages = 12
+	const size = pages * PageSize
+	type mark struct {
+		gen uint64
+		mem []byte
+	}
+	checked, rewrites := 0, 0 // clean pages compared; content-equal writes that left pages clean
+	for seed := int64(1); seed <= 6; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		p := NewPool(size)
+		read := func() []byte {
+			b := make([]byte, size)
+			p.ReadInto(0, b)
+			return b
+		}
+		random := func(n int) []byte {
+			b := make([]byte, n)
+			rnd.Read(b)
+			return b
+		}
+		var marks []mark
+		for op := 0; op < 400; op++ {
+			if op%8 == 0 {
+				marks = append(marks, mark{p.Gen(), read()})
+				if len(marks) > 4 {
+					marks = marks[1:]
+				}
+			}
+			pa := PA(rnd.Intn(size - 8))
+			n := 1 + rnd.Intn(min(3*PageSize/2, size-int(pa)))
+			before := p.Gen()
+			kind := rnd.Intn(9)
+			switch kind {
+			case 0: // random bytes, up to a page and a half
+				p.Write(pa, random(n))
+			case 1:
+				p.Write32(pa, rnd.Uint32())
+			case 2:
+				p.Write64(pa, rnd.Uint64())
+			case 3: // an identical rewrite
+				b := make([]byte, n)
+				p.ReadInto(pa, b)
+				p.Write(pa, b)
+			case 4: // A→B→A
+				b := make([]byte, n)
+				p.ReadInto(pa, b)
+				p.Write(pa, random(n))
+				p.Write(pa, b)
+			case 5: // zeros, often over unmaterialized pages
+				p.Write(pa, make([]byte, n))
+			case 6:
+				p.ZeroRange(pa, uint64(n))
+			case 7: // one or two whole pages
+				p.FreePages(PA(rnd.Intn(pages-1)*PageSize), uint64(1+rnd.Intn(2)))
+			case 8: // a span straddling a page boundary
+				at := PA((1+rnd.Intn(pages-1))*PageSize - 1 - rnd.Intn(16))
+				p.Write(at, random(2+rnd.Intn(32)))
+			}
+			if (kind == 3 || kind == 5) && !p.DirtySince(pa, uint64(n), before) {
+				rewrites++
+			}
+			now := read()
+			for _, m := range marks {
+				for pg := 0; pg < pages; pg++ {
+					at := pg * PageSize
+					if p.DirtySince(PA(at), PageSize, m.gen) {
+						continue
+					}
+					checked++
+					if !bytes.Equal(now[at:at+PageSize], m.mem[at:at+PageSize]) {
+						t.Fatalf("seed %d op %d (kind %d): page %d changed since generation %d, which it has not moved past",
+							seed, op, kind, pg, m.gen)
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 || rewrites < 50 {
+		t.Fatalf("only %d clean pages compared and %d content-equal writes left clean", checked, rewrites)
+	}
+	t.Logf("%d clean pages compared, %d content-equal writes left their pages clean", checked, rewrites)
 }
 
 // Property: write-then-read returns what was written, at arbitrary offsets

@@ -346,9 +346,10 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 // expandRLE writes the payload a decodeRLE-validated stream describes into
 // the regions' buffers, whose lengths sum to exactly its expansion. With xor
 // set the payload is a delta: literal spans are XORed into the buffers, and
-// zero runs, which leave a delta base unchanged, are skipped. Otherwise
-// literals are copied and zero runs zero-filled.
-func expandRLE(rle []byte, regions []RegionSnapshot, xor bool) {
+// zero runs, which leave a delta base unchanged, are skipped; with track set
+// too, the PageSize spans each literal touches are noted in its region's
+// page list. Otherwise literals are copied and zero runs zero-filled.
+func expandRLE(rle []byte, regions []RegionSnapshot, xor, track bool) {
 	ri, dst := -1, []byte(nil) // current region and its unwritten rest
 	for i := 0; i < len(rle); {
 		var lit []byte
@@ -375,6 +376,10 @@ func expandRLE(rle []byte, regions []RegionSnapshot, xor bool) {
 			case lit == nil && !xor:
 				zeroFill(dst[:m])
 			case lit != nil && xor:
+				if track {
+					r := &regions[ri]
+					r.pages = notePages(r.pages, len(r.Data)-len(dst), m)
+				}
 				for x, b := range lit[:m] {
 					dst[x] ^= b
 				}
@@ -386,6 +391,17 @@ func expandRLE(rle []byte, regions []RegionSnapshot, xor bool) {
 			dst, n = dst[m:], n-m
 		}
 	}
+}
+
+// notePages appends the PageSize spans that the n > 0 bytes at off overlap
+// to pages, but not one the list already ends with.
+func notePages(pages []int, off, n int) []int {
+	for k := off / PageSize; k <= (off+n-1)/PageSize; k++ {
+		if len(pages) == 0 || pages[len(pages)-1] != k {
+			pages = append(pages, k)
+		}
+	}
+	return pages
 }
 
 // RangeEncode compresses data with a zero-RLE pre-pass followed by the
@@ -402,6 +418,6 @@ func RangeDecode(encoded []byte, length int) ([]byte, error) {
 		return nil, err
 	}
 	out := []RegionSnapshot{{Data: make([]byte, length)}}
-	expandRLE(rle, out, false)
+	expandRLE(rle, out, false, false)
 	return out[0].Data, nil
 }

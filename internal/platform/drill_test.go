@@ -66,14 +66,17 @@ func warmSnapshot(t *testing.T, m *mlfw.Model) map[string]shim.Outcome {
 // TestDrillSealOracle is the drill's seal oracle: knob combinations drawn
 // from a fixed seed must each reproduce their Reference drill's seal for
 // every workload, and repeat their seals and counters exactly on a second
-// run.
+// run. Every other draw runs a fault plan, dealt from a shuffled cycle of
+// the plans that interrupt a session, so each of them runs.
 func TestDrillSealOracle(t *testing.T) {
 	micro := mlfw.Micro()
 	warm := warmSnapshot(t, micro)
+	// Not thermal: it interrupts no session, and a plan draw must.
 	plans := []string{"dying-gpu", "falloff", "ecc", "vm-crash", "outage", "flaky"}
 	rng := rand.New(rand.NewSource(4))
 	refs := map[int]*DrillResult{}
 	seen := map[string]bool{}
+	var deck []string // the rest of the current cycle of plans
 	for draw := 0; draw < 14; draw++ {
 		o := DrillOptions{Model: micro, SKU: mali.G71MP8, Seed: 11,
 			Sessions: 2 + rng.Intn(7), Shards: 1 + rng.Intn(3), Instrument: rng.Intn(2) == 0}
@@ -83,8 +86,13 @@ func TestDrillSealOracle(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			o.WarmStart = warm
 		}
-		if rng.Intn(2) == 0 {
-			o.HealthPlan = plan(t, plans[rng.Intn(len(plans))])
+		if draw%2 == 0 {
+			if len(deck) == 0 {
+				deck = slices.Clone(plans)
+				rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
+			}
+			o.HealthPlan, deck = plan(t, deck[0]), deck[1:]
+			seen["plan "+o.HealthPlan.Name] = true
 		}
 		o.Parallel = o.Workloads == 0 && o.HealthPlan == nil && rng.Intn(2) == 0
 		for knob, on := range map[string]bool{
@@ -126,6 +134,11 @@ func TestDrillSealOracle(t *testing.T) {
 	for _, knob := range []string{"parallel", "shards", "cache", "warm", "plan", "instrument"} {
 		if !seen[knob+"=true"] || !seen[knob+"=false"] {
 			t.Errorf("the draws never set %s both ways", knob)
+		}
+	}
+	for _, p := range plans {
+		if !seen["plan "+p] {
+			t.Errorf("the draws never ran plan %s", p)
 		}
 	}
 }

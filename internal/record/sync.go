@@ -223,8 +223,8 @@ func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 	return uint64(h)
 }
 
-// release returns the receivers' images to the buffer recycler at the end
-// of the session.
+// release returns the receivers' images and both capture chains' buffers
+// to the buffer recycler at the end of the session.
 func (s *syncer) release() {
 	for _, img := range []*gpumem.Snapshot{s.toClient, s.toCloud} {
 		if img != nil {
@@ -232,6 +232,8 @@ func (s *syncer) release() {
 		}
 	}
 	s.toClient, s.toCloud = nil, nil
+	s.capOut.Release()
+	s.capIn.Release()
 }
 
 // beforeJob produces the cloud→client dump for job j and applies it to the
