@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
+
+	"gpurelay/internal/obs"
 )
 
 // recordEntryPoints drives each public record entry point on MNIST and
@@ -68,10 +72,45 @@ func holdShard(t *testing.T, svc *Service, model *Model) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := svc.acquireVM(context.Background(), svc.cacheKeyFor(MaliG71MP8, model).Hash(),
+	vm, err := svc.pool.Acquire(context.Background(), svc.cacheKeyFor(MaliG71MP8, model).Hash(),
 		"shard-holder", compat, []byte("shard-holder-nonce"))
 	if err != nil {
 		t.Fatalf("holding the shard: %v", err)
 	}
-	return func() { svc.releaseVM(vm) }
+	return func() { svc.pool.Release(vm) }
+}
+
+// TestSaturatedPoolDegradesHealth: a full partition sheds at every shard
+// count, one included, and shedding is load signal the operator sees. After
+// a record is shed, the fleet health rollup is degraded with the shed
+// reason, and grt_shard_shed_total counts every rejection on its shard: the
+// first admission and each of the maxShedRetries re-admissions.
+func TestSaturatedPoolDegradesHealth(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc := NewServiceWith(ServiceConfig{Shards: shards, Capacity: 1, QueueLimit: -1})
+			release := holdShard(t, svc, MNIST())
+			defer release()
+			_, _, err := NewClient("shed-phone", MaliG71MP8).Record(svc, MNIST(), RecordOptions{})
+			if !errors.Is(err, ErrCapacity) {
+				t.Fatalf("saturated record: %v, want ErrCapacity", err)
+			}
+			rep := svc.Health()
+			shedReason := false
+			for _, r := range rep.Reasons {
+				shedReason = shedReason || strings.Contains(r, "shed by saturated shards")
+			}
+			if rep.State != HealthDegraded || !shedReason {
+				t.Fatalf("health after a shed record: %s %q, want degraded by the shed", rep.State, rep.Reasons)
+			}
+			var shed *SheddingError
+			if !errors.As(err, &shed) {
+				t.Fatalf("saturated record: %v, want a *SheddingError", err)
+			}
+			shard := obs.L("shard", strconv.Itoa(shed.Shard))
+			if got := svc.Metrics().Counter(obs.MShardShed, shard); got != 1+maxShedRetries {
+				t.Fatalf("grt_shard_shed_total{shard=%q} = %d, want %d", shard.Value, got, 1+maxShedRetries)
+			}
+		})
+	}
 }

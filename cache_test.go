@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -296,41 +297,45 @@ func TestQuarantinedCacheRegression(t *testing.T) {
 	}
 }
 
-// TestShardedServiceShedding: on a sharded service, a saturated partition
-// rejects with the typed shedding error — carrying the shard and a
-// retry-after hint — instead of ErrCapacity, which it does not wrap. Every
-// record entry point waits out the hint maxShedRetries times on the client's
-// clock before it surfaces the rejection, and admits again once the
-// partition drains.
+// TestShardedServiceShedding: at every shard count, one included, a
+// saturated partition rejects with the typed shedding error — carrying the
+// shard and a retry-after hint — which wraps both ErrShedding and
+// ErrCapacity. Every record entry point waits out the hint maxShedRetries
+// times on the client's clock before it surfaces the rejection, and admits
+// again once the partition drains.
 func TestShardedServiceShedding(t *testing.T) {
 	for _, ep := range recordEntryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			svc := NewServiceWith(ServiceConfig{Shards: 2, Capacity: 1, QueueLimit: -1})
-			if svc.NumShards() != 2 {
-				t.Fatalf("%d shards", svc.NumShards())
-			}
-			release := holdShard(t, svc, MNIST())
-			c := NewClient("shed-phone", MaliG71MP8)
-			err := ep.record(c, svc)
-			var shed *SheddingError
-			if !errors.Is(err, ErrShedding) || !errors.As(err, &shed) || errors.Is(err, ErrCapacity) {
-				t.Fatalf("saturated shard: %v, want a *SheddingError that is not ErrCapacity", err)
-			}
-			if shed.Busy != 1 || shed.RetryAfter <= 0 {
-				t.Fatalf("shed snapshot %+v", shed)
-			}
-			if n := svc.Metrics().Counter(obs.MShedRetries); n != maxShedRetries {
-				t.Fatalf("%d shed retries, want %d", n, maxShedRetries)
-			}
-			if floor := time.Duration(maxShedRetries) * shed.RetryAfter; c.Elapsed() < floor {
-				t.Fatalf("client clock advanced %v, want at least %d hints of %v",
-					c.Elapsed(), maxShedRetries, shed.RetryAfter)
-			}
-			// Shedding is load signal, not failure: the drained partition
-			// admits the same request.
-			release()
-			if err := ep.record(c, svc); err != nil {
-				t.Fatalf("post-shed record: %v", err)
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					svc := NewServiceWith(ServiceConfig{Shards: shards, Capacity: 1, QueueLimit: -1})
+					if svc.NumShards() != shards {
+						t.Fatalf("%d shards, want %d", svc.NumShards(), shards)
+					}
+					release := holdShard(t, svc, MNIST())
+					c := NewClient("shed-phone", MaliG71MP8)
+					err := ep.record(c, svc)
+					var shed *SheddingError
+					if !errors.Is(err, ErrShedding) || !errors.As(err, &shed) || !errors.Is(err, ErrCapacity) {
+						t.Fatalf("saturated shard: %v, want a *SheddingError that is also ErrCapacity", err)
+					}
+					if shed.Busy != 1 || shed.RetryAfter <= 0 {
+						t.Fatalf("shed snapshot %+v", shed)
+					}
+					if n := svc.Metrics().Counter(obs.MShedRetries); n != maxShedRetries {
+						t.Fatalf("%d shed retries, want %d", n, maxShedRetries)
+					}
+					if floor := time.Duration(maxShedRetries) * shed.RetryAfter; c.Elapsed() < floor {
+						t.Fatalf("client clock advanced %v, want at least %d hints of %v",
+							c.Elapsed(), maxShedRetries, shed.RetryAfter)
+					}
+					// Shedding is load signal, not failure: the drained
+					// partition admits the same request.
+					release()
+					if err := ep.record(c, svc); err != nil {
+						t.Fatalf("post-shed record: %v", err)
+					}
+				})
 			}
 		})
 	}
@@ -390,7 +395,7 @@ func TestShedRetryHonorsHint(t *testing.T) {
 		nonce := []byte("shed-test-nonce!")
 		// Saturate the key's shard: capacity 1, queueing disabled, so the
 		// next acquire for this key sheds with a retry-after hint.
-		if _, err := svc.acquireVM(context.Background(), key, "blocker", compat, nonce); err != nil {
+		if _, err := svc.pool.Acquire(context.Background(), key, "blocker", compat, nonce); err != nil {
 			t.Fatalf("saturating the shard: %v", err)
 		}
 		return svc, key, compat, nonce
@@ -447,7 +452,7 @@ func TestShedRetryHonorsHint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("free shard: %v", err)
 	}
-	defer svc.releaseVM(vm)
+	defer svc.pool.Release(vm)
 	if clock.Now() != 0 {
 		t.Fatalf("free shard advanced the clock by %v", clock.Now())
 	}

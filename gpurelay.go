@@ -68,8 +68,9 @@ var (
 	// ErrAttestation: the launched VM's measurement did not match the
 	// client's expectation for the image and GPU.
 	ErrAttestation = grterr.ErrAttestation
-	// ErrCapacity: the recording service's VM pool and admission queue
-	// are both full; retry later.
+	// ErrCapacity: the admission partition's VM pool and queue were both
+	// full, and stayed full through the shed retries; retry later. Every
+	// such rejection is a *SheddingError, which also wraps ErrShedding.
 	ErrCapacity = grterr.ErrCapacity
 	// ErrSessionLimit: this client already holds its maximum number of
 	// concurrent recording sessions.
@@ -97,15 +98,18 @@ var (
 	// parsing, or resync verification — the lost session cannot be
 	// reproduced from it.
 	ErrCheckpointCorrupt = grterr.ErrCheckpointCorrupt
-	// ErrShedding: a sharded service's target partition had its pool and
-	// queue both full. The rejection is a *SheddingError carrying a
-	// retry-after hint; the cache key pins the workload to its shard, so
-	// retry this service later rather than failing over.
+	// ErrShedding: the target admission partition had its pool and queue
+	// both full, at any shard count. The rejection is a *SheddingError
+	// carrying a retry-after hint and also wrapping ErrCapacity; the cache
+	// key pins the workload to its shard, so retry this service later
+	// rather than failing over.
 	ErrShedding = grterr.ErrShedding
 )
 
-// SheddingError is the typed rejection a sharded service returns when a
-// partition sheds load; errors.As extracts the shard and retry-after hint.
+// SheddingError is the typed rejection a service returns when an admission
+// partition sheds load, one-shard services included; errors.As extracts the
+// shard and retry-after hint, and errors.Is matches both ErrShedding and
+// ErrCapacity.
 type SheddingError = cloud.SheddingError
 
 // SKU identifies a mobile GPU hardware model.
@@ -431,13 +435,10 @@ func (c *Client) compatible() (string, error) {
 // GPU SKU. It is safe for concurrent use — multiple clients (and multiple
 // sessions of one client, capacity permitting) can record in parallel.
 type Service struct {
-	svc   *cloud.Service
 	image *cloud.Image
-	// Exactly one of mgr and sharded is set: a single admission pool, or
-	// ServiceConfig.Shards partitions under consistent hashing on the
-	// recording cache key. Admission routes through acquireVM/releaseVM.
-	mgr       *cloud.SessionManager
-	sharded   *cloud.ShardedService
+	// pool admits every session: ServiceConfig.Shards partitions (one by
+	// default) under consistent hashing on the recording cache key.
+	pool      *cloud.ShardedService
 	histories *shim.HistoryStore
 	// cache is the content-addressed recording store behind the cache-first
 	// admission path (RecordCached): sealed recordings keyed by
@@ -480,8 +481,9 @@ type ServiceConfig struct {
 	// Capacity bounds concurrently live recording VMs (0 → 16).
 	Capacity int
 	// QueueLimit bounds admissions waiting for a VM slot once the pool
-	// is full; past it Record fails fast with ErrCapacity (0 →
-	// 4×Capacity, negative → no queueing).
+	// is full; past it the partition sheds with a *SheddingError, which
+	// the record entry points wait out (0 → 4×Capacity, negative → no
+	// queueing).
 	QueueLimit int
 	// PerClientSessions bounds concurrent recording sessions per client
 	// ID (0 → 1).
@@ -498,9 +500,10 @@ type ServiceConfig struct {
 	// defaults; see HealthThresholds).
 	Health HealthThresholds
 	// Shards partitions admission across N SessionManager pools under
-	// consistent hashing on the recording cache key (0 or 1 → one pool).
-	// Each partition gets its own Capacity/QueueLimit budget; a saturated
-	// partition rejects with a *SheddingError instead of plain ErrCapacity.
+	// consistent hashing on the recording cache key (0 → one pool). Each
+	// partition gets its own Capacity/QueueLimit budget and device IDs
+	// prefixed with its index ("s0/gpu-00"); a saturated partition rejects
+	// with a *SheddingError.
 	Shards int
 	// CacheEntries and CacheBytes bound the recording store's memory tier
 	// (0 → castore defaults: 256 entries, 256 MiB).
@@ -526,11 +529,6 @@ func NewService() *Service {
 // and history configuration.
 func NewServiceWith(cfg ServiceConfig) *Service {
 	img := cloud.DefaultImage()
-	sessionCfg := cloud.SessionConfig{
-		Capacity:       cfg.Capacity,
-		QueueLimit:     cfg.QueueLimit,
-		PerClientLimit: cfg.PerClientSessions,
-	}
 	k := cfg.HistoryK
 	if k <= 0 {
 		k = 3
@@ -540,21 +538,14 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 	histories.Instrument(fleet)
 	s := &Service{
 		image: img, histories: histories, fleet: fleet,
+		pool: cloud.NewShardedService(img, cloud.ShardedConfig{Shards: cfg.Shards, Shard: cloud.SessionConfig{
+			Capacity: cfg.Capacity, QueueLimit: cfg.QueueLimit, PerClientLimit: cfg.PerClientSessions,
+		}}),
 		quarantine: audit.New(0),
 		health:     cloud.NewHealthTracker(cfg.Health),
 		coalescer:  castore.NewCoalescer(),
 	}
-	if cfg.Shards > 1 {
-		s.sharded = cloud.NewShardedService(img, cloud.ShardedConfig{
-			Shards: cfg.Shards,
-			Shard:  sessionCfg,
-		})
-		s.sharded.Instrument(fleet)
-	} else {
-		s.svc = cloud.NewService(img)
-		s.mgr = cloud.NewSessionManager(s.svc, sessionCfg)
-		s.mgr.Instrument(fleet)
-	}
+	s.pool.Instrument(fleet)
 	cache, err := castore.New(castore.Config{
 		MaxEntries: cfg.CacheEntries,
 		MaxBytes:   cfg.CacheBytes,
@@ -587,23 +578,14 @@ func NewServiceWith(cfg ServiceConfig) *Service {
 			// than sealing under a predictable key.
 			s.bundles, s.bundleKey = nil, nil
 		}
-		if s.sharded != nil {
-			s.sharded.InstrumentFlight(s.flight)
-		} else {
-			s.mgr.InstrumentFlight(s.flight)
-		}
+		s.pool.InstrumentFlight(s.flight)
 	}
 	return s
 }
 
-// NumShards reports the admission partition count (1 for an unsharded
-// service).
-func (s *Service) NumShards() int {
-	if s.sharded != nil {
-		return s.sharded.NumShards()
-	}
-	return 1
-}
+// NumShards reports the admission partition count (ServiceConfig.Shards,
+// at least 1).
+func (s *Service) NumShards() int { return s.pool.NumShards() }
 
 // cacheKeyFor derives the cache identity of recording model on this
 // service's stack for the client's SKU — the shared derivation that makes
@@ -612,31 +594,22 @@ func (s *Service) cacheKeyFor(sku *SKU, model *Model) castore.Key {
 	return castore.KeyForModel(sku.Name, s.image.Stack, model)
 }
 
-// acquireVM routes one admission: to the key's shard when sharded, else the
-// single pool. The cache-key hash decides the shard, so a workload's
-// singleflight leader and followers always land on one partition.
-func (s *Service) acquireVM(ctx context.Context, key [32]byte, clientID, compat string, nonce []byte) (*cloud.VM, error) {
-	if s.sharded != nil {
-		return s.sharded.Acquire(ctx, key, clientID, compat, nonce)
-	}
-	return s.mgr.Acquire(ctx, clientID, s.image.Name, compat, nonce)
-}
-
 // maxShedRetries bounds how many times an admission honors a shedding
 // partition's retry-after hint before surfacing the rejection.
 const maxShedRetries = 4
 
-// acquireVMShedAware is acquireVM honoring a sharded partition's shed
-// rejection: a *SheddingError carries the partition's retry-after hint, so
-// instead of failing the session the client waits out the hint (plus a
-// small deterministic jitter so a herd of shed clients does not re-arrive
-// in lockstep) on its virtual clock and re-admits, up to maxShedRetries
-// times. Plain ErrCapacity (unsharded saturation) and every other error
-// surface immediately, unchanged.
+// acquireVMShedAware admits through the partition the cache-key hash picks
+// (so a workload's singleflight leader and followers always land on one
+// partition), honoring its shed rejection: a *SheddingError carries the
+// partition's retry-after hint, so instead of failing the session the client
+// waits out the hint (plus a small deterministic jitter so a herd of shed
+// clients does not re-arrive in lockstep) on its virtual clock and
+// re-admits, up to maxShedRetries times. Every other error surfaces
+// immediately, unchanged.
 func (s *Service) acquireVMShedAware(ctx context.Context, clock *timesim.Clock,
 	scope *obs.Scope, jitterSeed uint64, key [32]byte, clientID, compat string,
 	nonce []byte) (*cloud.VM, error) {
-	vm, err := s.acquireVM(ctx, key, clientID, compat, nonce)
+	vm, err := s.pool.Acquire(ctx, key, clientID, compat, nonce)
 	jrng := jitterSeed ^ 0xA24BAED4963EE407
 	if jrng == 0 {
 		jrng = 1
@@ -662,25 +635,9 @@ func (s *Service) acquireVMShedAware(ctx context.Context, clock *timesim.Clock,
 		s.flight.Emit(clock.Now(), clientID, obs.FKShardShed, "retry",
 			obs.A("try", int64(try)), obs.A("wait_ns", int64(d)),
 			obs.A("shard", int64(shed.Shard)))
-		vm, err = s.acquireVM(ctx, key, clientID, compat, nonce)
+		vm, err = s.pool.Acquire(ctx, key, clientID, compat, nonce)
 	}
 	return vm, err
-}
-
-func (s *Service) releaseVM(vm *cloud.VM) {
-	if s.sharded != nil {
-		s.sharded.Release(vm)
-		return
-	}
-	s.mgr.Release(vm)
-}
-
-func (s *Service) crashVM(vm *cloud.VM) {
-	if s.sharded != nil {
-		s.sharded.Crash(vm)
-		return
-	}
-	s.mgr.Crash(vm)
 }
 
 // DeviceInfo is a point-in-time snapshot of one GPU device's health books:
@@ -688,16 +645,11 @@ func (s *Service) crashVM(vm *cloud.VM) {
 // sessions migrated off it.
 type DeviceInfo = cloud.DeviceInfo
 
-// Devices snapshots the health books of the fleet's GPU inventory, in
-// attachment order (shard order first under a sharded service). Devices a
-// health fault degraded or killed stay listed — the fleet's scar tissue is
-// the operator's signal.
-func (s *Service) Devices() []DeviceInfo {
-	if s.sharded != nil {
-		return s.sharded.Devices()
-	}
-	return s.mgr.Devices()
-}
+// Devices snapshots the health books of the fleet's GPU inventory, shard
+// order first, then attachment order; IDs carry the shard ("s0/gpu-00").
+// Devices a health fault degraded or killed stay listed — the fleet's scar
+// tissue is the operator's signal.
+func (s *Service) Devices() []DeviceInfo { return s.pool.Devices() }
 
 // Metrics returns a snapshot of the service's fleet-wide metrics registry.
 func (s *Service) Metrics() *MetricsSnapshot { return s.fleet.Snapshot() }
@@ -811,23 +763,12 @@ func (s *Service) BundleKey() []byte { return append([]byte(nil), s.bundleKey...
 // construction.
 func (s *Service) Health() *HealthReport { return s.health.Observe(s.fleet.Snapshot()) }
 
-// ActiveVMs reports the number of live recording VMs (summed across shards
-// on a sharded service).
-func (s *Service) ActiveVMs() int {
-	if s.sharded != nil {
-		return s.sharded.ActiveVMs()
-	}
-	return s.mgr.ActiveVMs()
-}
+// ActiveVMs reports the number of live recording VMs, summed across shards.
+func (s *Service) ActiveVMs() int { return s.pool.ActiveVMs() }
 
-// QueuedSessions reports the number of admissions waiting for a VM slot
-// (summed across shards on a sharded service).
-func (s *Service) QueuedSessions() int {
-	if s.sharded != nil {
-		return s.sharded.Queued()
-	}
-	return s.mgr.Queued()
-}
+// QueuedSessions reports the number of admissions waiting for a VM slot,
+// summed across shards.
+func (s *Service) QueuedSessions() int { return s.pool.Queued() }
 
 // CacheStats reports the recording store's memory tier: resident entries,
 // resident payload bytes, and the number of distinct cache keys ever
@@ -926,13 +867,13 @@ func (c *Client) Record(svc *Service, model *Model, opts RecordOptions) (*Record
 }
 
 // RecordContext is Record with admission control and cancellation: when the
-// service's VM pool is saturated the call queues (FIFO) for a slot, and a
-// context deadline or cancel aborts the session — whether still queued or
-// already mid-recording — releasing its VM and returning an error that
-// wraps the context's cause. Saturation past the admission queue fails fast
-// with ErrCapacity. On a sharded service a saturated partition's shed hint
-// is waited out on the client's clock, up to maxShedRetries times, before
-// its *SheddingError surfaces.
+// workload's admission partition is saturated the call queues (FIFO) for a
+// slot, and a context deadline or cancel aborts the session — whether still
+// queued or already mid-recording — releasing its VM and returning an error
+// that wraps the context's cause. Past the admission queue the partition
+// sheds: its retry-after hint is waited out on the client's clock, up to
+// maxShedRetries times, before its *SheddingError (ErrShedding and
+// ErrCapacity) surfaces.
 func (c *Client) RecordContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*Recording, RecordStats, error) {
 	res, key, err := c.recordOnVM(ctx, svc, model, opts)
 	if err != nil {
@@ -954,7 +895,7 @@ func (c *Client) recordOnVM(ctx context.Context, svc *Service, model *Model, opt
 	if err != nil {
 		return nil, nil, err
 	}
-	defer svc.releaseVM(vm)
+	defer svc.pool.Release(vm)
 	key := append([]byte(nil), vm.SessionKey...)
 	res, err := svc.run(ctx, c, model, opts, record.Config{SessionKey: key, ClientSeed: c.nextSeed()})
 	return res, key, err
@@ -989,7 +930,7 @@ func (s *Service) admit(ctx context.Context, c *Client, kh [32]byte, scope *obs.
 	// exists, so they land on the timeline as instants at t=0.
 	scope.Annotate("session.admitted", "session")
 	if vm.Measurement != want {
-		s.releaseVM(vm)
+		s.pool.Release(vm)
 		return nil, fmt.Errorf("gpurelay: VM measurement mismatch for image %q on %q: %w",
 			s.image.Name, compat, ErrAttestation)
 	}
@@ -1060,12 +1001,12 @@ func (c *Client) RecordCached(svc *Service, model *Model, opts RecordOptions) (*
 // RecordCachedContext is RecordCached with cancellation. A hit returns
 // immediately with zero RecordStats (nothing was recorded — that is the
 // point). A miss runs singleflight: the leader admits a VM (through the
-// key's shard on a sharded service), records with a cache-derived session
-// key so the artifact is client-agnostic, publishes to the store, and every
-// coalesced follower receives the same sealed bytes. A follower whose
-// leader's context dies is promoted to lead the retry. Recordings this path
-// returns verify and replay exactly like RecordContext's, but two clients
-// requesting the same key receive byte-identical bundles.
+// key's shard), records with a cache-derived session key so the artifact is
+// client-agnostic, publishes to the store, and every coalesced follower
+// receives the same sealed bytes. A follower whose leader's context dies is
+// promoted to lead the retry. Recordings this path returns verify and replay
+// exactly like RecordContext's, but two clients requesting the same key
+// receive byte-identical bundles.
 func (c *Client) RecordCachedContext(ctx context.Context, svc *Service, model *Model, opts RecordOptions) (*Recording, CacheOutcome, RecordStats, error) {
 	ck := svc.cacheKeyFor(c.SKU, model)
 	if e, ok := svc.cache.Get(ck); ok {
@@ -1110,7 +1051,7 @@ func (s *Service) recordForCache(ctx context.Context, c *Client, ck castore.Key,
 	if err != nil {
 		return nil, nil, err
 	}
-	defer s.releaseVM(vm)
+	defer s.pool.Release(vm)
 	// The artifact must not depend on who led: record under the
 	// cache-derived key and seed, not the VM's attestation key or the
 	// client's seed, and inject no misprediction.

@@ -94,8 +94,8 @@ func TestConcurrentRecordSharedWarmHistory(t *testing.T) {
 }
 
 // TestRecordErrCapacity saturates a pool of one VM with no admission queue:
-// while one session is mid-recording, a second admission must fail fast
-// with ErrCapacity.
+// while one session is mid-recording, a second admission must fail with
+// ErrCapacity once it has waited out the partition's shed hints.
 func TestRecordErrCapacity(t *testing.T) {
 	svc := NewServiceWith(ServiceConfig{Capacity: 1, QueueLimit: -1})
 	holder := NewClient("holder", MaliG71MP8)

@@ -89,21 +89,13 @@ func NewSessionManager(svc *Service, cfg SessionConfig) *SessionManager {
 // Config returns the manager's effective (defaulted) configuration.
 func (m *SessionManager) Config() SessionConfig { return m.cfg }
 
-// Instrument attaches the fleet metrics registry. Admission wait times are
-// measured on the wall clock — admission happens before a session's virtual
-// clock exists — so only the fleet registry (never a session scope) carries
-// them, keeping per-session telemetry deterministic.
-func (m *SessionManager) Instrument(reg *obs.Registry) {
-	m.mu.Lock()
-	m.reg = reg
-	m.mu.Unlock()
-	m.svc.InstrumentDevices(reg)
-}
-
-// InstrumentShard attaches the fleet registry like Instrument, but labels
-// this manager's pool gauges with the given labels. Counter families and
-// the admission-wait histogram stay unlabeled so they aggregate across
-// shards into the fleet-wide series.
+// InstrumentShard attaches the fleet metrics registry and labels this
+// manager's pool gauges with the given labels. Counter families and the
+// admission-wait histogram stay unlabeled so they aggregate across shards
+// into the fleet-wide series. Admission wait times are measured on the wall
+// clock unless a time source is set — admission happens before a session's
+// virtual clock exists — so only the fleet registry (never a session scope)
+// carries them, keeping per-session telemetry deterministic.
 func (m *SessionManager) InstrumentShard(reg *obs.Registry, labels ...obs.Label) {
 	m.mu.Lock()
 	m.reg = reg
@@ -181,9 +173,6 @@ func (m *SessionManager) syncGauges() {
 // ActiveVMs reports the number of live recording VMs.
 func (m *SessionManager) ActiveVMs() int { return m.svc.ActiveVMs() }
 
-// Devices snapshots the health books of the service's GPU inventory.
-func (m *SessionManager) Devices() []DeviceInfo { return m.svc.Devices() }
-
 // Queued reports the number of admissions currently waiting for a slot.
 func (m *SessionManager) Queued() int {
 	m.mu.Lock()
@@ -231,11 +220,13 @@ func (m *SessionManager) Acquire(ctx context.Context, clientID, imageName, gpuCo
 		select {
 		case <-turn:
 			// The releaser handed its slot to us; inUse already counts it.
+			// Read the wait once, so the histogram and the journal agree.
+			wait := waited()
 			if reg := m.registry(); reg != nil {
 				reg.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "queued"))
-				reg.Observe(obs.MFleetAdmissionWait, waited().Seconds())
+				reg.Observe(obs.MFleetAdmissionWait, wait.Seconds())
 			}
-			m.emitAdmission(clientID, "queued", obs.A("wait_ns", int64(waited())))
+			m.emitAdmission(clientID, "queued", obs.A("wait_ns", int64(wait)))
 		case <-ctx.Done():
 			m.abandon(turn)
 			if reg := m.registry(); reg != nil {

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gpurelay/internal/grterr"
+	"gpurelay/internal/obs"
 )
 
 const (
@@ -190,4 +193,59 @@ func TestSessionManagerSKUMismatchSentinel(t *testing.T) {
 	// The failed launch returned its slot.
 	vm := mustAcquire(t, m, "c")
 	m.Release(vm)
+}
+
+// tickSource is a time source that moves forward by one millisecond on
+// every read, the way the wall clock moves between two reads.
+type tickSource struct{ ticks atomic.Int64 }
+
+func (s *tickSource) Now() time.Duration { return time.Duration(s.ticks.Add(1)) * time.Millisecond }
+
+// TestSessionManagerQueuedWaitReadOnce: a queued admission's wait is read
+// once, so the wait histogram and the flight journal report the same wait
+// even on a clock that moves between reads.
+func TestSessionManagerQueuedWaitReadOnce(t *testing.T) {
+	m := newTestManager(SessionConfig{Capacity: 1, QueueLimit: 1, PerClientLimit: 2})
+	reg := obs.NewRegistry()
+	m.InstrumentShard(reg)
+	flight := obs.NewFlightRecorder(0)
+	m.InstrumentFlight(flight)
+	m.SetTimeSource(&tickSource{})
+	holder := mustAcquire(t, m, "holder")
+	admitted := make(chan *VM, 1)
+	go func() {
+		vm, err := m.Acquire(context.Background(), "waiter", testImage, testCompat, []byte("n"))
+		if err != nil {
+			t.Errorf("queued acquire: %v", err)
+		}
+		admitted <- vm
+	}()
+	for deadline := time.Now().Add(5 * time.Second); m.Queued() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Release(holder)
+	m.Release(<-admitted)
+
+	var journaled time.Duration
+	for _, e := range flight.Events() {
+		if e.Kind == obs.FKAdmission && e.Note == "queued" {
+			for _, a := range e.Args {
+				if a.Key == "wait_ns" {
+					journaled = time.Duration(a.Value)
+				}
+			}
+		}
+	}
+	var observed time.Duration
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == obs.MFleetAdmissionWait && len(f.Series) == 1 && f.Series[0].Count == 1 {
+			observed = time.Duration(math.Round(f.Series[0].Sum * 1e9))
+		}
+	}
+	if journaled <= 0 || observed != journaled {
+		t.Fatalf("queued wait: histogram %v, flight journal %v; want one positive wait", observed, journaled)
+	}
 }

@@ -26,39 +26,29 @@ import (
 
 // ShardedConfig tunes a ShardedService.
 type ShardedConfig struct {
-	// Shards is the partition count (0 → 4).
+	// Shards is the partition count (0 → 1).
 	Shards int
 	// Shard configures every partition's SessionManager (pool capacity,
 	// queue limit, per-client limit). The zero value takes the
 	// SessionConfig defaults.
 	Shard SessionConfig
-	// VirtualNodes is the number of ring positions per shard (0 → 64).
-	// More positions smooth the key distribution across shards.
-	VirtualNodes int
-	// ShedRetryBase scales the retry-after hint attached to a shedding
-	// rejection (0 → 250ms). The hint grows with the rejecting shard's
-	// queue depth, so a deeply backed-up shard pushes retries further out.
-	ShedRetryBase time.Duration
 }
 
-func (c ShardedConfig) withDefaults() ShardedConfig {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
-	if c.ShedRetryBase <= 0 {
-		c.ShedRetryBase = 250 * time.Millisecond
-	}
-	return c
-}
+const (
+	// virtualNodes is the number of ring positions per shard. More
+	// positions smooth the key distribution across shards.
+	virtualNodes = 64
+	// shedRetryBase scales the retry-after hint attached to a shedding
+	// rejection. The hint grows with the rejecting shard's queue depth, so a
+	// deeply backed-up shard pushes retries further out.
+	shedRetryBase = 250 * time.Millisecond
+)
 
 // SheddingError is a typed per-shard load-shedding rejection: the shard's
-// pool and queue are both full. It unwraps to grterr.ErrShedding only —
-// errors.Is(err, grterr.ErrCapacity) is false, so callers tell a shed
-// partition from an exhausted unsharded pool — and carries a deterministic
-// retry-after hint derived from the shard's queue depth.
+// pool and queue are both full. It unwraps to grterr.ErrShedding, which
+// marks the typed rejection, and to grterr.ErrCapacity, which every full
+// pool reports, and carries a deterministic retry-after hint derived from
+// the shard's queue depth.
 type SheddingError struct {
 	// Shard is the rejecting partition.
 	Shard int
@@ -74,8 +64,9 @@ func (e *SheddingError) Error() string {
 		e.Shard, e.Busy, e.Queued, e.RetryAfter, grterr.ErrShedding)
 }
 
-// Unwrap lets errors.Is(err, grterr.ErrShedding) identify shed admissions.
-func (e *SheddingError) Unwrap() error { return grterr.ErrShedding }
+// Unwrap lets errors.Is match a shed admission as both grterr.ErrShedding
+// and grterr.ErrCapacity.
+func (e *SheddingError) Unwrap() []error { return []error{grterr.ErrShedding, grterr.ErrCapacity} }
 
 // ringPoint is one virtual node on the consistent-hash ring.
 type ringPoint struct {
@@ -87,7 +78,6 @@ type ringPoint struct {
 // fronting its own Service (own VM namespace, shared image definition),
 // with consistent hashing on the cache key selecting the partition.
 type ShardedService struct {
-	cfg    ShardedConfig
 	image  *Image
 	svcs   []*Service
 	mgrs   []*SessionManager
@@ -101,15 +91,11 @@ type ShardedService struct {
 	vmShard map[*VM]int
 }
 
-// NewShardedService builds cfg.Shards partitions hosting the image.
+// NewShardedService builds cfg.Shards partitions (at least one) hosting the
+// image.
 func NewShardedService(img *Image, cfg ShardedConfig) *ShardedService {
-	cfg = cfg.withDefaults()
-	s := &ShardedService{
-		cfg:     cfg,
-		image:   img,
-		vmShard: map[*VM]int{},
-	}
-	for i := 0; i < cfg.Shards; i++ {
+	s := &ShardedService{image: img, vmShard: map[*VM]int{}}
+	for i := 0; i < max(cfg.Shards, 1); i++ {
 		svc := NewService(img)
 		// Namespace device IDs per shard ("s2/gpu-01") so one fleet
 		// registry carries distinct per-device health series.
@@ -117,7 +103,7 @@ func NewShardedService(img *Image, cfg ShardedConfig) *ShardedService {
 		s.svcs = append(s.svcs, svc)
 		s.mgrs = append(s.mgrs, NewSessionManager(svc, cfg.Shard))
 		s.labels = append(s.labels, obs.L("shard", strconv.Itoa(i)))
-		for j := 0; j < cfg.VirtualNodes; j++ {
+		for j := 0; j < virtualNodes; j++ {
 			s.ring = append(s.ring, ringPoint{pos: ringPos(i, j), shard: i})
 		}
 	}
@@ -156,9 +142,9 @@ func (s *ShardedService) Shard(key [32]byte) int {
 }
 
 // Instrument attaches a fleet registry. Admission counters and the wait
-// histogram aggregate across shards into the same unlabeled families the
-// single-manager service uses — the fleet rollup stays one surface — while
-// pool gauges get a {shard} label so partitions don't clobber each other.
+// histogram aggregate across shards into unlabeled families — the fleet
+// rollup stays one surface — while pool gauges get a {shard} label so
+// partitions don't clobber each other.
 func (s *ShardedService) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
 	s.reg = reg
@@ -193,8 +179,8 @@ func (s *ShardedService) SetTimeSource(src timesim.Source) {
 // Acquire routes one admission to the key's shard. On success the VM is
 // tracked so Release/Crash route back without the caller carrying the shard
 // index. A shard at capacity rejects with a *SheddingError (unwrapping to
-// grterr.ErrShedding) carrying the retry-after hint; other errors pass
-// through unchanged.
+// grterr.ErrShedding and grterr.ErrCapacity) carrying the retry-after hint;
+// other errors pass through unchanged.
 func (s *ShardedService) Acquire(ctx context.Context, key [32]byte, clientID, gpuCompatible string, clientNonce []byte) (*VM, error) {
 	shard := s.Shard(key)
 	s.mu.Lock()
@@ -210,7 +196,7 @@ func (s *ShardedService) Acquire(ctx context.Context, key [32]byte, clientID, gp
 			queued := m.Queued()
 			shed := &SheddingError{
 				Shard:      shard,
-				RetryAfter: s.cfg.ShedRetryBase * time.Duration(queued+1),
+				RetryAfter: shedRetryBase * time.Duration(queued+1),
 				Busy:       m.Config().Capacity,
 				Queued:     queued,
 			}

@@ -89,9 +89,8 @@ func TestShardedAcquireReleaseRouting(t *testing.T) {
 
 func TestShardedShedding(t *testing.T) {
 	s := NewShardedService(DefaultImage(), ShardedConfig{
-		Shards:        1,
-		Shard:         SessionConfig{Capacity: 1, QueueLimit: -1, PerClientLimit: 4},
-		ShedRetryBase: 100 * time.Millisecond,
+		Shards: 1,
+		Shard:  SessionConfig{Capacity: 1, QueueLimit: -1, PerClientLimit: 4},
 	})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
@@ -117,7 +116,7 @@ func TestShardedShedding(t *testing.T) {
 	if shed.Shard != 0 || shed.Busy != 1 || shed.Queued != 0 {
 		t.Fatalf("shed snapshot %+v", shed)
 	}
-	if shed.RetryAfter != 100*time.Millisecond {
+	if shed.RetryAfter != 250*time.Millisecond {
 		t.Fatalf("retry-after %s, want the base hint for an empty queue", shed.RetryAfter)
 	}
 

@@ -147,7 +147,7 @@ func (g *syncRig) do(op, a, b, c byte) {
 		}
 	case 4: // drop the page under a byte of a region
 		if r, off, _, ok := g.span(a, b, c); ok {
-			g.src.FreePages((r.PA+PA(off))&^(PageSize-1), 1)
+			dropPages(g.tb, g.src, (r.PA+PA(off))&^(PageSize-1), 1)
 			g.seen["FreePages"]++
 		}
 	case 5: // rewrite up to three page spans: a page list of several

@@ -201,7 +201,10 @@ func (p *Pool) Alloc(size uint64) (PA, error) {
 }
 
 // FreePages returns n pages starting at pa to the free list and drops their
-// backing storage. Freeing coalesces adjacent ranges.
+// backing storage. Freeing coalesces adjacent ranges. A range that is
+// unaligned, runs past the pool, or overlaps pages already free panics
+// before any state changes: freeing it would hand pages outside the pool,
+// or the same pages twice, to later allocations.
 func (p *Pool) FreePages(pa PA, n uint64) {
 	if uint64(pa)%PageSize != 0 {
 		panic(fmt.Sprintf("gpumem: free of unaligned PA %#x", pa))
@@ -209,6 +212,14 @@ func (p *Pool) FreePages(pa PA, n uint64) {
 	start := uint64(pa) / PageSize
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if pages := p.size / PageSize; start > pages || n > pages-start {
+		panic(fmt.Sprintf("gpumem: free of %d pages at PA %#x beyond pool size %#x", n, pa, p.size))
+	}
+	idx := sort.Search(len(p.free), func(i int) bool { return p.free[i].start >= start })
+	if (idx > 0 && p.free[idx-1].start+p.free[idx-1].count > start) ||
+		(idx < len(p.free) && p.free[idx].start < start+n) {
+		panic(fmt.Sprintf("gpumem: free of %d pages at PA %#x overlaps free pages", n, pa))
+	}
 	p.gen++
 	for i := uint64(0); i < n; i++ {
 		if pg, ok := p.pages[start+i]; ok {
@@ -218,7 +229,6 @@ func (p *Pool) FreePages(pa PA, n uint64) {
 			}
 		}
 	}
-	idx := sort.Search(len(p.free), func(i int) bool { return p.free[i].start >= start })
 	p.free = append(p.free, pageRange{})
 	copy(p.free[idx+1:], p.free[idx:])
 	p.free[idx] = pageRange{start: start, count: n}

@@ -57,6 +57,62 @@ func TestPoolBoundsPanic(t *testing.T) {
 	p.Write(PageSize-2, []byte{1, 2, 3})
 }
 
+// TestFreePagesRejectsBadRange: a free that runs past the pool or overlaps
+// pages already free panics and leaves the pool as it was, so no later
+// allocation gets pages outside the pool or pages another allocation holds.
+func TestFreePagesRejectsBadRange(t *testing.T) {
+	mustPanic := func(what string, free func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		free()
+	}
+
+	// A double free of one page of a full 4-page pool.
+	p := NewPool(4 * PageSize)
+	pa, err := p.AllocPages(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FreePages(pa, 1)
+	gen := p.Gen()
+	mustPanic("double free", func() { p.FreePages(pa, 1) })
+	if p.Gen() != gen {
+		t.Fatalf("rejected free moved the generation from %d to %d", gen, p.Gen())
+	}
+	if got, err := p.AllocPages(1); err != nil || got != pa {
+		t.Fatalf("first allocation after the rejected free: PA %#x, %v; want %#x", got, err, pa)
+	}
+	if got, err := p.AllocPages(1); err == nil {
+		t.Fatalf("a freed page was handed out twice: second allocation got PA %#x", got)
+	}
+
+	// A free straddling an allocated page and a free one.
+	p = NewPool(4 * PageSize)
+	if _, err := p.AllocPages(2); err != nil {
+		t.Fatal(err)
+	}
+	p.Write32(PageSize, 7)
+	mustPanic("overlapping free", func() { p.FreePages(PageSize, 2) })
+	if got := p.Read32(PageSize); got != 7 {
+		t.Fatalf("rejected free dropped an allocated page's contents: read %d", got)
+	}
+	if _, err := p.AllocPages(3); err == nil {
+		t.Fatal("rejected free grew the free list")
+	}
+
+	// A free past the end of a 2-page pool.
+	p = NewPool(2 * PageSize)
+	mustPanic("free past the pool", func() { p.FreePages(8*PageSize, 4) })
+	mustPanic("free running off the pool", func() { p.FreePages(PageSize, 2) })
+	if got, err := p.AllocPages(3); err == nil {
+		t.Fatalf("allocation of 3 pages from a 2-page pool got PA %#x", got)
+	}
+}
+
 func TestAllocFreeCoalesce(t *testing.T) {
 	p := NewPool(16 * PageSize)
 	a, err := p.AllocPages(4)
@@ -123,12 +179,25 @@ func TestZeroRange(t *testing.T) {
 	}
 }
 
+// dropPages frees n pages at pa and allocates them straight back: their
+// contents drop and their generation moves as on any free, while the pages
+// stay allocated, so dropping them again is no double free. No free page may
+// lie below pa, or the allocation would return another range.
+func dropPages(tb testing.TB, p *Pool, pa PA, n uint64) {
+	tb.Helper()
+	p.FreePages(pa, n)
+	if got, err := p.AllocPages(n); err != nil || got != pa {
+		tb.Fatalf("re-allocating %d dropped pages at %#x: got %#x, %v", n, pa, got, err)
+	}
+}
+
 // TestPoolGenerationInvariant checks the property every user of the pool's
 // page generations relies on: a page whose generation has not moved past G
 // holds the bytes it held at G. Seeded sequences of Write, Write32 and
 // Write64 (partial pages, page-straddling spans, identical rewrites, A→B→A
-// rewrites, zeros over unmaterialized pages), ZeroRange and FreePages run on
-// a small pool, which is copied at a generation every few operations. After
+// rewrites, zeros over unmaterialized pages), ZeroRange and FreePages (as
+// dropPages) run on a small, fully allocated pool, which is copied at a
+// generation every few operations. After
 // every operation, each page that DirtySince reports clean since one of the
 // last four copies must equal that copy.
 func TestPoolGenerationInvariant(t *testing.T) {
@@ -142,6 +211,9 @@ func TestPoolGenerationInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		p := NewPool(size)
+		if _, err := p.AllocPages(pages); err != nil {
+			t.Fatal(err)
+		}
 		read := func() []byte {
 			b := make([]byte, size)
 			p.ReadInto(0, b)
@@ -185,7 +257,7 @@ func TestPoolGenerationInvariant(t *testing.T) {
 			case 6:
 				p.ZeroRange(pa, uint64(n))
 			case 7: // one or two whole pages
-				p.FreePages(PA(rnd.Intn(pages-1)*PageSize), uint64(1+rnd.Intn(2)))
+				dropPages(t, p, PA(rnd.Intn(pages-1)*PageSize), uint64(1+rnd.Intn(2)))
 			case 8: // a span straddling a page boundary
 				at := PA((1+rnd.Intn(pages-1))*PageSize - 1 - rnd.Intn(16))
 				p.Write(at, random(2+rnd.Intn(32)))

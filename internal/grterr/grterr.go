@@ -47,11 +47,11 @@ var (
 	// cross-VM migration: the replacement attempt must not land on the
 	// same device again.
 	ErrDeviceLost = fmt.Errorf("GPU device lost: %w", ErrSessionLost)
-	// ErrShedding marks an admission a sharded service refused because the
-	// target shard's pool and queue are both full. Unlike ErrCapacity it is
-	// a per-partition verdict and carries a retry-after hint (see
-	// cloud.SheddingError): other shards may be idle, and the client should
-	// retry this one after the hinted delay rather than fail over — the
-	// cache key pins the workload to its shard.
+	// ErrShedding marks an admission a service refused because the target
+	// shard's pool and queue are both full, at any shard count. It is a
+	// per-partition verdict that carries a retry-after hint and also wraps
+	// ErrCapacity (see cloud.SheddingError): other shards may be idle, and
+	// the client should retry this one after the hinted delay rather than
+	// fail over — the cache key pins the workload to its shard.
 	ErrShedding = errors.New("shard shedding load")
 )

@@ -171,7 +171,7 @@ func RunResumable(ctx context.Context, cfg Config, p ResumePolicy, vm *cloud.VM,
 				toDev = vm.Device.ID()
 			}
 			// Flight args are numeric; the migration route rides in the
-			// outcome ("gpu-00->gpu-01"), greppable in trace exports.
+			// outcome ("s0/gpu-00->s0/gpu-01"), greppable in trace exports.
 			h.Flight.Emit(h.Clock.Now(), cfg.SessionID, obs.FKHealthMigrate,
 				lostDev.ID()+"->"+toDev, obs.A("attempt", int64(attempt)))
 			cfg.Obs.Annotate("session.migrated "+lostDev.ID()+"->"+toDev, "session",

@@ -242,13 +242,13 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 	res, vm, err := record.RunResumable(ctx, cfg, record.ResumePolicy{
 		MaxResumes: opts.MaxResumes, BackoffBase: opts.BackoffBase, BackoffMax: opts.BackoffMax,
 	}, vm, record.ResumeHost{
-		Admit: admit, Crash: svc.crashVM,
+		Admit: admit, Crash: svc.pool.Crash,
 		Fleet: svc.fleet, Flight: svc.flight, Clock: c.clock,
 	})
 	var key []byte
 	if vm != nil {
 		key = append([]byte(nil), vm.SessionKey...)
-		svc.releaseVM(vm)
+		svc.pool.Release(vm)
 	}
 	if err != nil {
 		if errors.Is(err, grterr.ErrCheckpointCorrupt) {
