@@ -3,13 +3,16 @@ package record
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"gpurelay/internal/ckpt"
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
@@ -63,7 +66,62 @@ func TestRecordingGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "recording_golden.json")
+	checkGolden(t, "recording_golden.json", got)
+}
+
+// TestCheckpointGolden pins the checkpoints a session hands OnCheckpoint at
+// every job boundary: per model, a SHA-256 over every checkpoint's job and
+// memsync fingerprints (SyncOutFP, SyncInFP), and one over every marshalled
+// payload, in order. A resumed session checks its re-derived fingerprints
+// against a persisted checkpoint's, so however syncer.metaFP computes them,
+// the values must stay these. MNIST, VGG16 and Micro are recorded under
+// OursMDS. Regenerate with GRT_UPDATE_GOLDEN=1 after an intentional format
+// change.
+func TestCheckpointGolden(t *testing.T) {
+	got := map[string]string{}
+	for _, m := range []*mlfw.Model{mlfw.MNIST(), mlfw.VGG16(), mlfw.Micro()} {
+		fps, payloads := sha256.New(), sha256.New()
+		n := 0
+		var cerr error
+		_, err := Run(Config{
+			Variant: OursMDS, Model: m, SKU: mali.G71MP8,
+			Network: netsim.WiFi, SessionKey: testKey,
+			ClientSeed: 42, InjectMispredictionAt: -1,
+			OnCheckpoint: func(cp *ckpt.Checkpoint) {
+				var b [24]byte
+				binary.LittleEndian.PutUint64(b[0:], uint64(cp.Job))
+				binary.LittleEndian.PutUint64(b[8:], cp.SyncOutFP)
+				binary.LittleEndian.PutUint64(b[16:], cp.SyncInFP)
+				fps.Write(b[:])
+				blob, err := cp.MarshalBinary()
+				if err != nil {
+					cerr = err
+					return
+				}
+				payloads.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(blob))))
+				payloads.Write(blob)
+				n++
+			},
+		})
+		if err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("record %s: %v", m.Name, err)
+		}
+		key := strings.ToLower(m.Name) + "/" + OursMDS.String()
+		got[key+"/checkpoints"] = strconv.Itoa(n)
+		got[key+"/fingerprints"] = hex.EncodeToString(fps.Sum(nil))
+		got[key+"/payloads"] = hex.EncodeToString(payloads.Sum(nil))
+	}
+	checkGolden(t, "checkpoint_golden.json", got)
+}
+
+// checkGolden compares got with testdata/name, or writes it there when
+// GRT_UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name string, got map[string]string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if os.Getenv("GRT_UPDATE_GOLDEN") != "" {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -88,7 +146,7 @@ func TestRecordingGolden(t *testing.T) {
 	}
 	for k, w := range want {
 		if got[k] != w {
-			t.Errorf("%s: %s, golden %s — recording bytes or seal changed", k, got[k], w)
+			t.Errorf("%s: %s, golden %s", k, got[k], w)
 		}
 	}
 	if len(want) != len(got) {
