@@ -97,12 +97,39 @@ func (p *Pool) DirtySince(pa PA, n uint64, since uint64) bool {
 
 // dirtySince is DirtySince for n > 0 under p.mu.
 func (p *Pool) dirtySince(off, n, since uint64) bool {
+	_, dirty := p.firstDirtyPage(off, n, since)
+	return dirty
+}
+
+// firstDirtyPage returns the first page overlapping [off, off+n), n > 0,
+// changed after generation since, under p.mu.
+func (p *Pool) firstDirtyPage(off, n, since uint64) (uint64, bool) {
 	for page := off / PageSize; page <= (off+n-1)/PageSize; page++ {
 		if p.pageGen[page] > since {
-			return true
+			return page, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// FirstDirtySpan returns the index of the first PageSize span of
+// [pa, pa+n), counted from pa, that overlaps a page changed after
+// generation since, or the number of spans if none does. By the generation
+// invariant every span before it still holds the bytes it held at since.
+// One call takes the lock once, however long the range.
+func (p *Pool) FirstDirtySpan(pa PA, n uint64, since uint64) int {
+	if n == 0 {
+		return 0
+	}
+	p.check(pa, int(n))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	off := uint64(pa)
+	if page, dirty := p.firstDirtyPage(off, n, since); dirty {
+		// The span holding the page's first byte in the range.
+		return int((max(page*PageSize, off) - off) / PageSize)
+	}
+	return int((n + PageSize - 1) / PageSize)
 }
 
 // readDirty brings buf up to date with [pa, pa+len(buf)), given that it

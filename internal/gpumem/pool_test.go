@@ -287,6 +287,52 @@ func TestPoolGenerationInvariant(t *testing.T) {
 	t.Logf("%d clean pages compared, %d content-equal writes left their pages clean", checked, rewrites)
 }
 
+// TestFirstDirtySpan checks FirstDirtySpan against DirtySince asked span by
+// span: over seeded writes and ranges on and off the page grid, with
+// partial last spans, and at generations before, between and after the
+// writes, it must name the first PageSize span, counted from the range's
+// start, that DirtySince reports changed, or the number of spans.
+func TestFirstDirtySpan(t *testing.T) {
+	const pages = 16
+	rnd := rand.New(rand.NewSource(23))
+	p := NewPool(pages * PageSize)
+	var gens []uint64
+	for i := 0; i < 24; i++ {
+		gens = append(gens, p.Gen())
+		b := make([]byte, 1+rnd.Intn(64))
+		rnd.Read(b)
+		p.Write(PA(rnd.Intn(pages*PageSize-len(b))), b)
+	}
+	gens = append(gens, p.Gen())
+	found := 0
+	for i := 0; i < 2000; i++ {
+		pa := PA(rnd.Intn(pages * PageSize))
+		if i%2 == 0 {
+			pa &^= PageSize - 1
+		}
+		n := uint64(rnd.Intn(pages*PageSize - int(pa) + 1))
+		since := gens[rnd.Intn(len(gens))]
+		spans := int((n + PageSize - 1) / PageSize)
+		want := spans
+		for k := 0; k < spans; k++ {
+			off := uint64(k) * PageSize
+			if p.DirtySince(pa+PA(off), min(PageSize, n-off), since) {
+				want = k
+				break
+			}
+		}
+		if got := p.FirstDirtySpan(pa, n, since); got != want {
+			t.Fatalf("FirstDirtySpan(%#x, %d, %d) = %d, want %d of %d spans", pa, n, since, got, want, spans)
+		}
+		if want < spans {
+			found++
+		}
+	}
+	if found < 500 {
+		t.Fatalf("only %d ranges had a changed span", found)
+	}
+}
+
 // Property: write-then-read returns what was written, at arbitrary offsets
 // and lengths.
 func TestPropertyPoolRoundTrip(t *testing.T) {

@@ -179,6 +179,9 @@ type Result struct {
 	// completed — the clean cut points for segmenting the recording.
 	JobLogOffsets []int
 	sessionKey    []byte
+	// fpHashed is the region bytes metaFP ran through its FNV byte loop,
+	// both directions, for tests.
+	fpHashed int64
 }
 
 // Segments splits the recording at the given job boundaries (each entry is
@@ -550,5 +553,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		Recording: rec, Signed: signed, Stats: st,
 		JobLogOffsets: jobLogOffsets,
 		sessionKey:    append([]byte(nil), cfg.SessionKey...),
+		fpHashed:      sync.outFPC.hashed + sync.inFPC.hashed,
 	}, nil
 }

@@ -1,7 +1,9 @@
 package record
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"gpurelay/internal/gpumem"
@@ -49,26 +51,34 @@ type syncer struct {
 	bytesOut  int64
 	bytesIn   int64
 
-	// Per-region fingerprint caches for metaFP, one per direction. Keyed by
-	// region name; an entry is reused only while the pool's page-generation
-	// tracking proves the retained snapshot's bytes for that region cannot
-	// have changed (see snapFPCached). This makes metaFP, which every job
-	// boundary's checkpoint pays, cost proportional to what changed since
-	// the last call, while computing exactly the same value a cold cache
-	// (e.g. the resume side) computes from scratch.
-	outFPC map[string]regionFP
-	inFPC  map[string]regionFP
+	// The fingerprint caches for metaFP, one per direction (see
+	// snapFPCached). They make metaFP, which every job boundary's checkpoint
+	// pays, cost in proportion to the pages changed since the last call,
+	// while computing exactly the value a cold cache (the resume side's)
+	// computes from scratch.
+	outFPC, inFPC fpCache
 }
 
-// regionFP caches one region's content hash. mark is the capture watermark
-// of the snapshot the hash was computed over: if the pool reports no writes
-// to the region past mark, every later dirty-aware capture aliased the same
-// buffer, so the hash still describes the retained snapshot's bytes.
+// fpCache is one direction's metaFP cache, by region name.
+type fpCache struct {
+	regions map[string]*regionFP
+	// hashed counts the region bytes run through the FNV byte loop, for
+	// tests.
+	hashed int64
+}
+
+// regionFP holds one region's running FNV-64a state at every PageSize span
+// boundary of the snapshot bytes it was computed over: at[k] is the state
+// after the region's name, its PA and its first k spans, so the last entry
+// is the region's hash. mark is that snapshot's capture watermark. A span
+// whose pages the pool reports unchanged past mark holds the same bytes in
+// every later snapshot of the capture chain, so the states up to the first
+// changed span still hold.
 type regionFP struct {
-	h    uint64
 	mark uint64
 	pa   gpumem.PA
 	size int
+	at   []uint64
 }
 
 // Label slices for countDump, built once: the dump counters fire twice per
@@ -143,16 +153,14 @@ func fingerprint(regions []*gpumem.Region) string {
 // corrupt every later dump.
 //
 // The combination is a hash of per-region hashes (not a hash of concatenated
-// content) precisely so each region's hash can be cached: at a steady-state
-// job boundary only the regions actually written since the last call are
-// re-hashed, so a checkpoint at every job costs in proportion to change.
+// content) so each region's hash can be cached, and each region's hash is
+// cached page by page: at a steady-state job boundary only the pages from
+// the first one written since the last call are re-hashed, and a page of
+// zeros costs one multiply, so a checkpoint at every job costs in
+// proportion to change.
 func (s *syncer) metaFP() (out, in uint64) {
-	if s.outFPC == nil {
-		s.outFPC = make(map[string]regionFP)
-		s.inFPC = make(map[string]regionFP)
-	}
-	out = snapFPCached(s.prevOutFP, s.capOut.Prev(), s.cloud, s.capOut.Watermark(), s.outFPC)
-	in = snapFPCached(s.prevInFP, s.capIn.Prev(), s.client, s.capIn.Watermark(), s.inFPC)
+	out = snapFPCached(s.prevOutFP, s.capOut.Prev(), s.cloud, s.capOut.Watermark(), &s.outFPC)
+	in = snapFPCached(s.prevInFP, s.capIn.Prev(), s.client, s.capIn.Watermark(), &s.inFPC)
 	return out, in
 }
 
@@ -190,35 +198,79 @@ func (h *fnv64a) u64(x uint64) {
 	*h = fnv64a(v)
 }
 
+// zeroPage is a page of zeros that span compares against. It is never
+// written.
+var zeroPage [gpumem.PageSize]byte
+
+// fnvPrimePage is fnvPrime64^PageSize: FNV-1a of a zero byte only
+// multiplies by the prime, so a page of zeros hashes as one multiply.
+var fnvPrimePage = func() fnv64a {
+	p := fnv64a(1)
+	for range gpumem.PageSize {
+		p *= fnvPrime64
+	}
+	return p
+}()
+
+// span hashes b, at most a page long, and returns how many bytes went
+// through the byte loop: none for a whole page of zeros.
+func (h *fnv64a) span(b []byte) int {
+	if bytes.Equal(b, zeroPage[:]) {
+		*h *= fnvPrimePage
+		return 0
+	}
+	h.bytes(b)
+	return len(b)
+}
+
 // snapFPCached combines the structural fingerprint with every snapshot
-// region's content hash. cache entries are reused only when
-// pool.DirtySince proves no write touched the region past the watermark the
-// cached hash was computed under — false from DirtySince guarantees the
-// retained snapshot's buffer for the region still holds the hashed bytes
-// (dirty-aware captures alias clean buffers). The computed value is
+// region's content hash, the FNV-64a of its name, PA and bytes. It resumes
+// each region's hash at the first PageSize span the pool reports changed
+// past the cached entry's watermark: by the pool's generation invariant,
+// and since a dirty-aware capture reuses the previous snapshot's bytes for
+// every page it does not read back, the spans before it hold the bytes
+// hashed last time. A clean region reuses its hash; a new region, or one
+// that moved or changed size, is hashed from span 0. The computed value is
 // independent of the cache state.
 func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
-	watermark uint64, cache map[string]regionFP) uint64 {
+	watermark uint64, c *fpCache) uint64 {
 	h := fnv64a(fnvOffset64)
 	h.string(structure)
 	if snap == nil {
 		return uint64(h)
 	}
+	if c.regions == nil {
+		c.regions = make(map[string]*regionFP)
+	}
 	for i := range snap.Regions {
 		r := &snap.Regions[i]
-		e, ok := cache[r.Name]
-		if !ok || e.pa != r.PA || e.size != len(r.Data) ||
-			pool.DirtySince(r.PA, uint64(len(r.Data)), e.mark) {
+		n := len(r.Data)
+		spans := (n + gpumem.PageSize - 1) / gpumem.PageSize
+		e := c.regions[r.Name]
+		from := 0
+		if e != nil && e.pa == r.PA && e.size == n {
+			from = pool.FirstDirtySpan(r.PA, uint64(n), e.mark)
+		} else {
+			if e == nil {
+				e = &regionFP{}
+				c.regions[r.Name] = e
+			}
 			rh := fnv64a(fnvOffset64)
 			rh.string(r.Name)
 			rh.u64(uint64(r.PA))
-			rh.bytes(r.Data)
-			e = regionFP{h: uint64(rh), mark: watermark, pa: r.PA, size: len(r.Data)}
-			cache[r.Name] = e
+			e.pa, e.size = r.PA, n
+			e.at = slices.Grow(e.at[:0], spans+1)[:spans+1]
+			e.at[0] = uint64(rh)
 		}
+		rh := fnv64a(e.at[from])
+		for k := from; k < spans; k++ {
+			c.hashed += int64(rh.span(r.Data[k*gpumem.PageSize : min((k+1)*gpumem.PageSize, n)]))
+			e.at[k+1] = uint64(rh)
+		}
+		e.mark = watermark
 		h.string(r.Name)
 		h.u64(uint64(r.PA))
-		h.u64(e.h)
+		h.u64(e.at[spans])
 	}
 	return uint64(h)
 }
