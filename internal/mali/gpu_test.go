@@ -1,6 +1,7 @@
 package mali
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -416,6 +417,49 @@ func TestRegNameCoverage(t *testing.T) {
 	if RegName(ASReg(0, AS_COMMAND)) != "AS0+0x18" {
 		t.Fatalf("AS naming: %q", RegName(ASReg(0, AS_COMMAND)))
 	}
+	// Names must not change: every offset of the three register blocks is
+	// named as the function that built its table on every call named it.
+	for r := Reg(0); r < 0x3000; r++ {
+		if got, want := RegName(r), refRegName(r); got != want {
+			t.Fatalf("RegName(%#x) = %q, want %q", uint32(r), got, want)
+		}
+	}
+	// The DriverShim names every register it reads: a named one must cost
+	// no allocation.
+	for r := range regNames {
+		if n := testing.AllocsPerRun(100, func() { _ = RegName(r) }); n != 0 {
+			t.Fatalf("RegName(%s) allocates %v times", RegName(r), n)
+		}
+	}
+}
+
+// refRegName is RegName as it was when it built its table on every call,
+// kept as the reference for the names.
+func refRegName(r Reg) string {
+	names := map[Reg]string{
+		GPU_ID: "GPU_ID", L2_FEATURES: "L2_FEATURES", TILER_FEATURES: "TILER_FEATURES",
+		MEM_FEATURES: "MEM_FEATURES", MMU_FEATURES: "MMU_FEATURES", AS_PRESENT: "AS_PRESENT",
+		JS_PRESENT: "JS_PRESENT", GPU_IRQ_RAWSTAT: "GPU_IRQ_RAWSTAT", GPU_IRQ_CLEAR: "GPU_IRQ_CLEAR",
+		GPU_IRQ_MASK: "GPU_IRQ_MASK", GPU_IRQ_STATUS: "GPU_IRQ_STATUS", GPU_COMMAND: "GPU_COMMAND",
+		GPU_STATUS: "GPU_STATUS", LATEST_FLUSH_ID: "LATEST_FLUSH_ID",
+		SHADER_PRESENT_LO: "SHADER_PRESENT_LO", SHADER_READY_LO: "SHADER_READY_LO",
+		SHADER_PWRON_LO: "SHADER_PWRON_LO", SHADER_PWROFF_LO: "SHADER_PWROFF_LO",
+		SHADER_CONFIG: "SHADER_CONFIG", TILER_CONFIG: "TILER_CONFIG", L2_MMU_CONFIG: "L2_MMU_CONFIG",
+		JOB_IRQ_RAWSTAT: "JOB_IRQ_RAWSTAT", JOB_IRQ_CLEAR: "JOB_IRQ_CLEAR",
+		JOB_IRQ_MASK: "JOB_IRQ_MASK", JOB_IRQ_STATUS: "JOB_IRQ_STATUS",
+		MMU_IRQ_RAWSTAT: "MMU_IRQ_RAWSTAT", MMU_IRQ_CLEAR: "MMU_IRQ_CLEAR",
+		MMU_IRQ_MASK: "MMU_IRQ_MASK", MMU_IRQ_STATUS: "MMU_IRQ_STATUS",
+	}
+	if n, ok := names[r]; ok {
+		return n
+	}
+	if r >= jobSlotBase && r < jobSlotBase+8*jobSlotStride {
+		return fmt.Sprintf("JS%d+0x%02x", (r-jobSlotBase)/jobSlotStride, uint32((r-jobSlotBase)%jobSlotStride))
+	}
+	if r >= asBase && r < asBase+16*asStride {
+		return fmt.Sprintf("AS%d+0x%02x", (r-asBase)/asStride, uint32((r-asBase)%asStride))
+	}
+	return fmt.Sprintf("REG_0x%04x", uint32(r))
 }
 
 func TestJobIRQJSState(t *testing.T) {

@@ -200,23 +200,26 @@ const (
 // AS_STATUS bits.
 const ASStatusActive = 1 << 0
 
+// regNames names the registers RegName does not compose from a block
+// offset. It is built once: the DriverShim names every register it reads.
+var regNames = map[Reg]string{
+	GPU_ID: "GPU_ID", L2_FEATURES: "L2_FEATURES", TILER_FEATURES: "TILER_FEATURES",
+	MEM_FEATURES: "MEM_FEATURES", MMU_FEATURES: "MMU_FEATURES", AS_PRESENT: "AS_PRESENT",
+	JS_PRESENT: "JS_PRESENT", GPU_IRQ_RAWSTAT: "GPU_IRQ_RAWSTAT", GPU_IRQ_CLEAR: "GPU_IRQ_CLEAR",
+	GPU_IRQ_MASK: "GPU_IRQ_MASK", GPU_IRQ_STATUS: "GPU_IRQ_STATUS", GPU_COMMAND: "GPU_COMMAND",
+	GPU_STATUS: "GPU_STATUS", LATEST_FLUSH_ID: "LATEST_FLUSH_ID",
+	SHADER_PRESENT_LO: "SHADER_PRESENT_LO", SHADER_READY_LO: "SHADER_READY_LO",
+	SHADER_PWRON_LO: "SHADER_PWRON_LO", SHADER_PWROFF_LO: "SHADER_PWROFF_LO",
+	SHADER_CONFIG: "SHADER_CONFIG", TILER_CONFIG: "TILER_CONFIG", L2_MMU_CONFIG: "L2_MMU_CONFIG",
+	JOB_IRQ_RAWSTAT: "JOB_IRQ_RAWSTAT", JOB_IRQ_CLEAR: "JOB_IRQ_CLEAR",
+	JOB_IRQ_MASK: "JOB_IRQ_MASK", JOB_IRQ_STATUS: "JOB_IRQ_STATUS",
+	MMU_IRQ_RAWSTAT: "MMU_IRQ_RAWSTAT", MMU_IRQ_CLEAR: "MMU_IRQ_CLEAR",
+	MMU_IRQ_MASK: "MMU_IRQ_MASK", MMU_IRQ_STATUS: "MMU_IRQ_STATUS",
+}
+
 // RegName returns a human-readable name for diagnostics and logs.
 func RegName(r Reg) string {
-	names := map[Reg]string{
-		GPU_ID: "GPU_ID", L2_FEATURES: "L2_FEATURES", TILER_FEATURES: "TILER_FEATURES",
-		MEM_FEATURES: "MEM_FEATURES", MMU_FEATURES: "MMU_FEATURES", AS_PRESENT: "AS_PRESENT",
-		JS_PRESENT: "JS_PRESENT", GPU_IRQ_RAWSTAT: "GPU_IRQ_RAWSTAT", GPU_IRQ_CLEAR: "GPU_IRQ_CLEAR",
-		GPU_IRQ_MASK: "GPU_IRQ_MASK", GPU_IRQ_STATUS: "GPU_IRQ_STATUS", GPU_COMMAND: "GPU_COMMAND",
-		GPU_STATUS: "GPU_STATUS", LATEST_FLUSH_ID: "LATEST_FLUSH_ID",
-		SHADER_PRESENT_LO: "SHADER_PRESENT_LO", SHADER_READY_LO: "SHADER_READY_LO",
-		SHADER_PWRON_LO: "SHADER_PWRON_LO", SHADER_PWROFF_LO: "SHADER_PWROFF_LO",
-		SHADER_CONFIG: "SHADER_CONFIG", TILER_CONFIG: "TILER_CONFIG", L2_MMU_CONFIG: "L2_MMU_CONFIG",
-		JOB_IRQ_RAWSTAT: "JOB_IRQ_RAWSTAT", JOB_IRQ_CLEAR: "JOB_IRQ_CLEAR",
-		JOB_IRQ_MASK: "JOB_IRQ_MASK", JOB_IRQ_STATUS: "JOB_IRQ_STATUS",
-		MMU_IRQ_RAWSTAT: "MMU_IRQ_RAWSTAT", MMU_IRQ_CLEAR: "MMU_IRQ_CLEAR",
-		MMU_IRQ_MASK: "MMU_IRQ_MASK", MMU_IRQ_STATUS: "MMU_IRQ_STATUS",
-	}
-	if n, ok := names[r]; ok {
+	if n, ok := regNames[r]; ok {
 		return n
 	}
 	if r >= jobSlotBase && r < jobSlotBase+8*jobSlotStride {
