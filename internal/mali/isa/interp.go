@@ -2,6 +2,7 @@ package isa
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -135,17 +136,19 @@ func (m Mem) StoreF32(va gpumem.VA, data []float32) error {
 	})
 }
 
+// errMaterialized stops rangeZero's walk at the first materialized chunk.
+var errMaterialized = errors.New("isa: materialized")
+
 // rangeZero reports whether the VA range reads as all zeros without any page
-// being materialized — the dry-run fast-path test.
+// being materialized — the dry-run fast-path test. The walk stops at the
+// first materialized chunk; a range that does not translate is not zero.
 func (m Mem) rangeZero(va gpumem.VA, n uint64) bool {
-	zero := true
-	err := m.forEachPage(va, n, gpumem.PTERead, func(pa gpumem.PA, off, cnt uint64) error {
+	return m.forEachPage(va, n, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
 		if m.Pool.RangeMaterialized(pa, cnt) {
-			zero = false
+			return errMaterialized
 		}
 		return nil
-	})
-	return err == nil && zero
+	}) == nil
 }
 
 // zeroOut dematerializes the destination range so it reads as zero.

@@ -340,6 +340,38 @@ func TestDryRunFastPath(t *testing.T) {
 	}
 }
 
+// TestRangeZero checks the dry-run zero test on ranges of unmaterialized,
+// materialized and unmapped pages. The walk stops at the first materialized
+// chunk, so a materialized page followed by an unmapped one is not zero
+// without reaching the translation fault, and a zero page followed by an
+// unmapped one is not zero because of it.
+func TestRangeZero(t *testing.T) {
+	e := newTestEnv(t)
+	zero := e.alloc(2*gpumem.PageSize, gpumem.PTERead) // an unmapped guard page follows each
+	mixed := e.alloc(2*gpumem.PageSize, gpumem.PTERead)
+	e.writeF32viaPA(mixed+gpumem.PageSize, []float32{1})
+	const page = gpumem.PageSize
+	for _, c := range []struct {
+		name string
+		va   gpumem.VA
+		n    uint64
+		want bool
+	}{
+		{"zero pages", zero, 2 * page, true},
+		{"part of a zero page", mixed + 100, 200, true},
+		{"empty range", mixed + page, 0, true},
+		{"materialized page", mixed + page, page, false},
+		{"zero page, then a materialized one", mixed, 2 * page, false},
+		{"materialized page, then an unmapped one", mixed + page, 2 * page, false},
+		{"zero page, then an unmapped one", zero + page, 2 * page, false},
+		{"unmapped page", zero + 2*page, page, false},
+	} {
+		if got := e.mem.rangeZero(c.va, c.n); got != c.want {
+			t.Errorf("%s: rangeZero = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestFastPathMatchesRealComputeFLOPs(t *testing.T) {
 	// The duration model depends on FLOPs being identical between the dry
 	// run and a real run.
