@@ -8,10 +8,12 @@ import (
 	"gpurelay"
 	"gpurelay/internal/platform"
 	"gpurelay/internal/record"
+	"gpurelay/internal/timesim"
 )
 
-// platformOpts is the engine-hosted recording configuration: -gpus sessions
-// built by the platform builder, run on the -engine discrete-event engine.
+// platformOpts is the engine-hosted recording configuration: -gpus sessions,
+// one per GPU, run by platform.RecordAll on the -engine discrete-event
+// engine.
 type platformOpts struct {
 	engine  string // "serial" | "parallel"
 	gpus    int
@@ -30,13 +32,10 @@ type platformOpts struct {
 // -seed (deterministically, so a rerun re-creates the identical bundle); as
 // with the classic path, bundling keys is a demo-CLI convenience only.
 func runPlatform(opts platformOpts) error {
-	b := platform.NewBuilder().WithNumGPU(opts.gpus)
+	var eng timesim.Engine = timesim.NewSerialEngine()
 	if opts.engine == "parallel" {
-		b = b.WithParallelEngine()
-	} else {
-		b = b.WithSerialEngine()
+		eng = timesim.NewParallelEngine()
 	}
-	p := b.Build()
 
 	cfgs := make([]record.Config, opts.gpus)
 	for i := range cfgs {
@@ -51,7 +50,7 @@ func runPlatform(opts platformOpts) error {
 	}
 	fmt.Printf("recording %s on %d× %s over %s with %v (%s engine)...\n",
 		opts.model.Name, opts.gpus, opts.sku.Name, opts.network.Name, opts.variant, opts.engine)
-	results, err := p.RecordAll(context.Background(), cfgs)
+	results, err := platform.RecordAll(context.Background(), eng, cfgs)
 	if err != nil {
 		return err
 	}
@@ -61,7 +60,7 @@ func runPlatform(opts platformOpts) error {
 			float64(res.Stats.MemSyncBytes)/1e6)
 	}
 	fmt.Printf("engine: %d events over %.1f s of virtual time\n",
-		p.Engine().Events(), p.Engine().Now().Seconds())
+		eng.Events(), eng.Now().Seconds())
 
 	if opts.out == "" {
 		return nil

@@ -1,6 +1,6 @@
-// Multi-GPU: compose four simulated GPUs with the platform builder, record
-// four sessions concurrently on the parallel discrete-event engine, seal them
-// into one bundle, then replay and verify every per-GPU recording — the
+// Multi-GPU: record four sessions, one per simulated GPU, concurrently on
+// the parallel discrete-event engine with platform.RecordAll, seal them into
+// one bundle, then replay and verify every per-GPU recording — the
 // fleet-scale flow the single-clock pipeline could not express.
 //
 // Determinism is the point: the parallel engine runs same-timestamp events on
@@ -45,14 +45,13 @@ func configs() []record.Config {
 	return cfgs
 }
 
-func recordFleet(build func(*platform.Builder) *platform.Builder) []*record.Result {
-	p := build(platform.NewBuilder().WithNumGPU(numGPU)).Build()
-	results, err := p.RecordAll(context.Background(), configs())
+func recordFleet(eng timesim.Engine) []*record.Result {
+	results, err := platform.RecordAll(context.Background(), eng, configs())
 	if err != nil {
 		log.Fatalf("record: %v", err)
 	}
 	fmt.Printf("  %d sessions, %d engine events, %.1f s virtual time\n",
-		len(results), p.Engine().Events(), p.Engine().Now().Seconds())
+		len(results), eng.Events(), eng.Now().Seconds())
 	return results
 }
 
@@ -61,9 +60,9 @@ func main() {
 	// engine interleaves them one event at a time; the parallel engine runs
 	// each timestamp's events on all host cores.
 	fmt.Println("recording 4× MNIST on the serial engine...")
-	serial := recordFleet((*platform.Builder).WithSerialEngine)
+	serial := recordFleet(timesim.NewSerialEngine())
 	fmt.Println("recording 4× MNIST on the parallel engine...")
-	parallel := recordFleet((*platform.Builder).WithParallelEngine)
+	parallel := recordFleet(timesim.NewParallelEngine())
 	for i := range serial {
 		if serial[i].Signed.MAC != parallel[i].Signed.MAC {
 			log.Fatalf("gpu %d: engines disagree — determinism broken", i)

@@ -109,14 +109,6 @@ type GPU struct {
 	slots  []slotState
 	spaces []asState
 
-	// sched, when non-nil, switches job-chain completion from a synchronous
-	// clock advance to a scheduled engine event (AttachScheduler). The
-	// record path never sets it — deferred completion changes the poll
-	// timeline and with it the recording bytes.
-	sched    timesim.Scheduler
-	schedKey uint64
-	onJobIRQ func()
-
 	// Device-health injection (health.go). dead flips on a bus fall-off
 	// and never clears: a fallen-off GPU answers no MMIO again.
 	health        HealthInjector
@@ -143,27 +135,6 @@ func New(sku *SKU, pool *gpumem.Pool, clock timesim.Time, flushSeed uint64) *GPU
 		spaces:         make([]asState, sku.AddressSpaces),
 	}
 	return g
-}
-
-// AttachScheduler switches the GPU to event-driven job completion: a job
-// chain submitted to a slot leaves the slot ACTIVE and schedules a completion
-// event at now plus the chain's modeled duration, instead of advancing the
-// clock inline. When the event fires the slot flips to DONE, the job
-// interrupt line rises, and onIRQ (the simulated IRQ wire; may be nil) is
-// invoked. key orders this GPU's events against other components sharing the
-// engine — the platform uses the GPU index, so same-timestamp completions on
-// different GPUs run concurrently on a parallel engine.
-//
-// This mode exists for platform-native multi-GPU scenarios. The record
-// pipeline stays in synchronous mode: its recordings capture poll iteration
-// counts, and deferring completion would change them.
-func (g *GPU) AttachScheduler(s timesim.Scheduler, key uint64, onIRQ func()) {
-	if s == nil {
-		panic("mali: nil scheduler")
-	}
-	g.mu.Lock()
-	g.sched, g.schedKey, g.onJobIRQ = s, key, onIRQ
-	g.mu.Unlock()
 }
 
 // SKU returns the hardware model identity.
@@ -620,7 +591,7 @@ func (g *GPU) runJobChain(slot int) {
 	s := &g.slots[slot]
 	as := int(s.config & JSConfigASMask)
 	if as >= len(g.spaces) {
-		g.failJob(slot, JSStatusJobConfigFault, 0)
+		g.failJob(slot, JSStatusJobConfigFault)
 		return
 	}
 	s.status = JSStatusActive
@@ -630,24 +601,24 @@ func (g *GPU) runJobChain(slot int) {
 	va := gpumem.VA(s.head)
 	for hops := 0; va != 0; hops++ {
 		if hops > 4096 {
-			g.failJob(slot, JSStatusJobConfigFault, uint64(va))
+			g.failJob(slot, JSStatusJobConfigFault)
 			return
 		}
 		desc, err := mem.ReadBytes(va, JobDescSize, gpumem.PTERead)
 		if err != nil {
-			g.failJobFault(slot, as, err, uint64(va))
+			g.failJobFault(slot, as, err)
 			return
 		}
 		magic := le32(desc[0:])
 		if magic != JobDescMagic {
-			g.failJob(slot, JSStatusJobReadFault, uint64(va))
+			g.failJob(slot, JSStatusJobReadFault)
 			return
 		}
 		shaderVA := gpumem.VA(le64(desc[8:]))
 		nextVA := gpumem.VA(le64(desc[16:]))
 		res, err := isa.Execute(mem, shaderVA, g.sku.ProductID)
 		if err != nil {
-			g.failJobFault(slot, as, err, uint64(shaderVA))
+			g.failJobFault(slot, as, err)
 			return
 		}
 		totalFLOPs += res.FLOPs
@@ -655,18 +626,6 @@ func (g *GPU) runJobChain(slot int) {
 		g.stats.FastPathed += int64(res.FastPathed)
 		duration += perJobOverhead + time.Duration(float64(res.FLOPs)/(g.sku.GFLOPS*1e9)*float64(time.Second))
 		va = nextVA
-	}
-	if g.sched != nil {
-		// Event-driven mode: the chain completes at now+duration via an
-		// engine event; the slot stays ACTIVE until then. Decode-side
-		// counters (Instructions, FastPathed) were accounted above;
-		// completion-side counters move with the event.
-		flops := totalFLOPs
-		timesim.After(g.sched, duration, g.schedKey, func() error {
-			g.completeChain(slot, duration, flops)
-			return nil
-		})
-		return
 	}
 	// Health plan: an ECC/fall-off fault due now kills the chain (and the
 	// device) here; a thermal window stretches the chain's latency.
@@ -680,55 +639,22 @@ func (g *GPU) runJobChain(slot int) {
 	g.jobIRQRaw |= 1 << uint(slot)
 }
 
-// completeChain retires an event-driven job chain: slot DONE, interrupt
-// raised, completion-side counters accounted, IRQ wire poked.
-func (g *GPU) completeChain(slot int, duration time.Duration, flops int64) {
-	g.mu.Lock()
-	s := &g.slots[slot]
-	g.stats.Busy += duration
-	g.stats.JobsExecuted++
-	g.stats.FLOPs += flops
-	s.status = JSStatusDone
-	s.head = 0
-	g.jobIRQRaw |= 1 << uint(slot)
-	onIRQ := g.onJobIRQ
-	g.mu.Unlock()
-	if onIRQ != nil {
-		onIRQ()
-	}
-}
-
-func (g *GPU) failJob(slot int, status uint32, addr uint64) {
+func (g *GPU) failJob(slot int, status uint32) {
 	s := &g.slots[slot]
 	s.status = status
 	s.head = 0
 	g.stats.Faults++
 	g.jobIRQRaw |= 1 << uint(16+slot) // failure bits live in the high half
-	if g.sched != nil {
-		// Event-driven mode delivers every outcome over the IRQ wire, so a
-		// synchronous fault still pokes it — via a zero-delay event, since
-		// g.mu is held here and the wire callback reads GPU state.
-		timesim.After(g.sched, 0, g.schedKey, func() error {
-			g.mu.Lock()
-			onIRQ := g.onJobIRQ
-			g.mu.Unlock()
-			if onIRQ != nil {
-				onIRQ()
-			}
-			return nil
-		})
-	}
-	_ = addr
 }
 
-func (g *GPU) failJobFault(slot, as int, err error, addr uint64) {
+func (g *GPU) failJobFault(slot, as int, err error) {
 	if f, ok := err.(*isa.Fault); ok {
 		a := &g.spaces[as]
 		a.faultStatus = JSStatusTranslationFault
 		a.faultAddr = uint64(f.VA)
 		g.mmuIRQRaw |= 1 << uint(as)
 	}
-	g.failJob(slot, JSStatusTranslationFault, addr)
+	g.failJob(slot, JSStatusTranslationFault)
 }
 
 func le32(b []byte) uint32 {

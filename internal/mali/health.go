@@ -36,16 +36,10 @@ type DeviceLost struct{ Err error }
 
 func (d DeviceLost) Error() string { return d.Err.Error() }
 
-// AttachHealth arms device-health injection. Only the synchronous
-// (record-path) GPU supports it: scheduler-mode completion defers work past
-// the tick that ordered it, which would decouple fault instants from the
-// virtual clock the plan is written against.
+// AttachHealth arms device-health injection.
 func (g *GPU) AttachHealth(h HealthInjector, resolve RegionResolver) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.sched != nil {
-		panic("mali: health injection requires synchronous mode")
-	}
 	g.health, g.resolveRegion = h, resolve
 }
 

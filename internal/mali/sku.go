@@ -1,10 +1,6 @@
 package mali
 
-import (
-	"fmt"
-
-	"gpurelay/internal/gpumem"
-)
+import "gpurelay/internal/gpumem"
 
 // SKU describes one GPU hardware model. The paper's Figure 3 motivates GR-T
 // with the diversity of mobile GPU SKUs (~80 on current phones); the fields
@@ -116,13 +112,4 @@ var Catalog = map[string]*SKU{
 	"arm,mali-g31-mp2":  G31MP2,
 	"arm,mali-g51-mp4":  G51MP4,
 	"arm,mali-g77-mp11": G77MP11,
-}
-
-// LookupSKU resolves a devicetree compatible string to a SKU.
-func LookupSKU(compatible string) (*SKU, error) {
-	s, ok := Catalog[compatible]
-	if !ok {
-		return nil, fmt.Errorf("mali: unknown GPU compatible %q", compatible)
-	}
-	return s, nil
 }

@@ -264,14 +264,6 @@ func (l *Link) Stats() Stats {
 	return l.stats
 }
 
-// ResetStats zeroes the statistics, e.g. between the warm-up and measured
-// phases of an experiment.
-func (l *Link) ResetStats() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stats = Stats{}
-}
-
 // cost returns the end-to-end latency of one round trip carrying the given
 // payloads.
 func (l *Link) cost(reqBytes, respBytes int64) (total, busy time.Duration) {
@@ -351,33 +343,6 @@ func (l *Link) WaitUntil(t time.Duration) time.Duration {
 	endSpan()
 	l.obs.Count(obs.MNetStallNS, int64(t-now))
 	return t - now
-}
-
-// ScheduleOneWay posts a unidirectional message of n bytes as a deferred
-// delivery event on s: the sender does not stall (its clock is untouched),
-// and fn runs at the arrival time — half an RTT plus serialization, plus any
-// injected fault latency — ordered against other engine events by key. It
-// returns the arrival time. Traffic statistics are accounted at send time,
-// exactly as OneWay accounts them, so a link's Stats are identical whichever
-// form a message takes.
-func (l *Link) ScheduleOneWay(s timesim.Scheduler, key uint64, n int64, fn func()) time.Duration {
-	l.checkCtx()
-	busy := l.cond.TransferTime(n)
-	extra, _ := l.applyFaults(l.cond.RTT/2 + busy)
-	delay := l.cond.RTT/2 + busy + extra
-	l.mu.Lock()
-	l.stats.BytesSent += n
-	l.stats.Busy += busy
-	l.mu.Unlock()
-	l.obs.Count(obs.MNetBytes, n, obs.L("dir", "sent"))
-	arrival := s.Now() + delay
-	timesim.After(s, delay, key, func() error {
-		if fn != nil {
-			fn()
-		}
-		return nil
-	})
-	return arrival
 }
 
 // OneWay models a unidirectional message (e.g. the final recording download

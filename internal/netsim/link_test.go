@@ -97,15 +97,6 @@ func TestOneWay(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	l := NewLink(WiFi, timesim.NewClock())
-	l.RoundTrip(10, 10)
-	l.ResetStats()
-	if s := l.Stats(); s != (Stats{}) {
-		t.Fatalf("stats after reset = %+v, want zero", s)
-	}
-}
-
 func TestStatsTotals(t *testing.T) {
 	s := Stats{BlockingRTTs: 3, AsyncRTTs: 4, BytesSent: 10, BytesReceived: 20}
 	if s.TotalRTTs() != 7 {

@@ -32,7 +32,7 @@ func TestWriteFleetTrace(t *testing.T) {
 	eng.SetTrace(etrace)
 	for key := uint64(0); key < 2; key++ {
 		for _, at := range []time.Duration{time.Millisecond, 3 * time.Millisecond} {
-			eng.Schedule(&timesim.FuncEvent{At: at, K: key, Fn: func() error { return nil }})
+			eng.Schedule(at, key, func() error { return nil })
 		}
 	}
 	if err := eng.Run(); err != nil {

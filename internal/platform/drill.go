@@ -356,11 +356,7 @@ func (d *drill) run(ctx context.Context) (*DrillResult, error) {
 	if d.store != nil {
 		for i := 0; i < o.Sessions; i++ {
 			i := i
-			d.eng.Schedule(&timesim.FuncEvent{
-				At: arrivalGap * time.Duration(i+1),
-				K:  uint64(i),
-				Fn: func() error { return d.arrive(ctx, i) },
-			})
+			d.eng.Schedule(arrivalGap*time.Duration(i+1), uint64(i), func() error { return d.arrive(ctx, i) })
 		}
 	} else {
 		for w := 0; w < len(d.models) && err == nil; w++ {

@@ -1,89 +1,27 @@
-// Package platform composes N simulated GPUs and a discrete-event engine
-// into one multi-GPU recording host.
+// Package platform runs many record sessions on one discrete-event engine:
+// N GPUs' worth of sessions (RecordAll), and the fleet drill (Drill).
 //
 // The record pipeline itself stays single-GPU and strictly sequential — that
 // is the paper's faithful model (§5, queue length 1). What platform adds is
 // the layer above it, the part the paper's evaluation ran by hand N times
-// over: a builder that stands up N GPUs' worth of record sessions on one
-// timesim.Engine, so they share a single virtual timeline and, on a parallel
-// engine, execute their same-timestamp events on all host cores. Each
-// session runs unchanged as an engine process with a process clock, which is
-// what keeps every per-GPU recording byte-identical to the recording a lone
-// single-GPU session would have produced.
+// over: it hosts the sessions on one timesim.Engine, so they share a single
+// virtual timeline and, on a parallel engine, execute their same-timestamp
+// events on all host cores. Each session runs unchanged as an engine process
+// with a process clock, which is what keeps every per-GPU recording
+// byte-identical to the recording a lone single-GPU session would have
+// produced.
 package platform
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"gpurelay/internal/record"
 	"gpurelay/internal/timesim"
 )
-
-// Builder configures a multi-GPU platform. The zero-configured builder
-// (NewBuilder().Build()) is a single-GPU host on a serial engine — exactly
-// the semantics the rest of the repository has always had.
-type Builder struct {
-	numGPU int
-	engine timesim.Engine
-}
-
-// NewBuilder returns a builder for a 1-GPU serial-engine platform.
-func NewBuilder() *Builder { return &Builder{numGPU: 1} }
-
-// WithNumGPU sets the number of GPUs (and thus concurrent record sessions)
-// the platform hosts.
-func (b *Builder) WithNumGPU(n int) *Builder {
-	if n < 1 {
-		panic(fmt.Sprintf("platform: need at least one GPU, got %d", n))
-	}
-	b.numGPU = n
-	return b
-}
-
-// WithEngine installs a specific engine instance.
-func (b *Builder) WithEngine(e timesim.Engine) *Builder {
-	b.engine = e
-	return b
-}
-
-// WithSerialEngine selects a fresh serial engine (the default): events
-// execute one at a time in (time, key) order.
-func (b *Builder) WithSerialEngine() *Builder {
-	return b.WithEngine(timesim.NewSerialEngine())
-}
-
-// WithParallelEngine selects a fresh parallel engine: same-timestamp events
-// from different GPUs execute concurrently, with a barrier between
-// timestamps. Results are byte-identical to the serial engine.
-func (b *Builder) WithParallelEngine() *Builder {
-	return b.WithEngine(timesim.NewParallelEngine())
-}
-
-// Build materializes the platform.
-func (b *Builder) Build() *Platform {
-	eng := b.engine
-	if eng == nil {
-		eng = timesim.NewSerialEngine()
-	}
-	return &Platform{eng: eng, numGPU: b.numGPU}
-}
-
-// Platform is a built multi-GPU host: N record-session slots sharing one
-// engine.
-type Platform struct {
-	eng    timesim.Engine
-	numGPU int
-}
-
-// Engine returns the shared engine; callers may schedule their own events on
-// it alongside the platform's sessions.
-func (p *Platform) Engine() timesim.Engine { return p.eng }
-
-// NumGPU returns the number of GPUs the platform hosts.
-func (p *Platform) NumGPU() int { return p.numGPU }
 
 // SessionKey derives a deterministic per-GPU session key from a platform
 // seed. Multi-GPU scenarios need one key per GPU session (each recording is
@@ -100,30 +38,30 @@ func SessionKey(seed uint64, gpu int) []byte {
 	return h.Sum(nil)
 }
 
-// RecordAll runs one record session per GPU, each as a process on the
-// platform's engine, and returns the per-GPU results in GPU order. cfgs must
-// have exactly NumGPU entries; entry i's Clock is overwritten with GPU i's
-// process clock. On a parallel engine the sessions' same-timestamp events
-// run concurrently, so cross-session shared state would be both a data race
-// and a determinism leak — RecordAll therefore rejects configs that share a
-// History or an Obs scope. (Nil History and nil Obs are fine: each session
-// then gets its own fresh speculation history and stays uninstrumented.)
+// RecordAll runs one record session per GPU, each as a process on eng
+// keyed by its GPU index, and returns the per-GPU results in GPU order:
+// cfgs[i] configures GPU i's session, and its Clock is overwritten with that
+// session's process clock. On a parallel engine the sessions'
+// same-timestamp events run concurrently, so cross-session shared state
+// would be both a data race and a determinism leak — RecordAll therefore
+// rejects configs that share a History or an Obs scope. (Nil History and
+// nil Obs are fine: each session then gets its own fresh speculation
+// history and stays uninstrumented.)
 //
 // The first session error aborts the run; sessions that already completed
 // are discarded with it, keeping the all-or-nothing contract a multi-GPU
 // recording artifact needs.
-func (p *Platform) RecordAll(ctx context.Context, cfgs []record.Config) ([]*record.Result, error) {
-	if len(cfgs) != p.numGPU {
-		return nil, fmt.Errorf("platform: %d session configs for %d GPUs", len(cfgs), p.numGPU)
+func RecordAll(ctx context.Context, eng timesim.Engine, cfgs []record.Config) ([]*record.Result, error) {
+	if len(cfgs) == 0 {
+		return nil, errors.New("platform: no session configs: a platform needs at least one GPU")
 	}
 	if err := checkDisjoint(cfgs); err != nil {
 		return nil, err
 	}
 	results := make([]*record.Result, len(cfgs))
 	for i := range cfgs {
-		i := i
 		cfg := cfgs[i]
-		p.eng.Go(uint64(i), func(tm timesim.Time) error {
+		eng.Go(uint64(i), func(tm timesim.Time) error {
 			cfg.Clock = tm
 			res, err := record.RunContext(ctx, cfg)
 			if err != nil {
@@ -133,7 +71,7 @@ func (p *Platform) RecordAll(ctx context.Context, cfgs []record.Config) ([]*reco
 			return nil
 		})
 	}
-	if err := p.eng.Run(); err != nil {
+	if err := eng.Run(); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -150,10 +88,6 @@ func checkDisjoint(cfgs []record.Config) error {
 			if cfgs[i].Obs != nil && cfgs[i].Obs == cfgs[j].Obs {
 				return fmt.Errorf("platform: sessions %d and %d share an obs scope; "+
 					"parallel sessions need disjoint state", i, j)
-			}
-			if cfgs[i].Clock != nil && cfgs[i].Clock == cfgs[j].Clock {
-				return fmt.Errorf("platform: sessions %d and %d share a clock; "+
-					"RecordAll assigns each session its own process clock", i, j)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
+	"gpurelay/internal/obs"
 	"gpurelay/internal/record"
 	"gpurelay/internal/replay"
 	"gpurelay/internal/shim"
@@ -34,15 +35,15 @@ func drillConfigs(n int) []record.Config {
 
 func TestRecordAllMultiGPU(t *testing.T) {
 	for _, mk := range []struct {
-		name  string
-		build func(*Builder) *Builder
+		name string
+		eng  func() timesim.Engine
 	}{
-		{"serial", (*Builder).WithSerialEngine},
-		{"parallel", (*Builder).WithParallelEngine},
+		{"serial", func() timesim.Engine { return timesim.NewSerialEngine() }},
+		{"parallel", func() timesim.Engine { return timesim.NewParallelEngine() }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
-			p := mk.build(NewBuilder().WithNumGPU(3)).Build()
-			results, err := p.RecordAll(context.Background(), drillConfigs(3))
+			eng := mk.eng()
+			results, err := RecordAll(context.Background(), eng, drillConfigs(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +63,7 @@ func TestRecordAllMultiGPU(t *testing.T) {
 			if results[0].Signed.MAC == results[1].Signed.MAC {
 				t.Fatal("distinct sessions produced identical seals")
 			}
-			if p.Engine().Events() == 0 {
+			if eng.Events() == 0 {
 				t.Fatal("no events executed; sessions did not run as engine processes")
 			}
 		})
@@ -81,8 +82,7 @@ func TestRecordAllMatchesStandaloneSession(t *testing.T) {
 		}
 		standalone[i] = res.Signed.MAC
 	}
-	p := NewBuilder().WithNumGPU(2).WithParallelEngine().Build()
-	results, err := p.RecordAll(context.Background(), drillConfigs(2))
+	results, err := RecordAll(context.Background(), timesim.NewParallelEngine(), drillConfigs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +93,29 @@ func TestRecordAllMatchesStandaloneSession(t *testing.T) {
 	}
 }
 
+// TestRecordAllRejectsSharedState checks that RecordAll refuses, before any
+// session runs, configs that share a History or an Obs scope, and an empty
+// config list.
 func TestRecordAllRejectsSharedState(t *testing.T) {
-	p := NewBuilder().WithNumGPU(2).Build()
-	cfgs := drillConfigs(2)
-	h := shim.NewHistory(3)
-	cfgs[0].History, cfgs[1].History = h, h
-	if _, err := p.RecordAll(context.Background(), cfgs); err == nil {
-		t.Fatal("shared History accepted")
-	}
-	cfgs = drillConfigs(2)
-	if _, err := p.RecordAll(context.Background(), cfgs[:1]); err == nil {
-		t.Fatal("config count mismatch accepted")
+	h, sc := shim.NewHistory(3), obs.NewScope("shared", obs.Options{})
+	for name, edit := range map[string]func([]record.Config) []record.Config{
+		"shared History": func(c []record.Config) []record.Config {
+			c[0].History, c[1].History = h, h
+			return c
+		},
+		"shared Obs": func(c []record.Config) []record.Config {
+			c[0].Obs, c[1].Obs = sc, sc
+			return c
+		},
+		"no configs": func([]record.Config) []record.Config { return nil },
+	} {
+		eng := timesim.NewSerialEngine()
+		if _, err := RecordAll(context.Background(), eng, edit(drillConfigs(2))); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if eng.Events() != 0 {
+			t.Errorf("%s: %d events ran before the refusal", name, eng.Events())
+		}
 	}
 }
 
@@ -197,8 +209,7 @@ func replayOne(t *testing.T, e Entry) {
 }
 
 func TestMultiGPURecordSealReplayVerify(t *testing.T) {
-	p := NewBuilder().WithNumGPU(2).WithParallelEngine().Build()
-	results, err := p.RecordAll(context.Background(), drillConfigs(2))
+	results, err := RecordAll(context.Background(), timesim.NewParallelEngine(), drillConfigs(2))
 	if err != nil {
 		t.Fatal(err)
 	}

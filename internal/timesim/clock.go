@@ -17,11 +17,11 @@
 //     monotonic timeline is a faithful model.
 //
 //   - the process clocks handed out by an Engine (engine.go): a discrete-
-//     event simulation core where components post future work as events
-//     instead of imperatively bumping a counter. The serial engine is a
+//     event simulation core that hosts many such sessions as processes on
+//     one timeline, each Advance a wakeup event. The serial engine is a
 //     drop-in faithful to Clock semantics; the parallel engine executes
 //     same-timestamp events concurrently, which is what lets a multi-GPU
-//     platform or a fleet drill use every host core deterministically.
+//     recording or a fleet drill use every host core deterministically.
 package timesim
 
 import (

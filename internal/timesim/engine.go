@@ -6,52 +6,41 @@ import (
 	"time"
 )
 
-// Scheduler is the event-posting half of an engine: components that defer
-// work (a GPU slot completing a job chain, a link delivering a one-way
-// message) hold a Scheduler and post events instead of advancing a clock.
-type Scheduler interface {
-	Source
-	// Schedule admits an event. Scheduling at a time before Now panics —
-	// the engine's timeline, like a Clock's, is monotonic.
-	Schedule(e Event)
-}
-
-// After posts fn on s at now+d with ordering key. It is the one-liner most
-// deferred work wants.
-func After(s Scheduler, d time.Duration, key uint64, fn func() error) {
-	if d < 0 {
-		panic(fmt.Sprintf("timesim: negative deferral %v", d))
-	}
-	s.Schedule(&FuncEvent{At: s.Now() + d, K: key, Fn: fn})
-}
-
-// Engine is a discrete-event simulation core: events are executed in
-// timestamp order, and engine time jumps from one event timestamp to the
-// next. The two implementations differ only in how they treat events that
-// share a timestamp:
+// Engine is a discrete-event simulation core. An event is a function at
+// (time, key); events execute in timestamp order, and engine time jumps
+// from one event timestamp to the next. The two implementations differ
+// only in how they treat events that share a timestamp:
 //
 //   - NewSerialEngine executes them one at a time, ordered by key — a
 //     drop-in faithful to the single-Clock semantics.
 //
 //   - NewParallelEngine executes the whole same-timestamp batch
-//     concurrently, with a barrier before time moves on. Handlers in one
+//     concurrently, with a barrier before time moves on. Events in one
 //     batch must touch disjoint state (distinct sessions, distinct GPUs);
 //     under that rule the parallel engine produces results byte-identical
 //     to the serial engine at any GOMAXPROCS.
 //
-// Besides raw events, an engine hosts processes (Go): goroutines that drive
-// the existing imperative record/replay pipeline unchanged, with every
-// Advance of their process clock turned into a scheduled wakeup event. That
-// is how whole record sessions become engine workloads without rewriting
-// the driver stack.
+// An engine's workloads are processes (Go): goroutines that drive the
+// imperative record/replay pipeline unchanged, with every Advance of their
+// process clock turned into a scheduled wakeup event. That is how whole
+// record sessions become engine workloads without rewriting the driver
+// stack.
 type Engine interface {
-	Scheduler
+	Source
+	// Schedule admits fn to run at virtual time at. Events that share a
+	// timestamp execute in ascending key order on the serial engine and may
+	// execute concurrently on the parallel engine, so same-time events
+	// must either carry distinct keys or touch disjoint state. Callers
+	// derive keys from stable identities (GPU index, session index), never
+	// from arrival order. Scheduling at a time before Now panics: the
+	// engine's timeline, like a Clock's, is monotonic.
+	Schedule(at time.Duration, key uint64, fn func() error)
 	// Go launches fn as an engine process with the given deterministic
 	// key: fn runs on its own goroutine, and the Time it receives parks
 	// the goroutine at every Advance until the engine reaches the wakeup.
 	// The returned error of fn is reported by Run. Go must be called
 	// before Run (processes admitted at time 0) or from inside a running
-	// handler/process (admitted at the current engine time).
+	// event or process (admitted at the current engine time).
 	Go(key uint64, fn func(t Time) error)
 	// Run drains the event queue, executing every event and process to
 	// completion, and returns the first error any of them reported.
@@ -114,15 +103,15 @@ func (c *engineCore) Now() time.Duration {
 	return c.now
 }
 
-// Schedule implements Scheduler.
-func (c *engineCore) Schedule(e Event) {
+// Schedule implements Engine.
+func (c *engineCore) Schedule(at time.Duration, key uint64, fn func() error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.Time() < c.now {
-		panic(fmt.Sprintf("timesim: event scheduled at %v, engine already at %v", e.Time(), c.now))
+	if at < c.now {
+		panic(fmt.Sprintf("timesim: event scheduled at %v, engine already at %v", at, c.now))
 	}
 	c.seq++
-	c.q.push(eventEntry{ev: e, seq: c.seq})
+	c.q.push(event{at: at, key: key, seq: c.seq, fn: fn})
 }
 
 // Events implements Engine.
@@ -139,6 +128,27 @@ func (c *engineCore) Batches() BatchStats {
 	return BatchStats{Timestamps: c.batches, MaxWidth: c.maxWidth}
 }
 
+// run executes drain as the engine's one Run and returns the first error an
+// event reported.
+func (c *engineCore) run(drain func()) error {
+	c.mu.Lock()
+	if c.running {
+		c.mu.Unlock()
+		panic("timesim: Engine.Run is not reentrant")
+	}
+	c.running = true
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.running = false
+		c.mu.Unlock()
+	}()
+	drain()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.firstErr
+}
+
 // countWidth folds n same-timestamp events into the batch-width statistics;
 // the caller holds c.mu and has already advanced c.now.
 func (c *engineCore) countWidth(newTimestamp bool, n int) {
@@ -152,7 +162,7 @@ func (c *engineCore) countWidth(newTimestamp bool, n int) {
 	}
 }
 
-// fail records the first handler error.
+// fail records the first event error.
 func (c *engineCore) fail(err error) {
 	if err == nil {
 		return
@@ -166,16 +176,16 @@ func (c *engineCore) fail(err error) {
 
 // next pops the earliest event, advancing engine time to it. It returns
 // false when the queue is empty.
-func (c *engineCore) next() (eventEntry, bool) {
+func (c *engineCore) next() (event, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.q) == 0 {
-		return eventEntry{}, false
+		return event{}, false
 	}
 	e := c.q.pop()
-	fresh := !c.timeKnown || e.ev.Time() != c.now
+	fresh := !c.timeKnown || e.at != c.now
 	c.timeKnown = true
-	c.now = e.ev.Time()
+	c.now = e.at
 	c.handled++
 	c.countWidth(fresh, 1)
 	if c.trace != nil {
@@ -184,18 +194,18 @@ func (c *engineCore) next() (eventEntry, bool) {
 		// produce identical traces.
 		depth := len(c.q)
 		for i := range c.q {
-			if c.q[i].ev.Time() == c.now {
+			if c.q[i].at == c.now {
 				depth--
 			}
 		}
-		c.trace.record(c.now, e.ev.Key(), e.seq, depth)
+		c.trace.record(c.now, e.key, e.seq, depth)
 	}
 	return e, true
 }
 
 // batch pops every event sharing the earliest timestamp, advancing engine
 // time to it. The batch comes out sorted by (key, seq).
-func (c *engineCore) batch(scratch []eventEntry) []eventEntry {
+func (c *engineCore) batch(scratch []event) []event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.q) == 0 {
@@ -203,11 +213,11 @@ func (c *engineCore) batch(scratch []eventEntry) []eventEntry {
 	}
 	out := scratch[:0]
 	first := c.q.pop()
-	fresh := !c.timeKnown || first.ev.Time() != c.now
+	fresh := !c.timeKnown || first.at != c.now
 	c.timeKnown = true
-	c.now = first.ev.Time()
+	c.now = first.at
 	out = append(out, first)
-	for len(c.q) > 0 && c.q[0].ev.Time() == c.now {
+	for len(c.q) > 0 && c.q[0].at == c.now {
 		out = append(out, c.q.pop())
 	}
 	c.handled += int64(len(out))
@@ -216,8 +226,8 @@ func (c *engineCore) batch(scratch []eventEntry) []eventEntry {
 		// Pop order is deterministic ((time, key, seq) heap order), so the
 		// trace is identical however the batch later executes.
 		depth := len(c.q)
-		for _, ent := range out {
-			c.trace.record(c.now, ent.ev.Key(), ent.seq, depth)
+		for _, e := range out {
+			c.trace.record(c.now, e.key, e.seq, depth)
 		}
 	}
 	return out
@@ -236,50 +246,28 @@ var _ Engine = (*SerialEngine)(nil)
 // NewSerialEngine creates a serial engine at time 0.
 func NewSerialEngine() *SerialEngine { return &SerialEngine{} }
 
-// Go implements Engine.
-func (e *SerialEngine) Go(key uint64, fn func(t Time) error) {
-	launchProc(&e.engineCore, key, fn)
-}
-
 // Run implements Engine.
 func (e *SerialEngine) Run() error {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("timesim: Engine.Run is not reentrant")
-	}
-	e.running = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.running = false
-		e.mu.Unlock()
-	}()
-	for {
-		ent, ok := e.next()
-		if !ok {
-			break
+	return e.run(func() {
+		for {
+			ev, ok := e.next()
+			if !ok {
+				return
+			}
+			e.fail(ev.fn())
 		}
-		e.fail(ent.ev.Handler().Handle(ent.ev))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.firstErr
+	})
 }
 
 // ParallelEngine executes every event of the earliest timestamp
 // concurrently, then waits for the whole batch (a barrier) before engine
-// time moves to the next timestamp. Same-timestamp handlers must touch
-// disjoint state; each individual handler observes exactly the event
+// time moves to the next timestamp. Same-timestamp events must touch
+// disjoint state; each individual event observes exactly the event
 // sequence it would have observed under the serial engine, so per-component
 // results (recordings, seals, stats) are byte-identical — the determinism
 // property test pins this at GOMAXPROCS 1, 2, and 8.
 type ParallelEngine struct {
 	engineCore
-	// MaxConcurrency bounds the goroutines dispatched per batch; 0 means
-	// unbounded (the Go scheduler's GOMAXPROCS already bounds true
-	// parallelism).
-	MaxConcurrency int
 }
 
 var _ Engine = (*ParallelEngine)(nil)
@@ -287,72 +275,43 @@ var _ Engine = (*ParallelEngine)(nil)
 // NewParallelEngine creates a parallel engine at time 0.
 func NewParallelEngine() *ParallelEngine { return &ParallelEngine{} }
 
-// Go implements Engine.
-func (e *ParallelEngine) Go(key uint64, fn func(t Time) error) {
-	launchProc(&e.engineCore, key, fn)
-}
-
 // Run implements Engine.
 func (e *ParallelEngine) Run() error {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("timesim: Engine.Run is not reentrant")
-	}
-	e.running = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.running = false
-		e.mu.Unlock()
-	}()
-	var scratch []eventEntry
-	var panicVal any
-	var panicMu sync.Mutex
-	for {
-		batch := e.batch(scratch)
-		if len(batch) == 0 {
-			break
-		}
-		scratch = batch // reuse the backing array next round
-		if len(batch) == 1 {
-			e.fail(batch[0].ev.Handler().Handle(batch[0].ev))
-			continue
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, e.concurrency(len(batch)))
-		for i := range batch {
-			ent := batch[i]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicVal == nil {
-							panicVal = r
+	return e.run(func() {
+		var scratch []event
+		var panicVal any
+		var panicMu sync.Mutex
+		for {
+			batch := e.batch(scratch)
+			if len(batch) == 0 {
+				return
+			}
+			scratch = batch // reuse the backing array next round
+			if len(batch) == 1 {
+				e.fail(batch[0].fn())
+				continue
+			}
+			var wg sync.WaitGroup
+			for _, ev := range batch {
+				wg.Add(1)
+				go func() {
+					defer func() {
+						if r := recover(); r != nil {
+							panicMu.Lock()
+							if panicVal == nil {
+								panicVal = r
+							}
+							panicMu.Unlock()
 						}
-						panicMu.Unlock()
-					}
-					<-sem
-					wg.Done()
+						wg.Done()
+					}()
+					e.fail(ev.fn())
 				}()
-				e.fail(ent.ev.Handler().Handle(ent.ev))
-			}()
+			}
+			wg.Wait()
+			if panicVal != nil {
+				panic(panicVal)
+			}
 		}
-		wg.Wait()
-		if panicVal != nil {
-			panic(panicVal)
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.firstErr
-}
-
-func (e *ParallelEngine) concurrency(batchLen int) int {
-	if e.MaxConcurrency > 0 && e.MaxConcurrency < batchLen {
-		return e.MaxConcurrency
-	}
-	return batchLen
+	})
 }

@@ -15,13 +15,13 @@ func TestSerialEngineOrdering(t *testing.T) {
 	e := NewSerialEngine()
 	var order []string
 	post := func(at time.Duration, key uint64, name string) {
-		e.Schedule(&FuncEvent{At: at, K: key, Fn: func() error {
+		e.Schedule(at, key, func() error {
 			order = append(order, name)
 			if got := e.Now(); got != at {
 				t.Errorf("event %s ran at engine time %v, want %v", name, got, at)
 			}
 			return nil
-		}})
+		})
 	}
 	post(3*time.Millisecond, 1, "c")
 	post(time.Millisecond, 2, "b")
@@ -48,11 +48,11 @@ func TestEngineEventsCascade(t *testing.T) {
 		now := e.Now()
 		fired = append(fired, now)
 		if now < 3*time.Millisecond {
-			After(e, time.Millisecond, 0, chain)
+			e.Schedule(now+time.Millisecond, 0, chain)
 		}
 		return nil
 	}
-	e.Schedule(&FuncEvent{At: 0, K: 0, Fn: chain})
+	e.Schedule(0, 0, chain)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +63,15 @@ func TestEngineEventsCascade(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewSerialEngine()
-	e.Schedule(&FuncEvent{At: time.Millisecond, K: 0, Fn: func() error {
+	e.Schedule(time.Millisecond, 0, func() error {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(&FuncEvent{At: 0, K: 0, Fn: func() error { return nil }})
+		e.Schedule(0, 0, func() error { return nil })
 		return nil
-	}})
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 func TestEngineErrorPropagates(t *testing.T) {
 	e := NewSerialEngine()
 	boom := errors.New("boom")
-	e.Schedule(&FuncEvent{At: 0, K: 0, Fn: func() error { return boom }})
-	e.Schedule(&FuncEvent{At: time.Millisecond, K: 0, Fn: func() error { return nil }})
+	e.Schedule(0, 0, func() error { return boom })
+	e.Schedule(time.Millisecond, 0, func() error { return nil })
 	if err := e.Run(); !errors.Is(err, boom) {
 		t.Fatalf("Run = %v, want boom", err)
 	}
@@ -232,51 +232,6 @@ func TestProcessAdvanceToAndNegatives(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTicker(t *testing.T) {
-	e := NewSerialEngine()
-	var at []time.Duration
-	tk := NewTicker(e, time.Millisecond, 7, func(now time.Duration) bool {
-		at = append(at, now)
-		return now < 3*time.Millisecond
-	})
-	tk.Start()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
-	if len(at) != len(want) {
-		t.Fatalf("ticks at %v, want %v", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, at[i], want[i])
-		}
-	}
-	if tk.Ticks() != 3 {
-		t.Fatalf("Ticks() = %d, want 3", tk.Ticks())
-	}
-}
-
-func TestTickerStop(t *testing.T) {
-	e := NewSerialEngine()
-	n := 0
-	var tk *Ticker
-	tk = NewTicker(e, time.Millisecond, 0, func(time.Duration) bool {
-		n++
-		if n == 2 {
-			tk.Stop()
-		}
-		return true
-	})
-	tk.Start()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("ticker fired %d times after Stop at 2", n)
 	}
 }
 

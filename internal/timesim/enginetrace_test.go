@@ -10,12 +10,12 @@ import (
 func traceWorkload(e Engine) {
 	for key := uint64(0); key < 3; key++ {
 		key := key
-		e.Schedule(&FuncEvent{At: time.Millisecond, K: key, Fn: func() error {
-			After(e, time.Millisecond, key, func() error { return nil })
+		e.Schedule(time.Millisecond, key, func() error {
+			e.Schedule(2*time.Millisecond, key, func() error { return nil })
 			return nil
-		}})
+		})
 	}
-	e.Schedule(&FuncEvent{At: 3 * time.Millisecond, K: 1, Fn: func() error { return nil }})
+	e.Schedule(3*time.Millisecond, 1, func() error { return nil })
 }
 
 func TestEngineTraceRecordsPopOrder(t *testing.T) {

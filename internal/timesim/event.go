@@ -5,92 +5,47 @@ import (
 	"time"
 )
 
-// Event is one unit of future work on an engine's timeline. Components post
-// events instead of imperatively advancing a shared clock; the engine
-// executes them in timestamp order.
-type Event interface {
-	// Time is the virtual time at which the event fires.
-	Time() time.Duration
-	// Handler returns the component that handles the event.
-	Handler() Handler
-	// Key is a deterministic secondary ordering key. Events that share a
-	// timestamp execute in ascending key order on the serial engine, and
-	// may execute concurrently on the parallel engine — so events with
-	// equal timestamps must either carry distinct keys or be commutative
-	// (touch disjoint state). Platform code derives keys from stable
-	// component identities (GPU index, session index), never from arrival
-	// order.
-	Key() uint64
-}
-
-// Handler handles events. A handler's Handle is never invoked concurrently
-// with itself for events carrying the same key; across keys the parallel
-// engine may run handlers concurrently, so cross-handler shared state must
-// be synchronized or (better) not shared.
-type Handler interface {
-	Handle(e Event) error
-}
-
-// FuncEvent is the plain-function event: at time At, with deterministic
-// ordering key K, run Fn. It is its own handler.
-type FuncEvent struct {
-	At time.Duration
-	K  uint64
-	Fn func() error
-}
-
-// Time implements Event.
-func (e *FuncEvent) Time() time.Duration { return e.At }
-
-// Key implements Event.
-func (e *FuncEvent) Key() uint64 { return e.K }
-
-// Handler implements Event: a FuncEvent handles itself.
-func (e *FuncEvent) Handler() Handler { return e }
-
-// Handle implements Handler.
-func (e *FuncEvent) Handle(Event) error { return e.Fn() }
-
-// eventEntry wraps a scheduled event with its admission sequence number,
-// the final (non-deterministic under parallel scheduling, hence last)
-// tiebreaker.
-type eventEntry struct {
-	ev  Event
+// event is one unit of future work on an engine's timeline: at time at,
+// with deterministic ordering key key, run fn. seq is the admission
+// sequence number, the final (non-deterministic under parallel scheduling,
+// hence last) tiebreaker.
+type event struct {
+	at  time.Duration
+	key uint64
 	seq uint64
+	fn  func() error
 }
 
 // eventQueue is a min-heap of events ordered by (time, key, seq).
-type eventQueue []eventEntry
+type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }
 
 func (q eventQueue) Less(i, j int) bool {
-	ti, tj := q[i].ev.Time(), q[j].ev.Time()
-	if ti != tj {
-		return ti < tj
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
-	ki, kj := q[i].ev.Key(), q[j].ev.Key()
-	if ki != kj {
-		return ki < kj
+	if q[i].key != q[j].key {
+		return q[i].key < q[j].key
 	}
 	return q[i].seq < q[j].seq
 }
 
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(eventEntry)) }
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = eventEntry{}
+	old[n-1] = event{}
 	*q = old[:n-1]
 	return e
 }
 
 // push admits an event.
-func (q *eventQueue) push(e eventEntry) { heap.Push(q, e) }
+func (q *eventQueue) push(e event) { heap.Push(q, e) }
 
-// pop removes and returns the earliest event entry.
-func (q *eventQueue) pop() eventEntry { return heap.Pop(q).(eventEntry) }
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() event { return heap.Pop(q).(event) }

@@ -20,10 +20,12 @@ type proc struct {
 	core *engineCore
 	key  uint64
 	fn   func(t Time) error
+	// wake is the process's start and wakeup event, bound once at launch.
+	wake func() error
 
 	// now is the process-local time: the timestamp of its last wakeup
 	// plus any zero-cost reads since. Touched only by the process
-	// goroutine (and by Handle before the goroutine starts).
+	// goroutine (and by Go before the goroutine starts).
 	now     time.Duration
 	started bool
 	resume  chan struct{}
@@ -38,42 +40,25 @@ type procYield struct {
 }
 
 var _ Time = (*proc)(nil)
-var _ Handler = (*proc)(nil)
 
-// launchProc registers a process and schedules its start event at the
-// engine's current time.
-func launchProc(core *engineCore, key uint64, fn func(t Time) error) {
+// Go implements Engine: it registers a process and schedules its start
+// event at the engine's current time.
+func (c *engineCore) Go(key uint64, fn func(t Time) error) {
 	p := &proc{
-		core: core, key: key, fn: fn,
+		core: c, key: key, fn: fn,
 		resume: make(chan struct{}),
 		yield:  make(chan procYield),
 	}
-	p.now = core.Now()
-	core.Schedule(&FuncEventAt{at: p.now, key: key, h: p})
+	p.wake = p.handle
+	p.now = c.Now()
+	c.Schedule(p.now, key, p.wake)
 }
 
-// FuncEventAt is the minimal event: a (time, key, handler) triple. Wakeups
-// and process starts use it.
-type FuncEventAt struct {
-	at  time.Duration
-	key uint64
-	h   Handler
-}
-
-// Time implements Event.
-func (e *FuncEventAt) Time() time.Duration { return e.at }
-
-// Key implements Event.
-func (e *FuncEventAt) Key() uint64 { return e.key }
-
-// Handler implements Event.
-func (e *FuncEventAt) Handler() Handler { return e.h }
-
-// Handle implements Handler: resume (or start) the process goroutine and
-// wait until it parks at its next wakeup or finishes. The wait is what
+// handle is the process's event: resume (or start) the process goroutine
+// and wait until it parks at its next wakeup or finishes. The wait is what
 // gives the engine its barrier semantics — an event is "handled" only once
 // the process has no more work at the current timestamp.
-func (p *proc) Handle(Event) error {
+func (p *proc) handle() error {
 	if !p.started {
 		p.started = true
 		go p.run()
@@ -116,7 +101,7 @@ func (p *proc) Advance(d time.Duration) time.Duration {
 		return p.now
 	}
 	p.now += d
-	p.core.Schedule(&FuncEventAt{at: p.now, key: p.key, h: p})
+	p.core.Schedule(p.now, p.key, p.wake)
 	p.yield <- procYield{}
 	<-p.resume
 	return p.now
