@@ -93,7 +93,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("bundle: %v", err)
 	}
+	// Each process fills its GPU's slot; the lines print in GPU order once
+	// the engine is done, whatever order the processes ran in.
 	eng := timesim.NewParallelEngine()
+	replays := make([]replay.Result, len(back))
 	for i, e := range back {
 		i, e := i, e
 		signed := &trace.Signed{Payload: e.Payload}
@@ -108,17 +111,18 @@ func main() {
 			if err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}
-			res, err := rp.Run()
-			if err != nil {
+			if replays[i], err = rp.Run(); err != nil {
 				return fmt.Errorf("gpu %d: %w", i, err)
 			}
-			fmt.Printf("  gpu %d: verified, replayed %d events in %.2f ms (virtual)\n",
-				i, res.Events, float64(res.Delay.Microseconds())/1000)
 			return nil
 		})
 	}
 	if err := eng.Run(); err != nil {
 		log.Fatalf("replay: %v", err)
+	}
+	for i, res := range replays {
+		fmt.Printf("  gpu %d: verified, replayed %d events in %.2f ms (virtual)\n",
+			i, res.Events, float64(res.Delay.Microseconds())/1000)
 	}
 	fmt.Println("all recordings verified and replayed ✓")
 }

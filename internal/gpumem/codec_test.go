@@ -2,10 +2,13 @@ package gpumem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"gpurelay/internal/wire"
@@ -117,13 +120,14 @@ func (r *codecRun) setImage(img *Snapshot) {
 
 // decode receives data through the Codec onto the run's image and checks it
 // against DecodeLimited(data, base), where base is the sender's delta base,
-// and returns the Codec's error. The image stands for a receiver whose last
-// dump produced base: when it holds anything else (the sequence switched
-// bases), it is reset to a copy of base first. Without a base the image
-// stays as it is for a full dump, which never reads it, and is dropped for
-// any other dump, as before a receiver's first. A delta patches the image in
-// place and a full dump reuses it; a failed receive leaves it untouched.
-// runs is how often the Codec must run the range decoder.
+// and returns the Codec's error, settling the Codec after the receive. The
+// image stands for a receiver whose last dump produced base: when it holds
+// anything else (the sequence switched bases), it is reset to a copy of
+// base first. Without a base the image stays as it is for a full dump,
+// which never reads it, and is dropped for any other dump, as before a
+// receiver's first. A delta patches the image in place and a full dump
+// reuses it; a failed receive leaves it untouched. runs is how often the
+// Codec must run the range decoder.
 func (r *codecRun) decode(step string, data []byte, base *Snapshot, runs int) error {
 	r.tb.Helper()
 	switch {
@@ -144,6 +148,10 @@ func (r *codecRun) decode(step string, data []byte, base *Snapshot, runs int) er
 	}
 	old, decodes := r.c.decRLE, r.c.decodes
 	got, gerr := r.c.receive(data, r.img, r.lim)
+	// The coder is lossless: every check behind a receive passes.
+	if err := r.c.Settle(); err != nil {
+		r.tb.Fatalf("%s: the self-check failed: %v", step, err)
+	}
 	if ran := r.c.decodes - decodes; runs != anyRuns && ran != runs {
 		r.tb.Fatalf("%s: decode ran the range decoder %d times, want %d", step, ran, runs)
 	}
@@ -384,6 +392,100 @@ func TestReceiverImageChain(t *testing.T) {
 					}
 				}
 				pair(step, snap, base, opts, dump)
+			}
+		})
+	}
+}
+
+// literalAt returns the index of the first literal byte of a zero-RLE
+// stream, one that is neither a zero-run marker nor part of a run length,
+// or -1 when it has none.
+func literalAt(rle []byte) int {
+	for i := 0; i < len(rle); i++ {
+		if rle[i] != 0 {
+			return i
+		}
+		_, k := binary.Uvarint(rle[i+1:])
+		i += k
+	}
+	return -1
+}
+
+// TestCodecChecksBehind corrupts one literal byte of the encoder's kept
+// zero-RLE stream between Encode and Receive, as a range coder that lost a
+// byte would leave the stream and the wire out of step. Receive applies the
+// stream at once, so it succeeds and the image carries the changed byte; the
+// check behind it must find the mismatch. Settle returns it, and so does the
+// next receive that misses the memo, whichever comes first, and every later
+// one; an echo of the dump, a memo hit, is received in between. Left
+// intact, the same steps settle clean.
+func TestCodecChecksBehind(t *testing.T) {
+	full := EncodeOptions{Compress: true}
+	fp := buildFootprint(t, MNISTFootprint)
+	snap := Capture(fp.Pool, fp.Regions, MetastateOnly)
+	fp.DirtySome(1)
+	// A dump the Codec did not encode: its receive misses the memo.
+	other, err := Capture(fp.Pool, fp.Regions, MetastateOnly).Encode(nil, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		corrupt      bool
+		receiveFirst bool
+	}{{"intact", false, false}, {"corrupt/settle first", true, false}, {"corrupt/receive first", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Codec{}
+			dump, err := c.Encode(snap, nil, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.corrupt {
+				k := literalAt(c.encRLE)
+				if k < 0 {
+					t.Fatal("the encoder's stream has no literal byte")
+				}
+				c.encRLE[k] = c.encRLE[k]%255 + 1 // another non-zero byte
+			}
+			img, err := c.Receive(dump, nil)
+			if err != nil {
+				t.Fatalf("receive: %v", err)
+			}
+			ref, err := Decode(dump, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := snapshotDiff(img, ref); (d != "") != tc.corrupt {
+				t.Fatalf("the image against the decoded wire: %q", d)
+			}
+			if _, err := c.Receive(dump, img.Clone()); err != nil {
+				t.Fatalf("echo: %v", err)
+			}
+			var first error
+			if tc.receiveFirst {
+				_, first = c.Receive(other, nil)
+			} else {
+				first = c.Settle()
+			}
+			if !tc.corrupt {
+				if first != nil {
+					t.Fatalf("an intact stream failed its check: %v", first)
+				}
+				if _, err := c.Receive(other, nil); err != nil {
+					t.Fatalf("receive after the check: %v", err)
+				}
+				return
+			}
+			if first == nil || !strings.Contains(first.Error(), "differs from") {
+				t.Fatalf("the corrupted stream's check gave %v, want a mismatch", first)
+			}
+			for i := 0; i < 2; i++ {
+				if err := c.Settle(); !errors.Is(err, first) {
+					t.Fatalf("Settle %d after the mismatch: %v", i, err)
+				}
+				if _, err := c.Receive(other, nil); !errors.Is(err, first) {
+					t.Fatalf("receive %d after the mismatch: %v", i, err)
+				}
 			}
 		})
 	}

@@ -763,23 +763,41 @@ func DecodeLimited(data []byte, prev *Snapshot, lim wire.DecodeLimits) (*Snapsho
 // started it whenever the GPU wrote no metastate — so a Codec that
 // range-codes the same zero-RLE stream, or range-decodes the same body, twice
 // in a row does the work once. An entry is reused only when the new input is
-// byte-identical to the kept one, and the encoder's entry never stands in for
-// the decoder's. Every other step of a dump (delta XOR, zero-RLE pre-pass,
-// header parse and budget, base check, apply) runs on every call, so a Codec
-// returns exactly the wire bytes, snapshots and errors of the stateless
-// calls. The zero value is ready to use; a Codec is not safe for concurrent
-// use.
+// byte-identical to the kept one. Every other step of a dump (delta XOR,
+// zero-RLE pre-pass, header parse and budget, base check, apply) runs on
+// every call, so a Codec returns exactly the wire bytes, snapshots and errors
+// of the stateless calls.
+//
+// A body the Codec's own encoder just produced is checked behind the caller
+// (verify-behind): Receive holds a copy of the encoder's zero-RLE stream to
+// the rules the range decoder enforces, starts one goroutine that
+// range-decodes the body and compares the result with that stream, byte for
+// byte, and applies the copy. Settle waits for the check. Every receive that
+// misses the memo settles first, so at most one check is in flight, and a
+// failed check fails every later Settle and every later receive of a
+// compressed body. Every other body is range-decoded before it is applied.
+//
+// The zero value is ready to use; a Codec is not safe for concurrent use.
 type Codec struct {
 	// The last zero-RLE stream range-coded, a recycled buffer the Codec
 	// owns, and the body it coded to.
 	encRLE, encBody []byte
-	// A copy of the last body range-decoded, the payload total its header
-	// declared, and the validated zero-RLE stream it decoded to, a recycled
-	// buffer the Codec owns.
+	// A copy of the last body range-decoded or applied from the encoder's
+	// stream, the payload total its header declared, and the validated
+	// zero-RLE stream applied for it, a recycled buffer the Codec owns.
 	decBody  []byte
 	decTotal int
 	decRLE   []byte
-	// Range-coder runs, read by tests.
+	// checking is set while a check of the decoder's entry is in flight.
+	// runCheck is c.checkBody, bound once so that starting a check
+	// allocates nothing; check delivers its outcome, and scratch is the
+	// buffer it decodes into. err holds the first check that failed.
+	checking bool
+	runCheck func()
+	check    chan error
+	scratch  []byte
+	err      error
+	// Range-coder runs, checks included, read by tests after Settle.
 	codes, decodes int
 }
 
@@ -795,7 +813,8 @@ func (c *Codec) Encode(s, prev *Snapshot, opts EncodeOptions) ([]byte, error) {
 // (Dump.Apply); the caller keeps it as the image the next dump applies to.
 // With a lossless coder the image holds the sender's delta base, so Receive
 // returns what Decode(data, base) would, without copying the base. On error
-// img is left untouched.
+// img is left untouched. A dump the Codec encoded is range-decoded behind
+// the caller; Settle returns the outcome.
 func (c *Codec) Receive(data []byte, img *Snapshot) (*Snapshot, error) {
 	return c.receive(data, img, wire.DefaultLimits())
 }
@@ -836,23 +855,85 @@ func (c *Codec) rangeCode(rle []byte) []byte {
 // Codec hands the buffer to the caller. A Codec keeps it, with a copy of the
 // body, until a decode of a different body or total succeeds, and returns
 // the kept stream for the same body and total; the caller must then neither
-// modify nor recycle it.
+// modify nor recycle it. For the body its encoder just produced, a Codec
+// returns a copy of the encoder's stream and checks the body behind the
+// caller (see Codec); a stream that breaks the decoder's rules, which a
+// header declaring another total makes, is range-decoded as any other body.
 func (c *Codec) rangeDecode(body []byte, total int, alloc func(int) []byte) ([]byte, error) {
 	if c == nil {
 		return decodeRLE(body, total, alloc)
 	}
+	if c.err != nil {
+		return nil, c.err
+	}
 	if c.decBody != nil && total == c.decTotal && bytes.Equal(body, c.decBody) {
 		return c.decRLE, nil
+	}
+	if err := c.Settle(); err != nil {
+		return nil, err
+	}
+	if c.encBody != nil && bytes.Equal(body, c.encBody) && checkRLE(c.encRLE, total) == nil {
+		rle := alloc(len(c.encRLE))
+		copy(rle, c.encRLE)
+		c.keep(body, total, rle)
+		if c.runCheck == nil {
+			c.runCheck, c.check = c.checkBody, make(chan error, 1)
+		}
+		c.checking = true
+		go c.runCheck()
+		return rle, nil
 	}
 	c.decodes++
 	rle, err := decodeRLE(body, total, alloc)
 	if err != nil {
 		return nil, err
 	}
+	c.keep(body, total, rle)
+	return rle, nil
+}
+
+// keep makes rle, the validated stream of body with its declared total, the
+// decoder's entry, and recycles the stream it replaces.
+func (c *Codec) keep(body []byte, total int, rle []byte) {
 	putBuf(c.decRLE)
 	c.decBody = append(c.decBody[:0], body...)
 	c.decTotal, c.decRLE = total, rle
-	return rle, nil
+}
+
+// Settle waits for the check of the last body Receive applied from the
+// encoder's stream, if one is in flight, and returns the first check that
+// failed, or nil.
+func (c *Codec) Settle() error {
+	if c.checking {
+		if err := <-c.check; err != nil && c.err == nil {
+			c.err = err
+		}
+		c.checking = false
+	}
+	return c.err
+}
+
+// checkBody is the check in flight: it range-decodes the decoder's entry,
+// a body and its declared total, into scratch, compares the result with the
+// zero-RLE stream applied for it, and delivers the outcome. Until Settle
+// receives it, the Codec reads the entry and leaves scratch and the range
+// decoder count to the check.
+func (c *Codec) checkBody() {
+	c.decodes++
+	rle, err := decodeRLE(c.decBody, c.decTotal, func(n int) []byte {
+		if cap(c.scratch) < n {
+			c.scratch = make([]byte, n)
+		}
+		return c.scratch[:n]
+	})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("gpumem: self-check of an applied dump: %w", err)
+	case !bytes.Equal(rle, c.decRLE):
+		err = fmt.Errorf("gpumem: self-check of an applied dump: the body decodes to a %d-byte zero-RLE stream "+
+			"that differs from the %d-byte stream applied", len(rle), len(c.decRLE))
+	}
+	c.check <- err
 }
 
 // xorInto stores a XOR b into dst, word-wise. All three must have the same

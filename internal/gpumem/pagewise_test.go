@@ -241,6 +241,9 @@ func (g *syncRig) sync(mode byte) {
 	if err != nil {
 		tb.Fatalf("step %d: receive: %v", g.step, err)
 	}
+	if err := g.c.Settle(); err != nil {
+		tb.Fatalf("step %d: self-check: %v", g.step, err)
+	}
 	g.img = img
 	if d := snapshotDiff(img, whole); d != "" {
 		tb.Fatalf("step %d: image differs from the sender's capture: %s", g.step, d)
@@ -322,6 +325,9 @@ func TestImageRestoreFollowsMovedRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if img, err = c.Receive(wire, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Settle(); err != nil {
 			t.Fatal(err)
 		}
 		img.Restore(far)

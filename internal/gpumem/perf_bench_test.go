@@ -170,7 +170,7 @@ func BenchmarkSnapshotSyncPair(b *testing.B) {
 				y.exchange(b)
 			}
 			b.StopTimer()
-			y.release()
+			y.release(b)
 		})
 	}
 }
@@ -232,8 +232,12 @@ func (y *syncCycle) exchange(tb testing.TB) {
 	}
 }
 
-// release recycles the images and both capture chains.
-func (y *syncCycle) release() {
+// release waits for the codec's self-check and recycles the images and
+// both capture chains.
+func (y *syncCycle) release(tb testing.TB) {
+	if err := y.c.Settle(); err != nil {
+		tb.Fatal(err)
+	}
 	for _, img := range y.imgs {
 		if img != nil {
 			img.Release()
@@ -284,6 +288,9 @@ func benchSyncPair(b *testing.B, name string, pool *Pool, regions []*Region, job
 						b.Fatal(err)
 					}
 				}
+			}
+			if err := c.Settle(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}
@@ -337,7 +344,7 @@ func TestSnapshotEncodeAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pool, cmds, job := cmdStream(66, 4)
 	y := newSyncCycle(pool, []*Region{cmds})
-	defer y.release()
+	defer y.release(t)
 	i := 0
 	cycle := func() {
 		rng := xorshift64(0x5EED + uint64(i%3))

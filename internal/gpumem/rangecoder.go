@@ -1,7 +1,9 @@
 package gpumem
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -25,8 +27,10 @@ import (
 //
 // Every dump is range-coded and, on the recording side, decoded again, so
 // the per-bit loops are written for speed: coder state stays in locals for
-// a whole stream (rangeCodeRLE) or byte (rangeDecoder.decodeByte), and each
-// bit selects with a mask instead of branching. A coded bit splits the
+// a whole stream (rangeCodeRLE) or byte (rangeDecoder.decodeByte), and no
+// branch depends on a coded bit: each bit selects with a mask or, for the
+// decoder's adapted probability, a conditional move (go build -gcflags=-S
+// shows the CMOV). A coded bit splits the
 // range at bound = (rng>>11)*p: a 0 keeps [0, bound), a 1 keeps [bound,
 // rng). With mask all ones for a 1 and zero for a 0, both cases are
 //
@@ -34,9 +38,10 @@ import (
 //	rng = bound + ((rng - 2*bound) & mask)
 //
 // and the adapted probability is picked between its two candidates the same
-// way (adapt). This is the arithmetic of the straightforward branching
-// coder, term for term and modulo 2^32 where it wraps, so the wire is
-// bit-exact with it on every input, corrupt streams included.
+// way (adapt) or by the decoder's conditional move. This is the arithmetic
+// of the straightforward branching coder, term for term and modulo 2^32
+// where it wraps, so the wire is bit-exact with it on every input, corrupt
+// streams included.
 // testdata/wire_golden.json pins the wire, and rangecoder_ref_test.go keeps
 // the branching coder as a differential oracle.
 //
@@ -122,12 +127,24 @@ func (d *rangeDecoder) decodeByte() byte {
 		p := uint32(d.probs[s])
 		bound := (rng >> 11) * p
 		// The bit is 1 when code >= bound: the 64-bit difference is then
-		// non-negative, and its sign bit minus one is all ones.
-		mask := uint32((uint64(code)-uint64(bound))>>63) - 1
+		// non-negative, so its sign bit, zero, is 1 for a 0 bit, and zero-1
+		// is the mask. A bit's latency is the chain from one tree node to
+		// the next: the probability load, the multiply, and three one-cycle
+		// steps from bound to the next node (subtract, shift, subtract).
+		zero := uint32((uint64(code) - uint64(bound)) >> 63)
+		mask := zero - 1
 		code -= bound & mask
 		rng = bound + ((rng - 2*bound) & mask)
-		d.probs[s] = adapt(p, mask)
-		s = s<<1 - mask // appends the bit
+		// A conditional move picks the adapted probability (adapt's mask
+		// select spills a register here). The compiler keeps a branch for
+		// any select that feeds the next node's load address, so rng and
+		// code stay masked.
+		q := p + (rcModelTotal-p)>>rcMoveBits
+		if zero == 0 {
+			q = p - p>>rcMoveBits
+		}
+		d.probs[s] = uint16(q)
+		s = (s<<1 | 1) - zero // appends the bit
 		if rng < rcTop {
 			var b byte // stream end: trailing zero bytes are implied
 			if pos < len(in) {
@@ -293,8 +310,8 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 	if n <= 0 {
 		return nil, fmt.Errorf("range coder: missing RLE header")
 	}
-	if rleLen > 2*uint64(total) {
-		return nil, fmt.Errorf("range coder: %d-byte RLE stream exceeds twice the %d-byte payload", rleLen, total)
+	if err := checkRLELen(rleLen, total); err != nil {
+		return nil, err
 	}
 	var d rangeDecoder
 	if err := d.init(encoded[n:]); err != nil {
@@ -308,7 +325,7 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 		i++
 		if b != 0 {
 			if left == 0 {
-				return nil, fmt.Errorf("range coder: literal overflows output")
+				return nil, errLiteralOverflow
 			}
 			left--
 			continue
@@ -318,7 +335,7 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 		start := i
 		for {
 			if i >= len(rle) || i-start >= binary.MaxVarintLen64 {
-				return nil, fmt.Errorf("range coder: corrupt zero run")
+				return nil, errCorruptRun
 			}
 			rle[i] = d.decodeByte()
 			i++
@@ -326,21 +343,91 @@ func decodeRLE(encoded []byte, total int, alloc func(int) []byte) ([]byte, error
 				break
 			}
 		}
-		run, k := binary.Uvarint(rle[start:i])
-		switch {
-		case k <= 0:
-			return nil, fmt.Errorf("range coder: corrupt zero run")
-		case run == 0:
-			return nil, fmt.Errorf("range coder: zero-length run")
-		case run > left:
-			return nil, fmt.Errorf("range coder: zero run overflows output")
+		var err error
+		if left, err = takeRun(rle[start:i], left); err != nil {
+			return nil, err
 		}
-		left -= run
 	}
-	if left != 0 {
-		return nil, fmt.Errorf("range coder: expanded to fewer than %d bytes", total)
+	if err := checkExpanded(left, total); err != nil {
+		return nil, err
 	}
 	return rle, nil
+}
+
+var (
+	errLiteralOverflow = errors.New("range coder: literal overflows output")
+	errCorruptRun      = errors.New("range coder: corrupt zero run")
+)
+
+// checkRLELen refuses a zero-RLE stream longer than twice the payload total
+// it expands to, the encoder's worst case (every zero byte a run of one).
+func checkRLELen(n uint64, total int) error {
+	if n > 2*uint64(total) {
+		return fmt.Errorf("range coder: %d-byte RLE stream exceeds twice the %d-byte payload", n, total)
+	}
+	return nil
+}
+
+// takeRun charges the zero run whose uvarint length is v, at most
+// MaxVarintLen64 bytes ending in one below 0x80, to the left bytes the
+// stream has yet to expand to, and returns what is left after it.
+func takeRun(v []byte, left uint64) (uint64, error) {
+	run, k := binary.Uvarint(v)
+	switch {
+	case k <= 0:
+		return 0, errCorruptRun
+	case run == 0:
+		return 0, fmt.Errorf("range coder: zero-length run")
+	case run > left:
+		return 0, fmt.Errorf("range coder: zero run overflows output")
+	}
+	return left - run, nil
+}
+
+// checkExpanded refuses a stream that left bytes of its total unwritten.
+func checkExpanded(left uint64, total int) error {
+	if left != 0 {
+		return fmt.Errorf("range coder: expanded to fewer than %d bytes", total)
+	}
+	return nil
+}
+
+// checkRLE holds a zero-RLE stream in the clear to the rules decodeRLE
+// enforces as it decodes one: at most twice total bytes long, every run a
+// well-formed, non-zero uvarint, and an expansion of exactly total bytes.
+func checkRLE(rle []byte, total int) error {
+	if err := checkRLELen(uint64(len(rle)), total); err != nil {
+		return err
+	}
+	left := uint64(total)
+	for i := 0; i < len(rle); {
+		if rle[i] != 0 {
+			n := bytes.IndexByte(rle[i:], 0)
+			if n < 0 {
+				n = len(rle) - i
+			}
+			if uint64(n) > left {
+				return errLiteralOverflow
+			}
+			left -= uint64(n)
+			i += n
+			continue
+		}
+		start := i + 1
+		end := start
+		for end < len(rle) && end-start < binary.MaxVarintLen64 && rle[end] >= 0x80 {
+			end++
+		}
+		if end == len(rle) || end-start == binary.MaxVarintLen64 {
+			return errCorruptRun
+		}
+		var err error
+		if left, err = takeRun(rle[start:end+1], left); err != nil {
+			return err
+		}
+		i = end + 1
+	}
+	return checkExpanded(left, total)
 }
 
 // expandRLE writes the payload a decodeRLE-validated stream describes into

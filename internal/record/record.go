@@ -179,9 +179,10 @@ type Result struct {
 	// completed — the clean cut points for segmenting the recording.
 	JobLogOffsets []int
 	sessionKey    []byte
-	// fpHashed is the region bytes metaFP ran through its FNV byte loop,
-	// both directions, for tests.
-	fpHashed int64
+	// fpHashed and fpStructHashed are the region bytes and structural
+	// fingerprint bytes metaFP ran through its FNV byte loop, both
+	// directions, for tests.
+	fpHashed, fpStructHashed int64
 }
 
 // Segments splits the recording at the given job boundaries (each entry is
@@ -277,7 +278,12 @@ func Run(cfg Config) (*Result, error) {
 // error path for a vanished remote GPU — which is recovered here and
 // returned as an error wrapping the context's cause, so callers can test
 // errors.Is(err, context.Canceled).
-func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
+func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	return run(ctx, cfg, new(gpumem.Codec))
+}
+
+// run is RunContext with the memsync dumps coded by codec.
+func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err error) {
 	if cfg.Model == nil || cfg.SKU == nil {
 		return nil, fmt.Errorf("record: config needs a model and a SKU")
 	}
@@ -436,7 +442,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		metaOnly: cfg.Variant.MetaOnly(),
 		cloud:    cloudPool, client: clientPool,
 		ctx: rt.Context(), rt: rt,
-		obs: cfg.Obs,
+		obs: cfg.Obs, codec: codec,
 	}
 	defer sync.release()
 	guardViolations := 0
@@ -446,11 +452,18 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		kern.Log("grt: continuous validation trapped %v", v)
 	})
 	jobIdx := 0
+	// syncErr is the first memory-synchronization failure. The dry run goes
+	// on to its end, but the session fails and takes no more checkpoints.
 	var syncErr error
+	syncFailed := func(err error) {
+		if syncErr == nil {
+			syncErr = err
+		}
+	}
 	gshim.OnIRQDump = func() []byte {
 		wire, err := sync.afterJob(jobIdx)
 		if err != nil {
-			syncErr = err
+			syncFailed(err)
 			return nil
 		}
 		return wire
@@ -460,7 +473,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		BeforeJobStart: func(*kbase.Context) {
 			wire, err := sync.beforeJob(jobIdx)
 			if err != nil {
-				syncErr = err
+				syncFailed(err)
 				return
 			}
 			dshim.StageDumpToClient(wire)
@@ -483,12 +496,18 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 				cfg.Obs.Emit(obs.FKResync, "boundary_ok", obs.A("job", int64(job)))
 			}
 			if cfg.OnCheckpoint != nil && job > resumeJob && !dshim.Resyncing() {
-				cp := snapshotCheckpoint(&cfg, dshim, sync, rt, poolSize, job)
-				cfg.Obs.Annotate("ckpt.capture", "record",
-					obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-				cfg.Obs.Emit(obs.FKCheckpoint, "capture",
-					obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
-				cfg.OnCheckpoint(cp)
+				// No checkpoint leaves the session with a dump unchecked.
+				if err := sync.settle(); err != nil {
+					syncFailed(err)
+				}
+				if syncErr == nil {
+					cp := snapshotCheckpoint(&cfg, dshim, sync, rt, poolSize, job)
+					cfg.Obs.Annotate("ckpt.capture", "record",
+						obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
+					cfg.Obs.Emit(obs.FKCheckpoint, "capture",
+						obs.A("job", int64(job)), obs.A("events", int64(len(cp.Events))))
+					cfg.OnCheckpoint(cp)
+				}
 			}
 			if cfg.Faults != nil {
 				if ferr := cfg.Faults.JobBoundary(job); ferr != nil {
@@ -503,6 +522,10 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	endPhase()
 	if err != nil {
 		return nil, fmt.Errorf("record: dry run: %w", err)
+	}
+	// No recording is signed with a dump unchecked.
+	if err := sync.settle(); err != nil {
+		syncFailed(err)
 	}
 	if syncErr != nil {
 		return nil, fmt.Errorf("record: memory synchronization: %w", syncErr)
@@ -551,8 +574,9 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	st.Obs = cfg.Obs.Snapshot()
 	return &Result{
 		Recording: rec, Signed: signed, Stats: st,
-		JobLogOffsets: jobLogOffsets,
-		sessionKey:    append([]byte(nil), cfg.SessionKey...),
-		fpHashed:      sync.outFPC.hashed + sync.inFPC.hashed,
+		JobLogOffsets:  jobLogOffsets,
+		sessionKey:     append([]byte(nil), cfg.SessionKey...),
+		fpHashed:       sync.outFPC.hashed + sync.inFPC.hashed,
+		fpStructHashed: sync.outFPC.structHashed + sync.inFPC.structHashed,
 	}, nil
 }

@@ -34,8 +34,12 @@ type syncer struct {
 
 	// codec codes both directions' dumps, so a job's client→cloud encode
 	// and self-check decode reuse the range coding of its cloud→client
-	// dump whenever the two are byte-identical.
-	codec gpumem.Codec
+	// dump whenever the two are byte-identical. It range-decodes a dump it
+	// encoded behind the session; checkJob and checkToClient name the last
+	// dump received, whose bytes a check in flight covers.
+	codec         dumpCodec
+	checkJob      int
+	checkToClient bool
 	// The receiving sides' images: the snapshot the last dump to the
 	// client (toClient) and to the cloud (toCloud) produced. Each dump is
 	// applied to its side's image in place, and the image is what the side
@@ -59,12 +63,24 @@ type syncer struct {
 	outFPC, inFPC fpCache
 }
 
-// fpCache is one direction's metaFP cache, by region name.
+// dumpCodec is the gpumem.Codec surface the syncer calls; tests substitute
+// one whose self-checks fail.
+type dumpCodec interface {
+	Encode(s, prev *gpumem.Snapshot, opts gpumem.EncodeOptions) ([]byte, error)
+	Receive(data []byte, img *gpumem.Snapshot) (*gpumem.Snapshot, error)
+	Settle() error
+}
+
+// fpCache is one direction's metaFP cache: the structural fingerprint last
+// hashed and the FNV-64a state after it (zero before the first), and the
+// regions' hashes by region name.
 type fpCache struct {
-	regions map[string]*regionFP
-	// hashed counts the region bytes run through the FNV byte loop, for
-	// tests.
-	hashed int64
+	structure string
+	head      fnv64a
+	regions   map[string]*regionFP
+	// hashed and structHashed count the region bytes and the structural
+	// fingerprint bytes run through the FNV byte loop, for tests.
+	hashed, structHashed int64
 }
 
 // regionFP holds one region's running FNV-64a state at every PageSize span
@@ -230,12 +246,18 @@ func (h *fnv64a) span(b []byte) int {
 // and since a dirty-aware capture reuses the previous snapshot's bytes for
 // every page it does not read back, the spans before it hold the bytes
 // hashed last time. A clean region reuses its hash; a new region, or one
-// that moved or changed size, is hashed from span 0. The computed value is
+// that moved or changed size, is hashed from span 0. The structural
+// fingerprint is hashed again only when it changed. The computed value is
 // independent of the cache state.
 func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 	watermark uint64, c *fpCache) uint64 {
-	h := fnv64a(fnvOffset64)
-	h.string(structure)
+	if c.head == 0 || structure != c.structure {
+		h := fnv64a(fnvOffset64)
+		h.string(structure)
+		c.structure, c.head = structure, h
+		c.structHashed += int64(len(structure))
+	}
+	h := c.head
 	if snap == nil {
 		return uint64(h)
 	}
@@ -275,9 +297,12 @@ func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 	return uint64(h)
 }
 
-// release returns the receivers' images and both capture chains' buffers
-// to the buffer recycler at the end of the session.
+// release waits for the codec's self-check in flight and returns the
+// receivers' images and both capture chains' buffers to the buffer recycler
+// at the end of the session, on every exit path. A failed check has already
+// failed a session that signs (see settle), and any other exit is a failure.
 func (s *syncer) release() {
+	_ = s.codec.Settle()
 	for _, img := range []*gpumem.Snapshot{s.toClient, s.toCloud} {
 		if img != nil {
 			img.Release()
@@ -313,9 +338,9 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record: encoding meta dump for job %d: %w", j, err)
 	}
-	img, err := s.codec.Receive(wire, s.toClient)
+	img, err := s.receive(wire, s.toClient, true, j)
 	if err != nil {
-		return nil, fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
+		return nil, err
 	}
 	s.toClient = img
 	img.Restore(s.client)
@@ -332,6 +357,38 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 		}
 	}
 	return wire, nil
+}
+
+// receive applies job j's dump, sent to the client or to the cloud, to img
+// through the codec.
+func (s *syncer) receive(wire []byte, img *gpumem.Snapshot, toClient bool, j int) (*gpumem.Snapshot, error) {
+	out, err := s.codec.Receive(wire, img)
+	if err != nil {
+		// A failed check is the last dump's, not this one's.
+		if serr := s.settle(); serr != nil {
+			return nil, serr
+		}
+		return nil, selfCheckErr(toClient, j, err)
+	}
+	s.checkJob, s.checkToClient = j, toClient
+	return out, nil
+}
+
+// settle waits for the codec's self-check of the last dump received and, if
+// a check failed, returns an error that names the dump's job.
+func (s *syncer) settle() error {
+	if err := s.codec.Settle(); err != nil {
+		return selfCheckErr(s.checkToClient, s.checkJob, err)
+	}
+	return nil
+}
+
+// selfCheckErr reports a failed self-check decode of job j's dump.
+func selfCheckErr(toClient bool, j int, err error) error {
+	if toClient {
+		return fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
+	}
+	return fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
 }
 
 // naiveBefore ships raw dirty memory: everything on the first sync
@@ -384,9 +441,9 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("record: encoding client meta dump after job %d: %w", j, err)
 		}
-		img, err := s.codec.Receive(wire, s.toCloud)
+		img, err := s.receive(wire, s.toCloud, false, j)
 		if err != nil {
-			return nil, fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
+			return nil, err
 		}
 		s.toCloud = img
 		img.Restore(s.cloud)
