@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -43,6 +42,7 @@ import (
 	"strings"
 
 	"gpurelay"
+	"gpurelay/internal/platform"
 )
 
 // rejectPlan prints one machine-readable JSON line to stderr and exits 2
@@ -374,66 +374,31 @@ func writeOutput(path string, fn func(io.Writer) error) error {
 // that key in the TEE's secure storage.
 func writeBundle(path string, rec *gpurelay.Recording) error {
 	payload, mac, key := rec.Bundle()
-	return writeChunks(path, "GRTB", payload, mac, key)
+	return writeOutput(path, func(w io.Writer) error {
+		return platform.WriteBundle(w, []platform.Entry{{Payload: payload, MAC: mac, Key: key}})
+	})
 }
 
 // writeCheckpoint saves a sealed checkpoint, same layout as a recording
 // bundle under a "GRTC" magic (and the same key-bundling caveat).
 func writeCheckpoint(path string, cp *gpurelay.Checkpoint) error {
 	payload, mac, key := cp.Bundle()
-	return writeChunks(path, "GRTC", payload, mac, key)
+	return writeOutput(path, func(w io.Writer) error {
+		return platform.WriteCheckpoint(w, platform.Entry{Payload: payload, MAC: mac, Key: key})
+	})
 }
 
+// readCheckpoint loads a checkpoint writeCheckpoint saved, refusing any
+// chunk over platform.MaxBundleChunk before allocating it.
 func readCheckpoint(path string) (*gpurelay.Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != "GRTC" {
-		return nil, fmt.Errorf("%s is not a grtrecord checkpoint", path)
-	}
-	read := func() ([]byte, error) {
-		var n uint32
-		if err := binary.Read(f, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		b := make([]byte, n)
-		_, err := io.ReadFull(f, b)
-		return b, err
-	}
-	payload, err := read()
+	e, err := platform.ReadCheckpoint(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	mac, err := read()
-	if err != nil {
-		return nil, err
-	}
-	key, err := read()
-	if err != nil {
-		return nil, err
-	}
-	return gpurelay.CheckpointFromBundle(payload, mac, key)
-}
-
-func writeChunks(path, magic string, chunks ...[]byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(magic); err != nil {
-		return err
-	}
-	for _, b := range chunks {
-		if err := binary.Write(f, binary.LittleEndian, uint32(len(b))); err != nil {
-			return err
-		}
-		if _, err := f.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return gpurelay.CheckpointFromBundle(e.Payload, e.MAC, e.Key)
 }

@@ -199,8 +199,8 @@ func main() {
 		// The scope aggregates into the service's fleet registry, so
 		// -metrics dumps one complete registry: replay counters alongside
 		// the ingest outcomes above.
-		scope = gpurelay.NewScopeWith(fmt.Sprintf("replay/%s", rec.Workload),
-			gpurelay.ScopeOptions{Fleet: svc.FleetRegistry()})
+		scope = gpurelay.NewScope(fmt.Sprintf("replay/%s", rec.Workload))
+		scope.AttachFleet(svc.FleetRegistry())
 		sess.Instrument(scope)
 	}
 

@@ -72,8 +72,7 @@ var (
 	// full, and stayed full through the shed retries; retry later. Every
 	// such rejection is a *SheddingError, which also wraps ErrShedding.
 	ErrCapacity = grterr.ErrCapacity
-	// ErrSessionLimit: this client already holds its maximum number of
-	// concurrent recording sessions.
+	// ErrSessionLimit: this client already holds a recording session.
 	ErrSessionLimit = grterr.ErrSessionLimit
 	// ErrBadRecording: a recording failed signature or format
 	// verification.
@@ -175,7 +174,8 @@ type RecordStats = record.Stats
 // delays.
 type Scope = obs.Scope
 
-// ScopeOptions tunes a telemetry Scope (span capacity, fleet registry).
+// ScopeOptions tunes a telemetry Scope's span capacity. Scope.AttachFleet
+// and Scope.AttachFlight connect it to a fleet registry and flight recorder.
 type ScopeOptions = obs.Options
 
 // MetricsSnapshot is a point-in-time copy of a metrics registry, readable
@@ -184,7 +184,7 @@ type ScopeOptions = obs.Options
 type MetricsSnapshot = obs.Snapshot
 
 // MetricsRegistry is a live metrics registry (the type behind
-// Service.FleetRegistry and ScopeOptions.Fleet).
+// Service.FleetRegistry and Scope.AttachFleet).
 type MetricsRegistry = obs.Registry
 
 // MetricLabel selects one series of a labeled metric when reading a
@@ -243,9 +243,6 @@ func OpenDiagBundleFile(r io.Reader) (*DiagBundle, error) {
 	}
 	return audit.OpenBundle(payload, mac, key)
 }
-
-// HealthThresholds tunes the fleet health rollup (ServiceConfig.Health).
-type HealthThresholds = cloud.HealthThresholds
 
 // HealthReport is one window's fleet health rollup: a threshold state
 // (healthy, degraded, unhealthy), the reasons, and the window's SLO summary.
@@ -432,8 +429,8 @@ func (c *Client) compatible() (string, error) {
 // Service is the cloud recording service: a bounded pool of single-tenant
 // recording VMs behind a FIFO admission queue, plus a store of speculation
 // histories shared among sessions recording the same workload on the same
-// GPU SKU. It is safe for concurrent use — multiple clients (and multiple
-// sessions of one client, capacity permitting) can record in parallel.
+// GPU SKU. It is safe for concurrent use: multiple clients, one session
+// each, can record in parallel.
 type Service struct {
 	image *cloud.Image
 	// pool admits every session: ServiceConfig.Shards partitions (one by
@@ -475,8 +472,10 @@ type Service struct {
 }
 
 // ServiceConfig tunes a Service. The zero value gives a pool of 16
-// concurrent recording VMs, an admission queue of 64, one session per
-// client, and the paper's speculation confidence threshold k=3.
+// concurrent recording VMs and an admission queue of 64. A service always
+// gives a client one session at a time, shares speculation histories at the
+// paper's confidence threshold k=3, and judges its health against fixed
+// thresholds (see Service.Health).
 type ServiceConfig struct {
 	// Capacity bounds concurrently live recording VMs (0 → 16).
 	Capacity int
@@ -485,30 +484,20 @@ type ServiceConfig struct {
 	// the record entry points wait out (0 → 4×Capacity, negative → no
 	// queueing).
 	QueueLimit int
-	// PerClientSessions bounds concurrent recording sessions per client
-	// ID (0 → 1).
-	PerClientSessions int
-	// HistoryK is the speculation confidence threshold for the shared
-	// history store (0 → 3).
-	HistoryK int
 	// FlightCapacity bounds the service's flight recorder (0 → 4096 events;
 	// negative → flight recording and diagnostic-bundle capture disabled).
 	// Disabling changes nothing observable about recordings — the flight
 	// recorder is strictly a witness.
 	FlightCapacity int
-	// Health tunes the fleet health rollup thresholds (zero value →
-	// defaults; see HealthThresholds).
-	Health HealthThresholds
 	// Shards partitions admission across N SessionManager pools under
 	// consistent hashing on the recording cache key (0 → one pool). Each
 	// partition gets its own Capacity/QueueLimit budget and device IDs
 	// prefixed with its index ("s0/gpu-00"); a saturated partition rejects
 	// with a *SheddingError.
 	Shards int
-	// CacheEntries and CacheBytes bound the recording store's memory tier
-	// (0 → castore defaults: 256 entries, 256 MiB).
+	// CacheEntries bounds the recording store's memory tier (0 → 256
+	// entries); the tier also holds at most 256 MiB.
 	CacheEntries int
-	CacheBytes   int64
 	// CacheDir, when non-empty, enables the store's on-disk tier: entries
 	// persist there and memory misses fall through to a re-verified load.
 	CacheDir string
@@ -526,38 +515,27 @@ func NewService() *Service {
 }
 
 // NewServiceWith creates a cloud service with explicit capacity, queueing,
-// and history configuration.
+// sharding and cache configuration.
 func NewServiceWith(cfg ServiceConfig) *Service {
 	img := cloud.DefaultImage()
-	k := cfg.HistoryK
-	if k <= 0 {
-		k = 3
-	}
 	fleet := obs.NewRegistry()
-	histories := shim.NewHistoryStore(k)
+	histories := shim.NewHistoryStore()
 	histories.Instrument(fleet)
 	s := &Service{
 		image: img, histories: histories, fleet: fleet,
 		pool: cloud.NewShardedService(img, cloud.ShardedConfig{Shards: cfg.Shards, Shard: cloud.SessionConfig{
-			Capacity: cfg.Capacity, QueueLimit: cfg.QueueLimit, PerClientLimit: cfg.PerClientSessions,
+			Capacity: cfg.Capacity, QueueLimit: cfg.QueueLimit,
 		}}),
 		quarantine: audit.New(0),
-		health:     cloud.NewHealthTracker(cfg.Health),
+		health:     cloud.NewHealthTracker(),
 		coalescer:  castore.NewCoalescer(),
 	}
 	s.pool.Instrument(fleet)
-	cache, err := castore.New(castore.Config{
-		MaxEntries: cfg.CacheEntries,
-		MaxBytes:   cfg.CacheBytes,
-		Dir:        cfg.CacheDir,
-	})
+	cache, err := castore.New(castore.Config{MaxEntries: cfg.CacheEntries, Dir: cfg.CacheDir})
 	if err != nil {
 		// A broken cache directory must not take the record path down:
 		// fall back to a memory-only store.
-		cache, _ = castore.New(castore.Config{
-			MaxEntries: cfg.CacheEntries,
-			MaxBytes:   cfg.CacheBytes,
-		})
+		cache, _ = castore.New(castore.Config{MaxEntries: cfg.CacheEntries})
 	}
 	cache.SetQuarantine(s.quarantine)
 	cache.Instrument(fleet)
@@ -655,7 +633,7 @@ func (s *Service) Devices() []DeviceInfo { return s.pool.Devices() }
 func (s *Service) Metrics() *MetricsSnapshot { return s.fleet.Snapshot() }
 
 // FleetRegistry exposes the service's live fleet registry, so callers can
-// aggregate their own scopes into it (ScopeOptions.Fleet) — e.g. a replay
+// aggregate their own scopes into it (Scope.AttachFleet) — e.g. a replay
 // scope whose counters should land on the same /metrics surface as the
 // service's ingest and admission counters.
 func (s *Service) FleetRegistry() *MetricsRegistry { return s.fleet }
@@ -760,7 +738,9 @@ func (s *Service) BundleKey() []byte { return append([]byte(nil), s.bundleKey...
 
 // Health rolls the window since the previous Health call into a fleet health
 // report and starts a new window. The first call reports since service
-// construction.
+// construction. A lost session makes the fleet unhealthy; a resume, a fault,
+// an ingest rejection, a shed admission, a failed GPU or a p99 admission
+// wait over 2s degrades it.
 func (s *Service) Health() *HealthReport { return s.health.Observe(s.fleet.Snapshot()) }
 
 // ActiveVMs reports the number of live recording VMs, summed across shards.
@@ -856,7 +836,7 @@ type SpeculationHistory = shim.History
 
 // NewSpeculationHistory creates a history with the paper's confidence
 // threshold k=3.
-func NewSpeculationHistory() *SpeculationHistory { return shim.NewHistory(3) }
+func NewSpeculationHistory() *SpeculationHistory { return shim.NewHistory(shim.PaperK) }
 
 // Record performs the full GR-T online-recording workflow: attest and launch
 // a dedicated cloud VM for this client's GPU, dry run the workload on the

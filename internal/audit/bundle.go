@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"gpurelay/internal/obs"
+	"gpurelay/internal/ring"
 	"gpurelay/internal/trace"
 )
 
@@ -152,14 +152,8 @@ const DefaultBundleCapacity = 32
 
 // BundleLog is a bounded, thread-safe ring of sealed diagnostic bundles,
 // newest-biased like the quarantine: when full the oldest is dropped, while
-// the total capture count stays monotonic.
-type BundleLog struct {
-	mu      sync.Mutex
-	bundles []SealedBundle
-	start   int
-	total   int
-	cap     int
-}
+// the total capture count stays monotonic. A nil log retains nothing.
+type BundleLog struct{ bundles *ring.Ring[SealedBundle] }
 
 // NewBundleLog creates a log retaining at most capacity bundles
 // (DefaultBundleCapacity if <= 0).
@@ -167,64 +161,30 @@ func NewBundleLog(capacity int) *BundleLog {
 	if capacity <= 0 {
 		capacity = DefaultBundleCapacity
 	}
-	return &BundleLog{cap: capacity}
+	return &BundleLog{ring.New[SealedBundle](capacity, nil)}
 }
 
-// Add retains one sealed bundle. Safe (and a no-op) on a nil log.
-func (l *BundleLog) Add(sb SealedBundle) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if len(l.bundles) < l.cap {
-		l.bundles = append(l.bundles, sb)
-	} else {
-		l.bundles[l.start] = sb
-		l.start = (l.start + 1) % l.cap
-	}
-}
-
-// Entries returns the retained bundles, oldest first.
-func (l *BundleLog) Entries() []SealedBundle {
+// journal returns the log's ring, nil for a nil log.
+func (l *BundleLog) journal() *ring.Ring[SealedBundle] {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SealedBundle, 0, len(l.bundles))
-	for i := 0; i < len(l.bundles); i++ {
-		out = append(out, l.bundles[(l.start+i)%len(l.bundles)])
-	}
-	return out
+	return l.bundles
 }
+
+// Add retains one sealed bundle. Safe (and a no-op) on a nil log.
+func (l *BundleLog) Add(sb SealedBundle) { l.journal().Add(sb) }
+
+// Entries returns the retained bundles, oldest first.
+func (l *BundleLog) Entries() []SealedBundle { return l.journal().Entries() }
 
 // Last returns the newest retained bundle, or a zero SealedBundle and false
 // when none has been captured.
-func (l *BundleLog) Last() (SealedBundle, bool) {
-	if l == nil {
-		return SealedBundle{}, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.bundles) == 0 {
-		return SealedBundle{}, false
-	}
-	idx := (l.start + len(l.bundles) - 1) % len(l.bundles)
-	return l.bundles[idx], true
-}
+func (l *BundleLog) Last() (SealedBundle, bool) { return l.journal().Last() }
 
 // Total returns the number of bundles ever captured, including ones since
 // evicted from the ring.
-func (l *BundleLog) Total() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
+func (l *BundleLog) Total() int { return int(l.journal().Total()) }
 
 // EncodeBundleFile writes a sealed bundle in the GRTD file layout: magic +
 // uint32-LE length-prefixed (payload, mac, key) chunks. Bundling the key

@@ -10,9 +10,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"sync"
 
 	"gpurelay/internal/grterr"
+	"gpurelay/internal/ring"
 	"gpurelay/internal/trace"
 )
 
@@ -75,13 +75,7 @@ const DefaultCapacity = 128
 // Quarantine is a bounded, thread-safe ring of rejection entries. When full
 // the oldest entry is dropped — the total rejection count is monotonic and
 // survives eviction.
-type Quarantine struct {
-	mu      sync.Mutex
-	entries []Entry
-	start   int // ring head
-	total   int
-	cap     int
-}
+type Quarantine struct{ entries *ring.Ring[Entry] }
 
 // New creates a quarantine retaining at most capacity entries
 // (DefaultCapacity if <= 0).
@@ -89,7 +83,7 @@ func New(capacity int) *Quarantine {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Quarantine{cap: capacity}
+	return &Quarantine{ring.New[Entry](capacity, nil)}
 }
 
 // Add quarantines one rejected payload and returns its entry.
@@ -100,28 +94,12 @@ func (q *Quarantine) Add(payload []byte, err error) Entry {
 		Detail:      err.Error(),
 		Bytes:       len(payload),
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.total++
-	if len(q.entries) < q.cap {
-		q.entries = append(q.entries, e)
-	} else {
-		q.entries[q.start] = e
-		q.start = (q.start + 1) % q.cap
-	}
+	q.entries.Add(e)
 	return e
 }
 
 // Entries returns the retained entries, oldest first.
-func (q *Quarantine) Entries() []Entry {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Entry, 0, len(q.entries))
-	for i := 0; i < len(q.entries); i++ {
-		out = append(out, q.entries[(q.start+i)%len(q.entries)])
-	}
-	return out
-}
+func (q *Quarantine) Entries() []Entry { return q.entries.Entries() }
 
 // Contains reports whether a fingerprint is currently retained in the
 // ring. The recording cache uses this as its serve-side interlock: a
@@ -130,20 +108,9 @@ func (q *Quarantine) Entries() []Entry {
 // from the ring (capacity pressure) releases the hold; the fail-closed
 // property callers rely on is "quarantined now → not servable now".
 func (q *Quarantine) Contains(fingerprint string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i := range q.entries {
-		if q.entries[i].Fingerprint == fingerprint {
-			return true
-		}
-	}
-	return false
+	return q.entries.Contains(func(e Entry) bool { return e.Fingerprint == fingerprint })
 }
 
 // Total returns the number of rejections ever quarantined, including
 // entries since evicted from the ring.
-func (q *Quarantine) Total() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.total
-}
+func (q *Quarantine) Total() int { return int(q.entries.Total()) }

@@ -71,12 +71,10 @@ type VM struct {
 type Service struct {
 	mu     sync.Mutex
 	images map[string]*Image
-	// active tracks each client's live VMs. VMs are never shared or
-	// reused across clients (§3.1); how many a single client may hold
-	// concurrently is bounded by perClient.
-	active    map[string][]*VM
-	perClient int
-	seq       int
+	// active tracks each client's live VM. VMs are never shared or reused
+	// across clients, and a client holds one at a time (§3.1).
+	active map[string]*VM
+	seq    int
 
 	// Device inventory (device.go): one entry per physical GPU slot ever
 	// attached. Launch assigns the first free healthy device and grows the
@@ -87,27 +85,13 @@ type Service struct {
 }
 
 // NewService creates a service hosting the given images. Clients may hold
-// one VM at a time (the paper's single-session model); SetPerClientLimit
-// raises that for multi-session clients.
+// one VM at a time (the paper's single-session model).
 func NewService(images ...*Image) *Service {
-	s := &Service{images: map[string]*Image{}, active: map[string][]*VM{}, perClient: 1}
+	s := &Service{images: map[string]*Image{}, active: map[string]*VM{}}
 	for _, img := range images {
 		s.images[img.Name] = img
 	}
 	return s
-}
-
-// SetPerClientLimit bounds how many recording VMs one client ID may hold
-// concurrently (minimum 1). Each VM is still dedicated to a single
-// recording session; the limit only admits parallel sessions from one
-// device.
-func (s *Service) SetPerClientLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.perClient = n
 }
 
 // measurement computes the attestation measurement of an image+devicetree
@@ -138,9 +122,9 @@ func ExpectedMeasurement(img *Image, gpuCompatible string) ([32]byte, error) {
 func (s *Service) Launch(clientID, imageName, gpuCompatible string, clientNonce []byte) (*VM, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.active[clientID]) >= s.perClient {
-		return nil, fmt.Errorf("cloud: client %q already holds %d recording VM(s): %w",
-			clientID, len(s.active[clientID]), grterr.ErrSessionLimit)
+	if s.active[clientID] != nil {
+		return nil, fmt.Errorf("cloud: client %q already holds a recording VM: %w",
+			clientID, grterr.ErrSessionLimit)
 	}
 	img, ok := s.images[imageName]
 	if !ok {
@@ -166,7 +150,7 @@ func (s *Service) Launch(clientID, imageName, gpuCompatible string, clientNonce 
 		SessionKey:  tee.DeriveSessionKey(m, clientNonce, cloudNonce),
 		Device:      s.assignDevice(),
 	}
-	s.active[clientID] = append(s.active[clientID], vm)
+	s.active[clientID] = vm
 	return vm, nil
 }
 
@@ -178,17 +162,8 @@ func (s *Service) Release(vm *VM) {
 	if vm.released {
 		return
 	}
-	vms := s.active[vm.ClientID]
-	for i, cur := range vms {
-		if cur == vm {
-			vms = append(vms[:i], vms[i+1:]...)
-			break
-		}
-	}
-	if len(vms) == 0 {
+	if s.active[vm.ClientID] == vm {
 		delete(s.active, vm.ClientID)
-	} else {
-		s.active[vm.ClientID] = vms
 	}
 	vm.released = true
 	if vm.Device != nil {
@@ -205,9 +180,5 @@ func (s *Service) Release(vm *VM) {
 func (s *Service) ActiveVMs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, vms := range s.active {
-		n += len(vms)
-	}
-	return n
+	return len(s.active)
 }

@@ -40,45 +40,9 @@ func worse(a, b HealthState) bool {
 // grtbench -health-out).
 const HealthSchema = "grt-health/1"
 
-// HealthThresholds tunes the rollup. Zero values select defaults noted per
-// field; negative values disable a check where noted.
-type HealthThresholds struct {
-	// MaxAdmissionWaitP99 degrades the fleet when the windowed p99
-	// admission wait exceeds it (0 → 2s; negative → disabled).
-	MaxAdmissionWaitP99 time.Duration
-	// MinSpecHitRate degrades the fleet when the windowed speculation hit
-	// rate (speculated commits / all commits) falls below it — checked only
-	// when > 0 and the window actually committed through a speculating
-	// recorder, so non-speculating variants never false-degrade.
-	MinSpecHitRate float64
-	// MaxFaultsPerSession degrades the fleet when the window fired more
-	// faults per completed-or-crashed session than this (0 → any fault
-	// degrades; negative → disabled).
-	MaxFaultsPerSession float64
-	// MaxRecordAmplification degrades the fleet when record sessions per
-	// unique workload exceed it. With the content-addressed cache
-	// instrumented the ratio is exact (sessions over new cache keys);
-	// otherwise it falls back to the speculation-history-miss
-	// approximation. 0 disables: amplification is report-only.
-	MaxRecordAmplification float64
-	// MinCacheHitRate degrades the fleet when the windowed cache hit rate
-	// (hits / lookups) falls below it — checked only when > 0 and the
-	// window actually looked the cache up, so uncached services never
-	// false-degrade.
-	MinCacheHitRate float64
-}
-
-func (t HealthThresholds) withDefaults() HealthThresholds {
-	if t.MaxAdmissionWaitP99 == 0 {
-		t.MaxAdmissionWaitP99 = 2 * time.Second
-	}
-	return t
-}
-
-// DefaultHealthThresholds returns the thresholds the service and CLIs use.
-func DefaultHealthThresholds() HealthThresholds {
-	return HealthThresholds{}.withDefaults()
-}
+// maxAdmissionWaitP99 is the windowed p99 admission wait past which the
+// fleet is degraded.
+const maxAdmissionWaitP99 = 2 * time.Second
 
 // HealthStats is one window's SLO summary: deltas between two fleet-registry
 // snapshots, plus the derived rates.
@@ -370,10 +334,11 @@ func windowStats(cur, prev *obs.Snapshot) HealthStats {
 // EvaluateHealth rolls one window — the delta from prev to cur — into a
 // health report. prev may be nil ("since the beginning"). The severity
 // ladder: a session permanently lost (resume exhaustion) is unhealthy;
-// faults, resumes, ingest rejections, slow admissions, or a cold speculation
-// history degrade; otherwise the fleet is healthy.
-func EvaluateHealth(cur, prev *obs.Snapshot, thr HealthThresholds) *HealthReport {
-	thr = thr.withDefaults()
+// resumes, faults, ingest rejections, a p99 admission wait over 2s, shed
+// admissions and failed GPUs degrade; otherwise the fleet is healthy. The
+// speculation and cache hit rates and the record amplification are
+// reported, never judged.
+func EvaluateHealth(cur, prev *obs.Snapshot) *HealthReport {
 	st := windowStats(cur, prev)
 	devices := deviceRows(cur, prev)
 	for _, d := range devices {
@@ -396,32 +361,17 @@ func EvaluateHealth(cur, prev *obs.Snapshot, thr HealthThresholds) *HealthReport
 	if st.Resumed > 0 {
 		raise(Degraded, "%d session loss(es) survived via checkpoint resume", st.Resumed)
 	}
-	if thr.MaxFaultsPerSession >= 0 {
-		sessions := st.Sessions + st.Crashes
-		if sessions < 1 {
-			sessions = 1
-		}
-		if rate := float64(st.FaultsFired) / float64(sessions); rate > thr.MaxFaultsPerSession {
-			raise(Degraded, "%.1f fault(s) fired per session (threshold %.1f)",
-				rate, thr.MaxFaultsPerSession)
-		}
+	if st.FaultsFired > 0 {
+		sessions := max(st.Sessions+st.Crashes, 1)
+		raise(Degraded, "%.1f fault(s) fired per session (threshold 0.0)",
+			float64(st.FaultsFired)/float64(sessions))
 	}
 	if st.IngestRejected > 0 {
 		raise(Degraded, "%d recording(s) rejected at the ingestion boundary", st.IngestRejected)
 	}
-	if thr.MaxAdmissionWaitP99 > 0 && st.AdmissionP99 > thr.MaxAdmissionWaitP99.Seconds() {
+	if st.AdmissionP99 > maxAdmissionWaitP99.Seconds() {
 		raise(Degraded, "p99 admission wait %.3fs exceeds %.3fs",
-			st.AdmissionP99, thr.MaxAdmissionWaitP99.Seconds())
-	}
-	if thr.MinSpecHitRate > 0 && st.SpecCommits > 0 && st.SpecHitRate < thr.MinSpecHitRate {
-		raise(Degraded, "speculation hit rate %.2f below %.2f", st.SpecHitRate, thr.MinSpecHitRate)
-	}
-	if thr.MaxRecordAmplification > 0 && st.RecordAmplification > thr.MaxRecordAmplification {
-		raise(Degraded, "record amplification %.2f exceeds %.2f",
-			st.RecordAmplification, thr.MaxRecordAmplification)
-	}
-	if thr.MinCacheHitRate > 0 && st.CacheHits+st.CacheMisses > 0 && st.CacheHitRate < thr.MinCacheHitRate {
-		raise(Degraded, "cache hit rate %.2f below %.2f", st.CacheHitRate, thr.MinCacheHitRate)
+			st.AdmissionP99, maxAdmissionWaitP99.Seconds())
 	}
 	if st.Shed > 0 {
 		raise(Degraded, "%d admission(s) shed by saturated shards", st.Shed)
@@ -477,14 +427,12 @@ func EvaluateSessionHealth(session string, snap *obs.Snapshot) SessionHealth {
 // state recover — unhealthy last window, healthy this window.
 type HealthTracker struct {
 	mu   sync.Mutex
-	thr  HealthThresholds
 	prev *obs.Snapshot
 }
 
-// NewHealthTracker creates a tracker with the given thresholds.
-func NewHealthTracker(thr HealthThresholds) *HealthTracker {
-	return &HealthTracker{thr: thr.withDefaults()}
-}
+// NewHealthTracker creates a tracker whose first window starts at the
+// beginning.
+func NewHealthTracker() *HealthTracker { return &HealthTracker{} }
 
 // Observe rolls the window since the previous Observe into a report and
 // advances the window boundary to cur.
@@ -493,7 +441,7 @@ func (t *HealthTracker) Observe(cur *obs.Snapshot) *HealthReport {
 	prev := t.prev
 	t.prev = cur
 	t.mu.Unlock()
-	return EvaluateHealth(cur, prev, t.thr)
+	return EvaluateHealth(cur, prev)
 }
 
 // WriteJSON writes the report as indented, deterministic JSON — the

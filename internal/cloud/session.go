@@ -12,8 +12,8 @@ import (
 )
 
 // SessionConfig tunes a SessionManager. The zero value gives a pool of 16
-// VMs, an admission queue of four times the pool, and one session per
-// client.
+// VMs and an admission queue of four times the pool. A client holds one
+// session at a time.
 type SessionConfig struct {
 	// Capacity is the maximum number of concurrently live recording VMs;
 	// 0 or negative selects the default of 16.
@@ -23,9 +23,6 @@ type SessionConfig struct {
 	// immediately with ErrCapacity. 0 selects the default of
 	// 4×Capacity; negative disables queueing entirely.
 	QueueLimit int
-	// PerClientLimit is the maximum number of concurrent sessions one
-	// client ID may hold; 0 or negative selects the default of 1.
-	PerClientLimit int
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
@@ -37,9 +34,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.QueueLimit = 4 * c.Capacity
 	case c.QueueLimit < 0:
 		c.QueueLimit = 0
-	}
-	if c.PerClientLimit <= 0 {
-		c.PerClientLimit = 1
 	}
 	return c
 }
@@ -78,12 +72,9 @@ type SessionManager struct {
 	gaugeLabels []obs.Label
 }
 
-// NewSessionManager wraps a Service with admission control. The config's
-// per-client limit is installed on the Service.
+// NewSessionManager wraps a Service with admission control.
 func NewSessionManager(svc *Service, cfg SessionConfig) *SessionManager {
-	cfg = cfg.withDefaults()
-	svc.SetPerClientLimit(cfg.PerClientLimit)
-	return &SessionManager{svc: svc, cfg: cfg, granted: map[*VM]bool{}}
+	return &SessionManager{svc: svc, cfg: cfg.withDefaults(), granted: map[*VM]bool{}}
 }
 
 // Config returns the manager's effective (defaulted) configuration.
@@ -183,7 +174,7 @@ func (m *SessionManager) Queued() int {
 // Acquire admits one recording session and launches its VM, waiting (FIFO,
 // honoring ctx) for a pool slot when the service is saturated. Errors
 // unwrap to grterr.ErrCapacity (pool and queue both full),
-// grterr.ErrSessionLimit (client over its concurrent-session limit),
+// grterr.ErrSessionLimit (the client already holds a session),
 // grterr.ErrSKUMismatch (image cannot drive the GPU), or the context's
 // error when the wait is abandoned. The returned VM must be released with
 // Release.

@@ -153,16 +153,16 @@ func TestSessionManagerCanceledWaiterDoesNotLeakSlot(t *testing.T) {
 }
 
 func TestSessionManagerPerClientLimit(t *testing.T) {
-	m := newTestManager(SessionConfig{Capacity: 4, QueueLimit: -1, PerClientLimit: 2})
+	m := newTestManager(SessionConfig{Capacity: 4, QueueLimit: -1})
 	vm1 := mustAcquire(t, m, "phone")
-	vm2 := mustAcquire(t, m, "phone")
 	_, err := m.Acquire(context.Background(), "phone", testImage, testCompat, []byte("n"))
 	if !errors.Is(err, grterr.ErrSessionLimit) {
-		t.Fatalf("third session for one client: %v", err)
+		t.Fatalf("second session for one client: %v", err)
 	}
 	// The rejected admission must not leak its pool slot.
-	vm3 := mustAcquire(t, m, "other-1")
-	vm4 := mustAcquire(t, m, "other-2")
+	vm2 := mustAcquire(t, m, "other-1")
+	vm3 := mustAcquire(t, m, "other-2")
+	vm4 := mustAcquire(t, m, "other-3")
 	for _, vm := range []*VM{vm1, vm2, vm3, vm4} {
 		m.Release(vm)
 	}
@@ -205,7 +205,7 @@ func (s *tickSource) Now() time.Duration { return time.Duration(s.ticks.Add(1)) 
 // once, so the wait histogram and the flight journal report the same wait
 // even on a clock that moves between reads.
 func TestSessionManagerQueuedWaitReadOnce(t *testing.T) {
-	m := newTestManager(SessionConfig{Capacity: 1, QueueLimit: 1, PerClientLimit: 2})
+	m := newTestManager(SessionConfig{Capacity: 1, QueueLimit: 1})
 	reg := obs.NewRegistry()
 	m.InstrumentShard(reg)
 	flight := obs.NewFlightRecorder(0)

@@ -52,7 +52,7 @@ func TestShardedSameKeySameShard(t *testing.T) {
 func TestShardedAcquireReleaseRouting(t *testing.T) {
 	s := NewShardedService(DefaultImage(), ShardedConfig{
 		Shards: 2,
-		Shard:  SessionConfig{Capacity: 1, QueueLimit: -1, PerClientLimit: 4},
+		Shard:  SessionConfig{Capacity: 1, QueueLimit: -1},
 	})
 	if s.TotalCapacity() != 2 || s.NumShards() != 2 {
 		t.Fatalf("capacity %d over %d shards", s.TotalCapacity(), s.NumShards())
@@ -90,7 +90,7 @@ func TestShardedAcquireReleaseRouting(t *testing.T) {
 func TestShardedShedding(t *testing.T) {
 	s := NewShardedService(DefaultImage(), ShardedConfig{
 		Shards: 1,
-		Shard:  SessionConfig{Capacity: 1, QueueLimit: -1, PerClientLimit: 4},
+		Shard:  SessionConfig{Capacity: 1, QueueLimit: -1},
 	})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
@@ -168,7 +168,7 @@ func TestShardedNonCapacityErrorPassthrough(t *testing.T) {
 func TestShardedGaugeLabels(t *testing.T) {
 	s := NewShardedService(DefaultImage(), ShardedConfig{
 		Shards: 2,
-		Shard:  SessionConfig{Capacity: 2, PerClientLimit: 8},
+		Shard:  SessionConfig{Capacity: 2},
 	})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)

@@ -61,27 +61,13 @@ func (d Divergence) String() string {
 
 // Options tunes the comparison.
 type Options struct {
-	// IgnoreRegs suppresses value divergences on known-nondeterministic
-	// registers. Defaults to LATEST_FLUSH_ID.
-	IgnoreRegs map[mali.Reg]bool
-	// TimingFactor flags polling loops whose iteration counts differ by
-	// more than this multiplier (default 8).
-	TimingFactor int
 	// MaxDivergences bounds the report (default 32).
 	MaxDivergences int
 }
 
-func (o *Options) fill() {
-	if o.IgnoreRegs == nil {
-		o.IgnoreRegs = map[mali.Reg]bool{mali.LATEST_FLUSH_ID: true}
-	}
-	if o.TimingFactor == 0 {
-		o.TimingFactor = 8
-	}
-	if o.MaxDivergences == 0 {
-		o.MaxDivergences = 32
-	}
-}
+// timingFactor flags a polling loop whose subject took more than this many
+// times the reference's iterations.
+const timingFactor = 8
 
 // Report is the outcome of a log comparison.
 type Report struct {
@@ -119,7 +105,9 @@ func Compare(reference, subject *trace.Recording, opts Options) (*Report, error)
 		return nil, fmt.Errorf("diag: comparing product %#x against %#x is meaningless",
 			subject.ProductID, reference.ProductID)
 	}
-	opts.fill()
+	if opts.MaxDivergences == 0 {
+		opts.MaxDivergences = 32
+	}
 	rep := &Report{}
 	add := func(d Divergence) bool {
 		if len(rep.Divergences) >= opts.MaxDivergences {
@@ -145,7 +133,8 @@ func Compare(reference, subject *trace.Recording, opts Options) (*Report, error)
 		}
 		switch ref.Kind {
 		case trace.KRead:
-			if ref.Value != obs.Value && !opts.IgnoreRegs[ref.Reg] {
+			// LATEST_FLUSH_ID is nondeterministic: its values never diverge.
+			if ref.Value != obs.Value && ref.Reg != mali.LATEST_FLUSH_ID {
 				if !add(Divergence{Kind: DivValue, EventIndex: i, Reg: ref.Reg, Fn: ref.Fn,
 					Reference: ref.Value, Observed: obs.Value}) {
 					return rep, nil
@@ -160,7 +149,7 @@ func Compare(reference, subject *trace.Recording, opts Options) (*Report, error)
 					Detail: "(polling predicate outcome differs)"}) {
 					return rep, nil
 				}
-			} else if obs.Iters > ref.Iters*uint32(opts.TimingFactor) {
+			} else if obs.Iters > ref.Iters*timingFactor {
 				if !add(Divergence{Kind: DivTiming, EventIndex: i, Reg: ref.Reg, Fn: ref.Fn,
 					Reference: ref.Iters, Observed: obs.Iters,
 					Detail: "(hardware much slower than reference)"}) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -488,6 +489,77 @@ func TestCodecChecksBehind(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCodecRelease codes and receives an echo pair of MNIST's metastate, a
+// dump and its echo, through one Codec and releases it. Release must settle
+// the check in flight and leave the zero value, and, with the recycler
+// observable (see pooled), hand the encoder's and decoder's zero-RLE streams
+// and the check's scratch buffer back to it. The released Codec must then
+// code and receive the next echo pair exactly as a fresh one does: the same
+// wire bytes, images, range-coder runs and clean check.
+func TestCodecRelease(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	full := EncodeOptions{Compress: true}
+	fp := buildFootprint(t, MNISTFootprint)
+	snap := Capture(fp.Pool, fp.Regions, MetastateOnly)
+	// pair codes snap through c and receives the dump and its echo.
+	pair := func(c *Codec) []byte {
+		t.Helper()
+		dump, err := c.Encode(snap, nil, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if echo, err := c.Encode(snap, nil, full); err != nil || !bytes.Equal(echo, dump) {
+			t.Fatalf("the echo: %v", err)
+		}
+		for _, side := range []string{"client", "cloud"} {
+			img, err := c.Receive(dump, nil)
+			if err != nil {
+				t.Fatalf("%s receive: %v", side, err)
+			}
+			if d := snapshotDiff(img, snap); d != "" {
+				t.Fatalf("%s image: %s", side, d)
+			}
+			img.Release()
+		}
+		return dump
+	}
+
+	c := &Codec{}
+	pair(c)
+	c.Release() // the check of the pair is in flight
+	if !reflect.DeepEqual(*c, Codec{}) {
+		t.Fatal("a released Codec is not the zero value")
+	}
+
+	pair(c)
+	if err := c.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	held := map[string][]byte{"encoder stream": c.encRLE, "decoder stream": c.decRLE, "check scratch": c.scratch}
+	c.Release()
+	if !raceDetectorEnabled {
+		for name, b := range held {
+			if cap(b) < 1<<bufMinShift {
+				t.Fatalf("the %s holds %d bytes, too few to recycle", name, cap(b))
+			}
+			if !pooled(b) {
+				t.Fatalf("the %s was not recycled", name)
+			}
+		}
+	}
+
+	fresh := &Codec{}
+	want, got := pair(fresh), pair(c)
+	if err := errors.Join(fresh.Settle(), c.Settle()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || c.codes != fresh.codes || c.decodes != fresh.decodes {
+		t.Fatalf("released Codec: %d wire bytes, %d codes, %d decodes; fresh: %d, %d, %d",
+			len(got), c.codes, c.decodes, len(want), fresh.codes, fresh.decodes)
 	}
 }
 

@@ -913,6 +913,19 @@ func (c *Codec) Settle() error {
 	return c.err
 }
 
+// Release settles the check in flight and hands the buffers the Codec keeps
+// — both zero-RLE streams and the check's scratch — back to the recycler,
+// leaving the zero value. A session releases its Codec when it ends; a
+// failed check it settles here is dropped, as one that mattered has failed
+// the session at an earlier Settle.
+func (c *Codec) Release() {
+	_ = c.Settle()
+	putBuf(c.encRLE)
+	putBuf(c.decRLE)
+	putBuf(c.scratch)
+	*c = Codec{}
+}
+
 // checkBody is the check in flight: it range-decodes the decoder's entry,
 // a body and its declared total, into scratch, compares the result with the
 // zero-RLE stream applied for it, and delivers the outcome. Until Settle
@@ -922,7 +935,8 @@ func (c *Codec) checkBody() {
 	c.decodes++
 	rle, err := decodeRLE(c.decBody, c.decTotal, func(n int) []byte {
 		if cap(c.scratch) < n {
-			c.scratch = make([]byte, n)
+			putBuf(c.scratch)
+			c.scratch = getBuf(n)
 		}
 		return c.scratch[:n]
 	})

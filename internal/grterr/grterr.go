@@ -22,7 +22,7 @@ var (
 	// service's VM pool and its admission queue are both full.
 	ErrCapacity = errors.New("service at capacity")
 	// ErrSessionLimit marks an admission rejected because the client
-	// already holds its maximum number of concurrent recording sessions.
+	// already holds a recording session.
 	ErrSessionLimit = errors.New("per-client session limit reached")
 	// ErrBadRecording marks a recording that failed signature or format
 	// verification (§7.1 replay integrity).

@@ -15,22 +15,24 @@ import (
 
 // Options tunes the runtime's execution model.
 type Options struct {
-	// StackOverheadPerJob is the CPU cost of the GPU stack preparing one
-	// job (API calls, command emission, driver entry). Table 2's
-	// native-vs-replay contrast comes from replay eliminating this.
-	StackOverheadPerJob time.Duration
 	// Pipelined overlaps job N+1's preparation with job N's GPU
 	// execution, as a real multi-buffered runtime does. GR-T recording
 	// disables this: the dry run is serialized (§5).
 	Pipelined bool
-	// Slot is the job slot used for compute jobs (Mali convention: JS1).
-	Slot int
 }
 
 // DefaultOptions match the calibration discussed in EXPERIMENTS.md.
-func DefaultOptions() Options {
-	return Options{StackOverheadPerJob: 450 * time.Microsecond, Pipelined: true, Slot: 1}
-}
+func DefaultOptions() Options { return Options{Pipelined: true} }
+
+const (
+	// stackOverheadPerJob is the CPU cost of the GPU stack preparing one
+	// job (API calls, command emission, driver entry). Table 2's
+	// native-vs-replay contrast comes from replay eliminating this.
+	stackOverheadPerJob = 450 * time.Microsecond
+	// computeSlot is the job slot compute jobs run on (Mali convention:
+	// JS1).
+	computeSlot = 1
+)
 
 // Command-stream sizing: each job's packet carries a fixed control header
 // plus per-tile dispatch descriptors and a uniform arena, so large layers
@@ -239,7 +241,7 @@ func (rt *Runtime) Run(hooks kbase.SyncHooks) (RunResult, error) {
 	start := rt.clock.Now()
 	for i := range rt.model.Kernels {
 		rt.emitCommandPacket(i)
-		prep := rt.opts.StackOverheadPerJob
+		prep := stackOverheadPerJob
 		if rt.opts.Pipelined {
 			// Preparation of this job overlapped the previous job's
 			// execution.
@@ -251,7 +253,7 @@ func (rt *Runtime) Run(hooks kbase.SyncHooks) (RunResult, error) {
 		}
 		rt.clock.Advance(prep)
 		jobStart := rt.clock.Now()
-		res, err := rt.dev.RunJob(rt.ctx, rt.descVAs[i], rt.opts.Slot, hooks)
+		res, err := rt.dev.RunJob(rt.ctx, rt.descVAs[i], computeSlot, hooks)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("mlfw: job %d (%s): %w", i, rt.model.Kernels[i].Name, err)
 		}

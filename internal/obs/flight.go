@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
+
+	"gpurelay/internal/ring"
 )
 
 // FlightEvent is one structured entry of the flight recorder: what happened
@@ -47,14 +48,7 @@ const DefaultFlightCapacity = 4096
 // predictable branch and zero allocations. The recorder never reads or
 // advances any clock itself — callers stamp virtual time — so enabling it
 // cannot perturb a deterministic run.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	events  []FlightEvent
-	start   int // ring head (oldest retained event)
-	seq     uint64
-	dropped int64
-	cap     int
-}
+type FlightRecorder struct{ events *ring.Ring[FlightEvent] }
 
 // NewFlightRecorder creates a recorder retaining at most capacity events
 // (DefaultFlightCapacity if <= 0).
@@ -62,7 +56,18 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{cap: capacity}
+	return &FlightRecorder{ring.New(capacity, stampSeq)}
+}
+
+// stampSeq numbers each event in admission order.
+func stampSeq(e *FlightEvent, seq uint64) { e.Seq = seq }
+
+// journal returns the recorder's ring, nil for a nil recorder.
+func (f *FlightRecorder) journal() *ring.Ring[FlightEvent] {
+	if f == nil {
+		return nil
+	}
+	return f.events
 }
 
 // Emit journals one event. args are copied, so callers may pass a stack
@@ -75,61 +80,20 @@ func (f *FlightRecorder) Emit(vt time.Duration, session, kind, note string, args
 	if len(args) > 0 {
 		copied = append([]Arg(nil), args...)
 	}
-	f.mu.Lock()
-	f.seq++
-	e := FlightEvent{Seq: f.seq, VT: vt, Session: session, Kind: kind, Note: note, Args: copied}
-	if len(f.events) < f.cap {
-		f.events = append(f.events, e)
-	} else {
-		f.events[f.start] = e
-		f.start = (f.start + 1) % f.cap
-		f.dropped++
-	}
-	f.mu.Unlock()
+	f.events.Add(FlightEvent{VT: vt, Session: session, Kind: kind, Note: note, Args: copied})
 }
 
 // Events returns the retained journal, oldest first.
-func (f *FlightRecorder) Events() []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, len(f.events))
-	for i := 0; i < len(f.events); i++ {
-		out = append(out, f.events[(f.start+i)%len(f.events)])
-	}
-	return out
-}
+func (f *FlightRecorder) Events() []FlightEvent { return f.journal().Entries() }
 
 // Tail returns the newest n retained events, oldest of them first.
-func (f *FlightRecorder) Tail(n int) []FlightEvent {
-	all := f.Events()
-	if n <= 0 || n >= len(all) {
-		return all
-	}
-	return all[len(all)-n:]
-}
+func (f *FlightRecorder) Tail(n int) []FlightEvent { return f.journal().Tail(n) }
 
 // Len reports the number of retained events.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.events)
-}
+func (f *FlightRecorder) Len() int { return f.journal().Len() }
 
 // Dropped reports events overwritten past the capacity.
-func (f *FlightRecorder) Dropped() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
+func (f *FlightRecorder) Dropped() int64 { return int64(f.journal().Dropped()) }
 
 // WriteJSONL writes the retained journal as JSON Lines, one event per line,
 // oldest first — the grtdiag flight input format.

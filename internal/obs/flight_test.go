@@ -96,7 +96,8 @@ func TestFlightJSONLRejectsMalformed(t *testing.T) {
 
 func TestScopeEmitRouting(t *testing.T) {
 	f := NewFlightRecorder(0)
-	s := NewScope("sess-1", Options{Flight: f})
+	s := NewScope("sess-1", Options{})
+	s.AttachFlight(f)
 	clk := timesim.NewClock()
 	clk.Advance(7 * time.Millisecond)
 	s.BindClock(clk)
@@ -143,7 +144,8 @@ func TestFlightEmitAllocBudget(t *testing.T) {
 	// Warm the ring to capacity first so steady state is overwrite, not
 	// append-growth.
 	f := NewFlightRecorder(8)
-	hot := NewScope("hot", Options{Flight: f})
+	hot := NewScope("hot", Options{})
+	hot.AttachFlight(f)
 	for i := 0; i < 8; i++ {
 		hot.Emit(FKSync, "warm")
 	}

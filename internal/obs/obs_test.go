@@ -153,7 +153,8 @@ func TestObsSpanCapacity(t *testing.T) {
 
 func TestObsScopeFleetDoubleWrite(t *testing.T) {
 	fleet := NewRegistry()
-	s := NewScope("s1", Options{Fleet: fleet})
+	s := NewScope("s1", Options{})
+	s.AttachFleet(fleet)
 	s.Count(MNetRTTs, 3, L("mode", "blocking"))
 	s.Observe(MFleetAdmissionWait, 0.2)
 	s.GaugeSet(MFleetQueueDepth, 9)

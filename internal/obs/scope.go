@@ -41,14 +41,6 @@ type Options struct {
 	// SpanCapacity bounds retained spans: 0 selects DefaultSpanCapacity,
 	// negative disables span recording entirely (counters still collect).
 	SpanCapacity int
-	// Fleet, when set, receives every counter and histogram update in
-	// addition to the scope's own registry, aggregating the fleet-wide
-	// totals a multi-tenant service exposes.
-	Fleet *Registry
-	// Flight, when set, receives the scope's Emit events — the structured
-	// flight-recorder journal a service or fleet drill keeps for
-	// diagnostics. Nil leaves Emit a no-op.
-	Flight *FlightRecorder
 }
 
 // Scope is one session's telemetry collector: a private metrics registry
@@ -84,7 +76,7 @@ func NewScope(id string, opts Options) *Scope {
 	case cap < 0:
 		cap = 0
 	}
-	return &Scope{id: id, local: NewRegistry(), spanCap: cap, fleet: opts.Fleet, flight: opts.Flight}
+	return &Scope{id: id, local: NewRegistry(), spanCap: cap}
 }
 
 // ID returns the session id ("" for nil).
@@ -118,8 +110,10 @@ func (s *Scope) BindClockSource(c timesim.Source) {
 	s.mu.Unlock()
 }
 
-// AttachFleet installs a shared fleet registry if the scope does not already
-// have one (so a caller-provided fleet wins over the service default).
+// AttachFleet installs a shared fleet registry, which then receives every
+// counter and histogram update in addition to the scope's own registry — the
+// fleet-wide totals a multi-tenant service exposes. The first registry
+// attached wins, so a caller's fleet wins over the service default.
 func (s *Scope) AttachFleet(r *Registry) {
 	if s == nil || r == nil {
 		return
@@ -137,9 +131,11 @@ func (s *Scope) fleetReg() *Registry {
 	return s.fleet
 }
 
-// AttachFlight installs a flight recorder if the scope does not already have
-// one (first wins, mirroring AttachFleet): a caller-provided recorder
-// overrides the service default.
+// AttachFlight installs the flight recorder that receives the scope's Emit
+// events — the structured journal a service or fleet drill keeps for
+// diagnostics; until one is attached, Emit is a no-op. The first recorder
+// attached wins, mirroring AttachFleet: a caller's recorder overrides the
+// service default.
 func (s *Scope) AttachFlight(f *FlightRecorder) {
 	if s == nil || f == nil {
 		return

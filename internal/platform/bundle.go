@@ -20,12 +20,15 @@ const (
 	// multiMagic marks an N-GPU platform bundle (N ≥ 2): magic, a uint32
 	// GPU count, then each GPU's three chunks in GPU order.
 	multiMagic = "GRTP"
+	// checkpointMagic marks grtrecord's checkpoint file: one sealed
+	// checkpoint's three chunks, laid out as a single-GPU bundle.
+	checkpointMagic = "GRTC"
 )
 
-// maxBundleChunk bounds one decoded chunk, mirroring the fail-closed
+// MaxBundleChunk bounds one decoded chunk, mirroring the fail-closed
 // ingestion discipline: a hostile length prefix must not allocate
 // unboundedly.
-const maxBundleChunk = 1 << 30
+const MaxBundleChunk = 1 << 30
 
 // maxBundleSessions bounds the per-GPU session count a bundle may declare.
 const maxBundleSessions = 4096
@@ -121,8 +124,8 @@ func readEntry(r io.Reader) (Entry, error) {
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		if n > maxBundleChunk {
-			return nil, fmt.Errorf("platform: bundle chunk of %d bytes exceeds limit", n)
+		if n > MaxBundleChunk {
+			return nil, fmt.Errorf("platform: chunk of %d bytes exceeds the %d-byte limit", n, MaxBundleChunk)
 		}
 		b := make([]byte, n)
 		if _, err := io.ReadFull(r, b); err != nil {
@@ -142,4 +145,23 @@ func readEntry(r io.Reader) (Entry, error) {
 		return Entry{}, err
 	}
 	return e, nil
+}
+
+// WriteCheckpoint writes a sealed checkpoint (payload, MAC, session key) as
+// grtrecord's checkpoint file.
+func WriteCheckpoint(w io.Writer, e Entry) error {
+	if _, err := io.WriteString(w, checkpointMagic); err != nil {
+		return err
+	}
+	return writeEntry(w, e)
+}
+
+// ReadCheckpoint parses a checkpoint file WriteCheckpoint wrote, bounded as
+// ReadBundle is.
+func ReadCheckpoint(r io.Reader) (Entry, error) {
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != checkpointMagic {
+		return Entry{}, fmt.Errorf("platform: not a checkpoint file")
+	}
+	return readEntry(r)
 }

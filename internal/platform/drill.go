@@ -320,7 +320,10 @@ func newDrill(opts DrillOptions) (*drill, error) {
 		d.khash = append(d.khash, ck.Hash())
 		d.skeys = append(d.skeys, SessionKey(o.Seed, w))
 		if o.Instrument {
-			d.scopes = append(d.scopes, obs.NewScope(m.Name, obs.Options{Fleet: d.reg, Flight: d.flight}))
+			sc := obs.NewScope(m.Name, obs.Options{})
+			sc.AttachFleet(d.reg)
+			sc.AttachFlight(d.flight)
+			d.scopes = append(d.scopes, sc)
 		}
 	}
 	d.vms = make([]*cloud.VM, n)
@@ -402,7 +405,7 @@ func (d *drill) run(ctx context.Context) (*DrillResult, error) {
 	for _, dev := range d.svc.Devices() {
 		res.Migrated += dev.Migrations
 	}
-	res.Health = cloud.EvaluateHealth(d.reg.Snapshot(), nil, cloud.DefaultHealthThresholds())
+	res.Health = cloud.EvaluateHealth(d.reg.Snapshot(), nil)
 	for _, sc := range d.scopes {
 		res.Health.Sessions = append(res.Health.Sessions, cloud.EvaluateSessionHealth(sc.ID(), sc.Snapshot()))
 	}
@@ -447,14 +450,14 @@ func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 		cfg.Obs = d.scopes[w]
 	}
 	if o.WarmStart != nil {
-		cfg.History = shim.NewHistory(3)
+		cfg.History = shim.NewHistory(shim.PaperK)
 		cfg.History.WarmStart(o.WarmStart)
 	}
 	if o.HealthPlan != nil && w%faultEvery == 0 {
 		d.afflicted[w] = true
 		cfg.Faults = o.HealthPlan.Start(seed)
 	}
-	res, _, err := record.RunResumable(ctx, cfg, record.ResumePolicy{}, d.vms[w], record.ResumeHost{
+	res, _, err := record.RunResumable(ctx, cfg, 0, d.vms[w], record.ResumeHost{
 		Admit: func(ctx context.Context) (*cloud.VM, error) { return d.admit(ctx, w) },
 		Crash: func(vm *cloud.VM) {
 			d.svc.Crash(vm)

@@ -232,12 +232,6 @@ func (r *Result) Segments(boundaries []int) ([]*trace.Signed, []*trace.Recording
 // dump payloads inside events are immutable after append and are shared.
 func snapshotCheckpoint(cfg *Config, dshim *shim.DriverShim, sync *syncer,
 	rt *mlfw.Runtime, poolSize uint64, job int) *ckpt.Checkpoint {
-	var regions []trace.RegionInfo
-	for _, r := range rt.Context().Regions() {
-		regions = append(regions, trace.RegionInfo{
-			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
-		})
-	}
 	out, in := sync.metaFP()
 	return &ckpt.Checkpoint{
 		SessionID:   cfg.SessionID,
@@ -249,11 +243,23 @@ func snapshotCheckpoint(cfg *Config, dshim *shim.DriverShim, sync *syncer,
 		Network:     cfg.Network.Name,
 		Job:         job,
 		Events:      append([]trace.Event(nil), dshim.EventLog()...),
-		Regions:     regions,
+		Regions:     regionInfos(rt),
 		SyncOutFP:   out,
 		SyncInFP:    in,
 		HistorySigs: uint32(dshim.History().Signatures()),
 	}
+}
+
+// regionInfos is the recording's region map: every region of the runtime's
+// GPU context, in allocation order.
+func regionInfos(rt *mlfw.Runtime) []trace.RegionInfo {
+	var regions []trace.RegionInfo
+	for _, r := range rt.Context().Regions() {
+		regions = append(regions, trace.RegionInfo{
+			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
+		})
+	}
+	return regions
 }
 
 // poolSizeFor sizes the shared memory for a model: its buffers plus headroom
@@ -406,11 +412,8 @@ func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err err
 		return nil, fmt.Errorf("record: driver probe over %v: %w", cfg.Network.Name, err)
 	}
 	endPhase = cfg.Obs.Span("record.runtime-init", "record")
-	rt, err := mlfw.NewRuntime(dev, clock, cfg.Model, mlfw.Options{
-		StackOverheadPerJob: 450 * time.Microsecond,
-		Pipelined:           false, // dry runs are serialized (§5)
-		Slot:                1,
-	})
+	// Dry runs are serialized (§5): no pipelining.
+	rt, err := mlfw.NewRuntime(dev, clock, cfg.Model, mlfw.Options{})
 	endPhase()
 	if err != nil {
 		return nil, fmt.Errorf("record: runtime init: %w", err)
@@ -533,18 +536,12 @@ func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err err
 	cfg.Obs.Count(obs.MRecordJobs, int64(runRes.Jobs))
 
 	// Finalize: assemble, sign, and "download" the recording.
-	var regions []trace.RegionInfo
-	for _, r := range rt.Context().Regions() {
-		regions = append(regions, trace.RegionInfo{
-			Name: r.Name, Kind: r.Kind, VA: r.VA, PA: r.PA, Size: r.Size,
-		})
-	}
 	rec := &trace.Recording{
 		Workload:  cfg.Model.Name,
 		ProductID: cfg.SKU.ProductID,
 		PoolSize:  poolSize,
 		Events:    dshim.EventLog(),
-		Regions:   regions,
+		Regions:   regionInfos(rt),
 	}
 	endPhase = cfg.Obs.Span("record.sign", "record", obs.A("events", int64(len(rec.Events))))
 	signed, err := trace.Sign(rec, cfg.SessionKey)

@@ -17,23 +17,14 @@ import (
 	"gpurelay/internal/timesim"
 )
 
+// A resumed session backs off before it re-admits: 250ms before the first
+// resume, doubling for each further one up to 8s, plus a jitter of up to
+// half that drawn deterministically from the session's client seed.
 const (
-	defaultMaxResumes  = 3
-	defaultBackoffBase = 250 * time.Millisecond
-	defaultBackoffMax  = 8 * time.Second
+	defaultMaxResumes = 3
+	backoffBase       = 250 * time.Millisecond
+	backoffMax        = 8 * time.Second
 )
-
-// ResumePolicy bounds and paces a session's resumes. The zero value resumes
-// up to 3 times, with backoff from 250ms doubling up to 8s.
-type ResumePolicy struct {
-	// MaxResumes bounds how many losses are resumed before the session
-	// gives up (0 → 3; negative → never resume).
-	MaxResumes int
-	// BackoffBase is the first re-admission backoff (0 → 250ms); each
-	// further resume doubles it up to BackoffMax (0 → 8s). Each backoff is
-	// jittered deterministically from the session's client seed.
-	BackoffBase, BackoffMax time.Duration
-}
 
 // ResumeHost is the service a resumable session records through.
 type ResumeHost struct {
@@ -72,23 +63,15 @@ type ResumeHost struct {
 // On success RunResumable returns the result, with Stats.Resumes set, and
 // the VM that recorded it, still held. Any error other than a loss returns
 // at once, with the attempt's VM still held; the caller releases it. A
-// session lost more than p.MaxResumes times returns an error that names it
-// and its last checkpointed job and wraps the last loss.
-func RunResumable(ctx context.Context, cfg Config, p ResumePolicy, vm *cloud.VM, h ResumeHost) (*Result, *cloud.VM, error) {
-	maxResumes := p.MaxResumes
+// session lost more than maxResumes times (0 → 3; negative → never resume)
+// returns an error that names it and its last checkpointed job and wraps the
+// last loss.
+func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM, h ResumeHost) (*Result, *cloud.VM, error) {
 	switch {
 	case maxResumes == 0:
 		maxResumes = defaultMaxResumes
 	case maxResumes < 0:
 		maxResumes = 0
-	}
-	backoffBase := p.BackoffBase
-	if backoffBase <= 0 {
-		backoffBase = defaultBackoffBase
-	}
-	backoffMax := p.BackoffMax
-	if backoffMax <= 0 {
-		backoffMax = defaultBackoffMax
 	}
 
 	// Fault, checkpoint and resume telemetry lands on the session scope when

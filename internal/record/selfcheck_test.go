@@ -34,6 +34,12 @@ func (f *failingCodec) Receive(data []byte, img *gpumem.Snapshot) (*gpumem.Snaps
 	return f.Codec.Receive(data, img)
 }
 
+// Release settles through Settle, so pending records the settle.
+func (f *failingCodec) Release() {
+	_ = f.Settle()
+	f.Codec.Release()
+}
+
 func (f *failingCodec) Settle() error {
 	f.pending = false
 	if err := f.Codec.Settle(); err != nil {

@@ -69,6 +69,7 @@ type dumpCodec interface {
 	Encode(s, prev *gpumem.Snapshot, opts gpumem.EncodeOptions) ([]byte, error)
 	Receive(data []byte, img *gpumem.Snapshot) (*gpumem.Snapshot, error)
 	Settle() error
+	Release()
 }
 
 // fpCache is one direction's metaFP cache: the structural fingerprint last
@@ -297,12 +298,13 @@ func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 	return uint64(h)
 }
 
-// release waits for the codec's self-check in flight and returns the
-// receivers' images and both capture chains' buffers to the buffer recycler
-// at the end of the session, on every exit path. A failed check has already
-// failed a session that signs (see settle), and any other exit is a failure.
+// release waits for the codec's self-check in flight and returns the codec's
+// buffers, the receivers' images and both capture chains' buffers to the
+// buffer recycler at the end of the session, on every exit path. A failed
+// check has already failed a session that signs (see settle), and any other
+// exit is a failure.
 func (s *syncer) release() {
-	_ = s.codec.Settle()
+	s.codec.Release()
 	for _, img := range []*gpumem.Snapshot{s.toClient, s.toCloud} {
 		if img != nil {
 			img.Release()

@@ -169,7 +169,6 @@ type DriverShim struct {
 	client *GPUShim
 	clock  timesim.Time
 	inner  kbase.Kernel
-	hot    map[string]bool
 
 	history *History
 
@@ -206,14 +205,12 @@ type DriverShim struct {
 
 // Config assembles a DriverShim.
 type Config struct {
-	Mode    Mode
-	Link    *netsim.Link
-	Client  *GPUShim
-	Clock   timesim.Time
-	Kernel  kbase.Kernel
-	History *History // optional; shared across workloads as in §7.3
-	// Hot overrides the hot-function list (defaults to kbase.HotFunctions).
-	Hot      map[string]bool
+	Mode     Mode
+	Link     *netsim.Link
+	Client   *GPUShim
+	Clock    timesim.Time
+	Kernel   kbase.Kernel
+	History  *History // optional; shared across workloads as in §7.3
 	Recovery RecoveryModel
 	// Obs is the session telemetry scope (nil: uninstrumented).
 	Obs *obs.Scope
@@ -226,15 +223,11 @@ func NewDriverShim(cfg Config) *DriverShim {
 	}
 	h := cfg.History
 	if h == nil {
-		h = NewHistory(3)
-	}
-	hot := cfg.Hot
-	if hot == nil {
-		hot = kbase.HotFunctions
+		h = NewHistory(PaperK)
 	}
 	return &DriverShim{
 		mode: cfg.Mode, link: cfg.Link, client: cfg.Client, clock: cfg.Clock,
-		inner: cfg.Kernel, hot: hot, history: h, env: envMap{},
+		inner: cfg.Kernel, history: h, env: envMap{},
 		threads:  map[string][]RegOp{},
 		recovery: cfg.Recovery, injectAt: -1, obs: cfg.Obs,
 		stats: Stats{
@@ -351,7 +344,7 @@ func (s *DriverShim) readT(tid, fn string, r mali.Reg) val.Value {
 	s.obs.Count(obs.MShimRegAccesses, 1)
 	sym := val.NewSymbol(mali.RegName(r))
 	s.threads[tid] = append(s.threads[tid], RegOp{Kind: OpRead, Fn: fn, Reg: r, Sym: sym})
-	if s.mode == ModeSync || !s.hot[fn] {
+	if s.mode == ModeSync || !kbase.HotFunctions[fn] {
 		s.commitSync(tid)
 		v, ok := val.Sym(sym).Resolve(s.env)
 		if !ok {
@@ -371,7 +364,7 @@ func (s *DriverShim) writeT(tid, fn string, r mali.Reg, v val.Value) {
 		v = resolved
 	}
 	s.threads[tid] = append(s.threads[tid], RegOp{Kind: OpWrite, Fn: fn, Reg: r, WriteVal: v})
-	if s.mode == ModeSync || !s.hot[fn] {
+	if s.mode == ModeSync || !kbase.HotFunctions[fn] {
 		s.commitSync(tid)
 	}
 }
@@ -401,7 +394,7 @@ func (s *DriverShim) resolveForUse(tid, fn string, v val.Value) val.Value {
 
 func (s *DriverShim) pollT(tid string, spec kbase.PollSpec) kbase.PollResult {
 	s.stats.PollLoops++
-	if s.mode == ModeSync || !s.hot[spec.Fn] {
+	if s.mode == ModeSync || !kbase.HotFunctions[spec.Fn] {
 		s.obs.Count(obs.MShimPollLoops, 1, lblNotOffloaded...)
 		// One blocking round trip per loop iteration, as a naive remote
 		// bus behaves.

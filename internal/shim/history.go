@@ -89,6 +89,10 @@ type History struct {
 	m  map[string][]Outcome
 }
 
+// PaperK is the paper's confidence threshold: a commit is predicted after 3
+// identical outcomes (§4.2).
+const PaperK = 3
+
 // NewHistory creates a history with confidence threshold k.
 func NewHistory(k int) *History {
 	if k < 1 {

@@ -29,7 +29,6 @@ type HistoryKey struct {
 // and shared by reference, so every session recording under the same key
 // contributes to — and benefits from — the same commit history.
 type HistoryStore struct {
-	k  int
 	mu sync.Mutex
 	m  map[HistoryKey]*History
 	// reg, when set, counts lookups (hit = the history already existed) —
@@ -37,10 +36,10 @@ type HistoryStore struct {
 	reg *obs.Registry
 }
 
-// NewHistoryStore creates a store whose histories use confidence threshold
-// k (the paper uses 3).
-func NewHistoryStore(k int) *HistoryStore {
-	return &HistoryStore{k: k, m: make(map[HistoryKey]*History)}
+// NewHistoryStore creates a store whose histories use the paper's
+// confidence threshold, PaperK.
+func NewHistoryStore() *HistoryStore {
+	return &HistoryStore{m: make(map[HistoryKey]*History)}
 }
 
 // Instrument attaches a (fleet) metrics registry counting lookup hits and
@@ -57,7 +56,7 @@ func (s *HistoryStore) Get(key HistoryKey) *History {
 	defer s.mu.Unlock()
 	h, ok := s.m[key]
 	if !ok {
-		h = NewHistory(s.k)
+		h = NewHistory(PaperK)
 		s.m[key] = h
 	}
 	if s.reg != nil {

@@ -32,7 +32,7 @@ func TestHistoryConcurrentUse(t *testing.T) {
 }
 
 func TestHistoryStoreSharesByKey(t *testing.T) {
-	s := NewHistoryStore(3)
+	s := NewHistoryStore()
 	k1 := HistoryKey{SKU: "Mali-G71 MP8", Stack: "acl-20.05", Workload: "MNIST"}
 	k2 := HistoryKey{SKU: "Mali-G71 MP8", Stack: "acl-20.05", Workload: "VGG16"}
 	if s.Get(k1) != s.Get(k1) {
@@ -55,7 +55,7 @@ func TestHistoryStoreSharesByKey(t *testing.T) {
 }
 
 func TestHistoryStoreConcurrentGet(t *testing.T) {
-	s := NewHistoryStore(3)
+	s := NewHistoryStore()
 	key := HistoryKey{SKU: "sku", Stack: "stack", Workload: "w"}
 	got := make([]*History, 16)
 	var wg sync.WaitGroup

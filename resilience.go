@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"gpurelay/internal/ckpt"
 	"gpurelay/internal/cloud"
@@ -135,8 +134,10 @@ func (m CkptMode) String() string {
 }
 
 // ResilienceOptions tunes a resumable record run. The zero value records
-// like RecordOptions' zero value, with no injected faults, up to 3 resumes,
-// and backoff from 250ms to 8s.
+// like RecordOptions' zero value, with no injected faults and up to 3
+// resumes. Before each resume the session backs off on the client's virtual
+// clock: 250ms, doubling up to 8s, jittered deterministically from the
+// session seed.
 type ResilienceOptions struct {
 	RecordOptions
 	// Faults, when non-nil, injects a deterministic chaos schedule into
@@ -146,12 +147,6 @@ type ResilienceOptions struct {
 	// MaxResumes bounds how many times a lost session is resumed before
 	// giving up (0 → 3; negative → never resume).
 	MaxResumes int
-	// BackoffBase is the first re-admission backoff (0 → 250ms); each
-	// further resume doubles it up to BackoffMax (0 → 8s). Backoff elapses
-	// on the client's virtual clock, jittered deterministically from the
-	// session seed.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Resume continues a previously lost session from its checkpoint
 	// instead of starting fresh (e.g. after a client restart; in-process
 	// losses resume automatically).
@@ -239,9 +234,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 	if opts.Faults != nil {
 		cfg.Faults = opts.Faults.Start(seed)
 	}
-	res, vm, err := record.RunResumable(ctx, cfg, record.ResumePolicy{
-		MaxResumes: opts.MaxResumes, BackoffBase: opts.BackoffBase, BackoffMax: opts.BackoffMax,
-	}, vm, record.ResumeHost{
+	res, vm, err := record.RunResumable(ctx, cfg, opts.MaxResumes, vm, record.ResumeHost{
 		Admit: admit, Crash: svc.pool.Crash,
 		Fleet: svc.fleet, Flight: svc.flight, Clock: c.clock,
 	})

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -650,6 +651,51 @@ func TestResumableOracle(t *testing.T) {
 		if !seen["plan="+kind] {
 			t.Errorf("the draws never drew a %s plan", kind)
 		}
+	}
+}
+
+// TestResumableBackoffSchedule pins the resume backoff. A session lost
+// twice journals two resumes, and resume k (counting from 0) waits between
+// d and 1.5·d, d = 250ms·2^k capped at 8s, before it re-admits. A second
+// run waits exactly as long.
+func TestResumableBackoffSchedule(t *testing.T) {
+	plan, err := ParseFaultPlan("crash@job3,crash@job8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []time.Duration {
+		t.Helper()
+		svc := NewService()
+		_, stats, err := NewClient("backoff", MaliG71MP8).RecordResumable(
+			context.Background(), svc, MNIST(), ResilienceOptions{Faults: plan})
+		if err != nil || stats.Resumes != 2 {
+			t.Fatalf("session: %v after %d resumes, want 2 resumes", err, stats.Resumes)
+		}
+		var waits []time.Duration
+		for _, e := range svc.FlightEvents() {
+			if e.Kind != obs.FKResume || e.Note != "resumed" {
+				continue
+			}
+			for _, a := range e.Args {
+				if a.Key == "backoff_ns" {
+					waits = append(waits, time.Duration(a.Value))
+				}
+			}
+		}
+		if len(waits) != 2 {
+			t.Fatalf("journaled backoffs %v, want 2", waits)
+		}
+		return waits
+	}
+	first := run()
+	for k, wait := range first {
+		d := min(250*time.Millisecond<<k, 8*time.Second)
+		if wait < d || wait > d+d/2 {
+			t.Errorf("resume %d backed off %v, want within [%v, %v]", k, wait, d, d+d/2)
+		}
+	}
+	if again := run(); !slices.Equal(again, first) {
+		t.Fatalf("a second run backed off %v, the first %v", again, first)
 	}
 }
 
