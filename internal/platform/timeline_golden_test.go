@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -19,8 +20,12 @@ import (
 // (TS, Key, Seq, Depth); on the parallel engine Seq and Depth are
 // engine-local (see EngineTrace). The other drill tests compare the two
 // engines within one build; this golden pins the exact event order across
-// builds. Regenerate with GRT_UPDATE_GOLDEN=1 only after an intentional
-// change to the order in which the engine pops events.
+// builds. It also pins what the admission layer leaves behind: a SHA-256 of
+// the fleet registry's Prometheus text and one of the device inventory, and
+// on the serial engine one of the flight journal (on the parallel engine
+// the journal's order depends on scheduling). Regenerate with
+// GRT_UPDATE_GOLDEN=1 only after an intentional change to the order in which
+// the engine pops events or to what admission records.
 func TestDrillTimelineGolden(t *testing.T) {
 	serial := DrillOptions{Model: mlfw.Micro(), SKU: mali.G71MP8, Seed: 3, Sessions: 8, Instrument: true}
 	parallel, cached, dying := serial, serial, serial
@@ -52,6 +57,23 @@ func TestDrillTimelineGolden(t *testing.T) {
 			order.Write(b)
 			b = binary.LittleEndian.AppendUint64(b, e.Seq)
 			full.Write(binary.LittleEndian.AppendUint64(b, uint64(e.Depth)))
+		}
+		var fleet bytes.Buffer
+		if err := res.Fleet.WritePrometheus(&fleet); err != nil {
+			t.Fatal(err)
+		}
+		devices, err := json.Marshal(res.Service.Devices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[c.name+"/fleet"] = hexSum(fleet.Bytes())
+		got[c.name+"/devices"] = hexSum(devices)
+		if !c.o.Parallel {
+			var flight bytes.Buffer
+			if err := res.Flight.WriteJSONL(&flight); err != nil {
+				t.Fatal(err)
+			}
+			got[c.name+"/flight"] = hexSum(flight.Bytes())
 		}
 		got[c.name+"/counts"] = string(counts)
 		got[c.name+"/seals"] = hex.EncodeToString(seals.Sum(nil))
@@ -92,4 +114,9 @@ func TestDrillTimelineGolden(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden file has %d entries, produced %d", len(want), len(got))
 	}
+}
+
+func hexSum(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
