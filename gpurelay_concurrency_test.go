@@ -120,23 +120,32 @@ func TestRecordErrCapacity(t *testing.T) {
 }
 
 // TestRecordErrSessionLimit: one client may hold only one concurrent
-// session by default, even when the pool has room.
+// session, even when the pool has room, and across partitions: at two
+// shards AlexNet and MNIST land on different partitions.
 func TestRecordErrSessionLimit(t *testing.T) {
-	svc := NewServiceWith(ServiceConfig{Capacity: 4, QueueLimit: -1})
-	client := NewClient("busy-phone", MaliG71MP8)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := client.Record(svc, AlexNet(), RecordOptions{})
-		done <- err
-	}()
-	waitForActiveVM(t, svc)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc := NewServiceWith(ServiceConfig{Capacity: 4, QueueLimit: -1, Shards: shards})
+			shardOf := func(m *Model) int { return svc.pool.Shard(svc.cacheKeyFor(MaliG71MP8, m).Hash()) }
+			if cross := shardOf(AlexNet()) != shardOf(MNIST()); cross != (shards > 1) {
+				t.Fatalf("AlexNet and MNIST on different partitions: %v at %d shard(s)", cross, shards)
+			}
+			client := NewClient("busy-phone", MaliG71MP8)
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := client.Record(svc, AlexNet(), RecordOptions{})
+				done <- err
+			}()
+			waitForActiveVM(t, svc)
 
-	_, _, err := client.Record(svc, MNIST(), RecordOptions{})
-	if !errors.Is(err, ErrSessionLimit) {
-		t.Fatalf("second session for one client: %v, want ErrSessionLimit", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("first session: %v", err)
+			_, _, err := client.Record(svc, MNIST(), RecordOptions{})
+			if !errors.Is(err, ErrSessionLimit) {
+				t.Fatalf("second session for one client: %v, want ErrSessionLimit", err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("first session: %v", err)
+			}
+		})
 	}
 }
 

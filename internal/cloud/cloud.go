@@ -6,15 +6,11 @@
 package cloud
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"gpurelay/internal/grterr"
 	"gpurelay/internal/mali"
-	"gpurelay/internal/obs"
-	"gpurelay/internal/tee"
 )
 
 // DeviceTree describes the GPU node a VM is booted with — the mechanism (§6)
@@ -59,39 +55,17 @@ type VM struct {
 	ClientID    string
 	SessionKey  []byte
 	// Device is the physical GPU slot this VM's session records against.
-	// The back-pointer survives shard routing and crash teardown, so the
-	// resilience layer can mark the device degraded or dead no matter how
-	// the VM itself was released.
+	// The back-pointer survives crash teardown, so the resilience layer can
+	// mark the device degraded or dead no matter how the VM itself was
+	// released.
 	Device *Device
 
+	// pool and part are where the VM was launched, so Release and Crash
+	// route back without a lookup; released (guarded by pool.mu) makes
+	// both idempotent.
+	pool     *Pool
+	part     *partition
 	released bool
-}
-
-// Service is the cloud recording service.
-type Service struct {
-	mu     sync.Mutex
-	images map[string]*Image
-	// active tracks each client's live VM. VMs are never shared or reused
-	// across clients, and a client holds one at a time (§3.1).
-	active map[string]*VM
-	seq    int
-
-	// Device inventory (device.go): one entry per physical GPU slot ever
-	// attached. Launch assigns the first free healthy device and grows the
-	// inventory when none is available.
-	devices   []*Device
-	devPrefix string
-	devReg    *obs.Registry
-}
-
-// NewService creates a service hosting the given images. Clients may hold
-// one VM at a time (the paper's single-session model).
-func NewService(images ...*Image) *Service {
-	s := &Service{images: map[string]*Image{}, active: map[string]*VM{}}
-	for _, img := range images {
-		s.images[img.Name] = img
-	}
-	return s
 }
 
 // measurement computes the attestation measurement of an image+devicetree
@@ -113,72 +87,4 @@ func ExpectedMeasurement(img *Image, gpuCompatible string) ([32]byte, error) {
 			img.Name, gpuCompatible, grterr.ErrSKUMismatch)
 	}
 	return measurement(img, dt), nil
-}
-
-// Launch boots a dedicated VM for a client: the devicetree matching the
-// client's GPU is selected, the VM is measured, and a session key is derived
-// from the measurement and both nonces. A client can hold only one VM at a
-// time, and VMs are never shared or reused across clients (§3.1).
-func (s *Service) Launch(clientID, imageName, gpuCompatible string, clientNonce []byte) (*VM, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active[clientID] != nil {
-		return nil, fmt.Errorf("cloud: client %q already holds a recording VM: %w",
-			clientID, grterr.ErrSessionLimit)
-	}
-	img, ok := s.images[imageName]
-	if !ok {
-		return nil, fmt.Errorf("cloud: unknown image %q", imageName)
-	}
-	dt, ok := img.DeviceTrees[gpuCompatible]
-	if !ok {
-		return nil, fmt.Errorf("cloud: image %q cannot drive GPU %q: %w",
-			imageName, gpuCompatible, grterr.ErrSKUMismatch)
-	}
-	cloudNonce := make([]byte, 16)
-	if _, err := rand.Read(cloudNonce); err != nil {
-		return nil, err
-	}
-	s.seq++
-	m := measurement(img, dt)
-	vm := &VM{
-		ID:          fmt.Sprintf("vm-%04d", s.seq),
-		Image:       img,
-		DeviceTree:  dt,
-		Measurement: m,
-		ClientID:    clientID,
-		SessionKey:  tee.DeriveSessionKey(m, clientNonce, cloudNonce),
-		Device:      s.assignDevice(),
-	}
-	s.active[clientID] = vm
-	return vm, nil
-}
-
-// Release tears a VM down after its single recording session. Releasing an
-// already-released VM is a no-op.
-func (s *Service) Release(vm *VM) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vm.released {
-		return
-	}
-	if s.active[vm.ClientID] == vm {
-		delete(s.active, vm.ClientID)
-	}
-	vm.released = true
-	if vm.Device != nil {
-		vm.Device.setBusy(false)
-	}
-	// The recording never persists cloud-side: no caching across clients
-	// (§3.1), so the session key is scrubbed with the VM.
-	for i := range vm.SessionKey {
-		vm.SessionKey[i] = 0
-	}
-}
-
-// ActiveVMs reports the number of live recording sessions.
-func (s *Service) ActiveVMs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active)
 }

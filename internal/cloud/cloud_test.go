@@ -2,66 +2,61 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
-func TestLaunchSelectsDeviceTree(t *testing.T) {
-	s := NewService(DefaultImage())
-	vm, err := s.Launch("client-1", "grt-bifrost", "arm,mali-g71-mp8", []byte("nonce"))
+// launch admits client and fails the test on error.
+func launch(t *testing.T, p *Pool, client, compat, nonce string) *VM {
+	t.Helper()
+	vm, err := p.Acquire(context.Background(), keyOf(client), client, compat, []byte(nonce))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return vm
+}
+
+func TestLaunchSelectsDeviceTree(t *testing.T) {
+	p := newTestPool(PoolConfig{})
+	vm := launch(t, p, "client-1", "arm,mali-g71-mp8", "nonce")
 	if vm.DeviceTree.Compatible != "arm,mali-g71-mp8" {
 		t.Fatalf("devicetree = %q", vm.DeviceTree.Compatible)
 	}
 	if len(vm.SessionKey) != 32 {
 		t.Fatalf("session key %d bytes", len(vm.SessionKey))
 	}
-	if s.ActiveVMs() != 1 {
-		t.Fatalf("active VMs = %d", s.ActiveVMs())
+	if p.ActiveVMs() != 1 {
+		t.Fatalf("active VMs = %d", p.ActiveVMs())
 	}
 }
 
 func TestOneVMPerClient(t *testing.T) {
-	s := NewService(DefaultImage())
-	vm, err := s.Launch("client-1", "grt-bifrost", "arm,mali-g71-mp8", []byte("n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Launch("client-1", "grt-bifrost", "arm,mali-g71-mp8", []byte("n")); err == nil {
+	p := newTestPool(PoolConfig{})
+	vm := launch(t, p, "client-1", "arm,mali-g71-mp8", "n")
+	if _, err := p.Acquire(context.Background(), keyOf("client-1"), "client-1", "arm,mali-g71-mp8", []byte("n")); err == nil {
 		t.Fatal("second concurrent VM for the same client allowed")
 	}
 	// A different client gets its own VM.
-	if _, err := s.Launch("client-2", "grt-bifrost", "arm,mali-g72-mp12", []byte("n")); err != nil {
-		t.Fatal(err)
-	}
-	s.Release(vm)
-	if _, err := s.Launch("client-1", "grt-bifrost", "arm,mali-g71-mp8", []byte("n")); err != nil {
-		t.Fatalf("relaunch after release: %v", err)
-	}
+	launch(t, p, "client-2", "arm,mali-g72-mp12", "n")
+	p.Release(vm)
+	launch(t, p, "client-1", "arm,mali-g71-mp8", "n")
 }
 
 func TestUnknownGPURejected(t *testing.T) {
-	s := NewService(DefaultImage())
-	if _, err := s.Launch("c", "grt-bifrost", "nvidia,gtx-4090", []byte("n")); err == nil {
+	p := newTestPool(PoolConfig{})
+	if _, err := p.Acquire(context.Background(), keyOf("c"), "c", "nvidia,gtx-4090", []byte("n")); err == nil {
 		t.Fatal("launched VM for a GPU the image cannot drive")
-	}
-	if _, err := s.Launch("c", "no-such-image", "arm,mali-g71-mp8", []byte("n")); err == nil {
-		t.Fatal("launched unknown image")
 	}
 }
 
 func TestAttestationMeasurementMatchesClientExpectation(t *testing.T) {
 	img := DefaultImage()
-	s := NewService(img)
+	p := NewPool(img, PoolConfig{})
 	want, err := ExpectedMeasurement(img, "arm,mali-g71-mp8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := s.Launch("c", "grt-bifrost", "arm,mali-g71-mp8", []byte("n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := launch(t, p, "c", "arm,mali-g71-mp8", "n")
 	if vm.Measurement != want {
 		t.Fatal("VM measurement differs from client's expected measurement")
 	}
@@ -74,28 +69,19 @@ func TestAttestationMeasurementMatchesClientExpectation(t *testing.T) {
 }
 
 func TestSessionKeysUniquePerLaunch(t *testing.T) {
-	s := NewService(DefaultImage())
-	vm1, err := s.Launch("c1", "grt-bifrost", "arm,mali-g71-mp8", []byte("same-nonce"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm2, err := s.Launch("c2", "grt-bifrost", "arm,mali-g71-mp8", []byte("same-nonce"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPool(PoolConfig{})
+	vm1 := launch(t, p, "c1", "arm,mali-g71-mp8", "same-nonce")
+	vm2 := launch(t, p, "c2", "arm,mali-g71-mp8", "same-nonce")
 	if bytes.Equal(vm1.SessionKey, vm2.SessionKey) {
 		t.Fatal("two sessions share a key")
 	}
 }
 
 func TestReleaseScrubsSessionKey(t *testing.T) {
-	s := NewService(DefaultImage())
-	vm, err := s.Launch("c", "grt-bifrost", "arm,mali-g71-mp8", []byte("n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPool(PoolConfig{})
+	vm := launch(t, p, "c", "arm,mali-g71-mp8", "n")
 	key := append([]byte(nil), vm.SessionKey...)
-	s.Release(vm)
+	p.Release(vm)
 	if bytes.Equal(key, vm.SessionKey) {
 		t.Fatal("session key survived VM release")
 	}

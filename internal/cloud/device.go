@@ -8,7 +8,7 @@ import (
 	"gpurelay/internal/obs"
 )
 
-// DeviceState is the health of one physical GPU behind the service.
+// DeviceState is the health of one physical GPU behind the pool.
 type DeviceState int
 
 const (
@@ -34,22 +34,23 @@ func (s DeviceState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Device is one physical GPU slot behind the service. The paper's cloud has
+// Device is one physical GPU slot behind the pool. The paper's cloud has
 // no physical GPUs — the "device" is the client's, relayed — but the fleet
 // still schedules sessions onto per-VM GPU attachments, and it is these
 // attachments whose health the Navarch-style events degrade. A Device keeps
-// its own mutex (never the Service's) so health reports arriving from the
-// resilience layer work regardless of which shard currently owns the VM.
+// its own mutex (never its partition's) so health reports arriving from the
+// resilience layer work however the VM itself was released.
 type Device struct {
+	id  string
+	reg *obs.Registry
+
 	mu         sync.Mutex
-	id         string
 	state      DeviceState
 	busy       bool
 	throttled  time.Duration
 	sbe, dbe   int
 	fallOffs   int
 	migrations int
-	reg        *obs.Registry
 }
 
 // DeviceInfo is a point-in-time snapshot of one device's health books.
@@ -64,8 +65,8 @@ type DeviceInfo struct {
 	Migrations int           `json:"migrations"`
 }
 
-// ID returns the device's fleet-unique identifier (shard-prefixed under a
-// ShardedService, e.g. "s2/gpu-01").
+// ID returns the device's fleet-unique identifier, prefixed with its
+// partition (e.g. "s2/gpu-01").
 func (d *Device) ID() string { return d.id }
 
 // State returns the device's current health state.
@@ -88,18 +89,20 @@ func (d *Device) Info() DeviceInfo {
 
 func (d *Device) lbl() obs.Label { return obs.L("device", d.id) }
 
-// available reports whether the device can host a new session. Callers
-// hold d.mu via the calling method; this helper takes the lock itself so
-// Service.Launch can poll it without layering violations.
-func (d *Device) available() bool {
+// claim marks a healthy, idle device busy and reports whether it did.
+func (d *Device) claim() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.state == DeviceHealthy && !d.busy
+	if d.state != DeviceHealthy || d.busy {
+		return false
+	}
+	d.busy = true
+	return true
 }
 
-func (d *Device) setBusy(b bool) {
+func (d *Device) free() {
 	d.mu.Lock()
-	d.busy = b
+	d.busy = false
 	d.mu.Unlock()
 }
 
@@ -111,11 +114,8 @@ func (d *Device) AddThrottle(t time.Duration) {
 	}
 	d.mu.Lock()
 	d.throttled += t
-	reg := d.reg
 	d.mu.Unlock()
-	if reg != nil {
-		reg.Add(obs.MDeviceThrottleNS, int64(t), d.lbl())
-	}
+	d.reg.Add(obs.MDeviceThrottleNS, int64(t), d.lbl())
 }
 
 // AddSBE books corrected single-bit ECC faults. Corrected faults keep the
@@ -126,11 +126,8 @@ func (d *Device) AddSBE(n int) {
 	}
 	d.mu.Lock()
 	d.sbe += n
-	reg := d.reg
 	d.mu.Unlock()
-	if reg != nil {
-		reg.Add(obs.MDeviceECCErrors, int64(n), d.lbl(), obs.L("kind", "sbe"))
-	}
+	d.reg.Add(obs.MDeviceECCErrors, int64(n), d.lbl(), obs.L("kind", "sbe"))
 }
 
 // MarkDBE books an uncorrectable double-bit ECC fault and degrades the
@@ -142,12 +139,9 @@ func (d *Device) MarkDBE() {
 	if d.state == DeviceHealthy {
 		d.state = DeviceDegraded
 	}
-	reg := d.reg
 	d.mu.Unlock()
-	if reg != nil {
-		reg.Add(obs.MDeviceECCErrors, 1, d.lbl(), obs.L("kind", "dbe"))
-		reg.GaugeSet(obs.MDeviceDegraded, 1, d.lbl())
-	}
+	d.reg.Add(obs.MDeviceECCErrors, 1, d.lbl(), obs.L("kind", "dbe"))
+	d.reg.GaugeSet(obs.MDeviceDegraded, 1, d.lbl())
 }
 
 // MarkFallOff books an XID-79 bus fall-off: the device is dead, permanently.
@@ -155,12 +149,9 @@ func (d *Device) MarkFallOff() {
 	d.mu.Lock()
 	d.fallOffs++
 	d.state = DeviceDead
-	reg := d.reg
 	d.mu.Unlock()
-	if reg != nil {
-		reg.Add(obs.MDeviceFallOffs, 1, d.lbl())
-		reg.GaugeSet(obs.MDeviceDead, 1, d.lbl())
-	}
+	d.reg.Add(obs.MDeviceFallOffs, 1, d.lbl())
+	d.reg.GaugeSet(obs.MDeviceDead, 1, d.lbl())
 }
 
 // NoteMigration books one session migrated OFF this device after it died
@@ -168,45 +159,19 @@ func (d *Device) MarkFallOff() {
 func (d *Device) NoteMigration() {
 	d.mu.Lock()
 	d.migrations++
-	reg := d.reg
 	d.mu.Unlock()
-	if reg != nil {
-		reg.Add(obs.MDeviceMigrations, 1, d.lbl())
+	d.reg.Add(obs.MDeviceMigrations, 1, d.lbl())
+}
+
+// Devices snapshots the health books of every device the pool has ever
+// attached: partition order, then attachment order.
+func (p *Pool) Devices() []DeviceInfo {
+	var devs []*Device
+	for _, pt := range p.parts {
+		pt.mu.Lock()
+		devs = append(devs, pt.devices...)
+		pt.mu.Unlock()
 	}
-}
-
-func (d *Device) setRegistry(reg *obs.Registry) {
-	d.mu.Lock()
-	d.reg = reg
-	d.mu.Unlock()
-}
-
-// InstrumentDevices attaches the fleet metrics registry to the device
-// inventory: every device (existing and future) publishes its grt_device_*
-// series there.
-func (s *Service) InstrumentDevices(reg *obs.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.devReg = reg
-	for _, d := range s.devices {
-		d.setRegistry(reg)
-	}
-}
-
-// SetDevicePrefix namespaces device IDs (e.g. "s2/" under shard 2 of a
-// ShardedService) so one fleet registry holds distinct per-device series.
-func (s *Service) SetDevicePrefix(p string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.devPrefix = p
-}
-
-// Devices snapshots the health books of every device the service has ever
-// attached, in attachment order.
-func (s *Service) Devices() []DeviceInfo {
-	s.mu.Lock()
-	devs := append([]*Device(nil), s.devices...)
-	s.mu.Unlock()
 	out := make([]DeviceInfo, len(devs))
 	for i, d := range devs {
 		out[i] = d.Info()
@@ -214,22 +179,19 @@ func (s *Service) Devices() []DeviceInfo {
 	return out
 }
 
-// assignDevice picks the first free healthy device or attaches a new one.
-// Callers hold s.mu. Dead and degraded devices are never offered again, so
-// a session re-admitted after ErrDeviceLost lands on different silicon by
+// assignDevice claims the first free healthy device of pt or attaches a new
+// one. Dead and degraded devices are never offered again, so a session
+// re-admitted after ErrDeviceLost lands on different silicon by
 // construction.
-func (s *Service) assignDevice() *Device {
-	for _, d := range s.devices {
-		if d.available() {
-			d.setBusy(true)
+func (p *Pool) assignDevice(pt *partition) *Device {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	for _, d := range pt.devices {
+		if d.claim() {
 			return d
 		}
 	}
-	d := &Device{
-		id:  fmt.Sprintf("%sgpu-%02d", s.devPrefix, len(s.devices)),
-		reg: s.devReg,
-	}
-	d.busy = true
-	s.devices = append(s.devices, d)
+	d := &Device{id: fmt.Sprintf("s%d/gpu-%02d", pt.index, len(pt.devices)), reg: p.fleet, busy: true}
+	pt.devices = append(pt.devices, d)
 	return d
 }

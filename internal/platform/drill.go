@@ -203,8 +203,8 @@ type DrillResult struct {
 	Resumes []int
 	// Wall is the host wall-clock duration of the engine run.
 	Wall time.Duration
-	// Service is the drill's admission layer, every VM released.
-	Service *cloud.ShardedService
+	// Service is the drill's admission pool, every VM released.
+	Service *cloud.Pool
 	// Fleet is the drill-wide registry (admissions, cache, devices,
 	// resumes) and Health its rollup, taken after every VM was released.
 	Fleet  *obs.Registry
@@ -238,7 +238,7 @@ type drill struct {
 	o      DrillOptions
 	eng    timesim.Engine
 	trace  *timesim.EngineTrace
-	svc    *cloud.ShardedService
+	svc    *cloud.Pool
 	store  *castore.Store
 	reg    *obs.Registry
 	flight *obs.FlightRecorder
@@ -294,23 +294,22 @@ func newDrill(opts DrillOptions) (*drill, error) {
 	n := o.Workloads
 	// An uncached drill holds every session's VM until the drill ends, so
 	// each partition is sized to hold them all.
-	pool := cloud.SessionConfig{}
+	capacity := 0
 	if !cached {
-		n, pool = o.Sessions, cloud.SessionConfig{Capacity: o.Sessions}
+		n, capacity = o.Sessions, o.Sessions
 	}
 	img := cloud.DefaultImage()
 	if d.want, err = cloud.ExpectedMeasurement(img, d.compat); err != nil {
 		return nil, err
 	}
-	d.svc = cloud.NewShardedService(img, cloud.ShardedConfig{Shards: o.Shards, Shard: pool})
-	d.svc.Instrument(d.reg)
-	d.svc.SetTimeSource(d.eng)
 	if o.Instrument {
 		d.flight = obs.NewFlightRecorder(0)
-		d.svc.InstrumentFlight(d.flight)
 		d.trace = timesim.NewEngineTrace(0)
 		d.eng.SetTrace(d.trace)
 	}
+	d.svc = cloud.NewPool(img, cloud.PoolConfig{
+		Shards: o.Shards, Capacity: capacity, Fleet: d.reg, Flight: d.flight, Time: d.eng,
+	})
 	for w := 0; w < n; w++ {
 		m := *o.Model
 		m.Name = fmt.Sprintf("%s-wl-%03d", o.Model.Name, w)
@@ -342,7 +341,7 @@ func newDrill(opts DrillOptions) (*drill, error) {
 		d.store.Instrument(d.reg)
 		d.free = make([]int, o.Shards)
 		for s := range d.free {
-			d.free[s] = d.svc.Manager(s).Config().Capacity
+			d.free[s] = d.svc.Capacity()
 		}
 		d.queued = make([][]queuedLeader, o.Shards)
 		d.inflight = make([]bool, n)
@@ -502,7 +501,7 @@ func (d *drill) arrive(ctx context.Context, client int) error {
 	case d.free[shard] > 0:
 		d.free[shard]--
 		return d.lead(ctx, w, 0)
-	case len(d.queued[shard]) < d.svc.Manager(shard).Config().QueueLimit:
+	case len(d.queued[shard]) < d.svc.QueueLimit():
 		d.inflight[w] = true
 		d.queued[shard] = append(d.queued[shard], queuedLeader{w: w, enqueued: now})
 		d.counts.MaxShardQueue = max(d.counts.MaxShardQueue, len(d.queued[shard]))
