@@ -389,7 +389,7 @@ func writeCheckpoint(path string, cp *gpurelay.Checkpoint) error {
 }
 
 // readCheckpoint loads a checkpoint writeCheckpoint saved, refusing any
-// chunk over platform.MaxBundleChunk before allocating it.
+// chunk over wire.MaxChunk before reading it.
 func readCheckpoint(path string) (*gpurelay.Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"gpurelay"
-	"gpurelay/internal/platform"
+	"gpurelay/internal/wire"
 )
 
 // chunks lays out a magic and length-prefixed chunks the way grtrecord's
@@ -27,7 +27,7 @@ func chunks(magic string, cs ...[]byte) []byte {
 }
 
 // TestCheckpointFile covers grtrecord's files on disk. A checkpoint file
-// whose first chunk declares one byte over platform.MaxBundleChunk is
+// whose first chunk declares one byte over wire.MaxChunk is
 // refused, naming the bound, before anything that size is allocated. A
 // session lost with resumes disabled writes its last checkpoint, which reads
 // back and resumes to the recording an uninterrupted run makes; the
@@ -37,13 +37,13 @@ func TestCheckpointFile(t *testing.T) {
 
 	t.Run("oversized chunk", func(t *testing.T) {
 		path := filepath.Join(dir, "huge.grtc")
-		f := binary.LittleEndian.AppendUint32([]byte("GRTC"), platform.MaxBundleChunk+1)
+		f := binary.LittleEndian.AppendUint32([]byte("GRTC"), wire.MaxChunk+1)
 		if err := os.WriteFile(path, append(f, "truncated"...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := readCheckpoint(path)
-		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(platform.MaxBundleChunk)) {
-			t.Fatalf("oversized chunk: %v, want an error naming the %d-byte bound", err, platform.MaxBundleChunk)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(wire.MaxChunk)) {
+			t.Fatalf("oversized chunk: %v, want an error naming the %d-byte bound", err, wire.MaxChunk)
 		}
 	})
 

@@ -2,7 +2,9 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +88,15 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	if err := EncodeBundleFile(&buf, signed, key); err != nil {
 		t.Fatal(err)
 	}
+	// The GRTD layout: magic, then payload, MAC and key, each behind its
+	// uint32-LE length.
+	want := []byte(BundleMagic)
+	for _, c := range [][]byte{signed.Payload, signed.MAC[:], key} {
+		want = append(binary.LittleEndian.AppendUint32(want, uint32(len(c))), c...)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("the GRTD file layout changed")
+	}
 	payload, mac, fileKey, err := DecodeBundleFile(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +122,44 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	withTrailer := append(append([]byte(nil), buf.Bytes()...), "junk"...)
 	if _, _, _, err := DecodeBundleFile(bytes.NewReader(withTrailer)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// spaces is an endless source of ASCII spaces that counts the bytes it
+// hands out.
+type spaces struct{ n int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	s.n += len(p)
+	return len(p), nil
+}
+
+// TestBoundedReadBundleTrailer: a GRTD file may end in a newline, but one
+// followed by 64 MiB of trailer is refused after reading at most 64 KiB past
+// its chunks.
+func TestBoundedReadBundleTrailer(t *testing.T) {
+	key := bytes.Repeat([]byte{0x07}, 32)
+	signed, err := testBundle(t).Seal(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := EncodeBundleFile(&file, signed, key); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DecodeBundleFile(io.MultiReader(bytes.NewReader(file.Bytes()), strings.NewReader("\n"))); err != nil {
+		t.Fatalf("a bundle file ending in a newline: %v", err)
+	}
+	trailer := &spaces{}
+	_, _, _, err = DecodeBundleFile(io.MultiReader(bytes.NewReader(file.Bytes()), io.LimitReader(trailer, 64<<20)))
+	if err == nil {
+		t.Fatal("a bundle file with a 64 MiB trailer was accepted")
+	}
+	if trailer.n > 64<<10 {
+		t.Fatalf("read %d trailer bytes past the chunks", trailer.n)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"gpurelay/internal/wire"
 )
 
 // The multi-GPU recording artifact is a container of independently signed
@@ -12,8 +14,8 @@ import (
 // overlap), so the honest artifact is N verifiable recordings stitched
 // side by side. For a single GPU the container degenerates to exactly the
 // bundle grtrecord has always written — same "GRTB" magic, same three
-// length-prefixed chunks — so every existing bundle remains a valid 1-GPU
-// platform bundle and vice versa.
+// length-prefixed chunks (wire.WriteChunks) — so every existing bundle
+// remains a valid 1-GPU platform bundle and vice versa.
 const (
 	// singleMagic is grtrecord's classic single-recording bundle magic.
 	singleMagic = "GRTB"
@@ -24,11 +26,6 @@ const (
 	// checkpoint's three chunks, laid out as a single-GPU bundle.
 	checkpointMagic = "GRTC"
 )
-
-// MaxBundleChunk bounds one decoded chunk, mirroring the fail-closed
-// ingestion discipline: a hostile length prefix must not allocate
-// unboundedly.
-const MaxBundleChunk = 1 << 30
 
 // maxBundleSessions bounds the per-GPU session count a bundle may declare.
 const maxBundleSessions = 4096
@@ -70,21 +67,12 @@ func WriteBundle(w io.Writer, entries []Entry) error {
 	return nil
 }
 
-func writeEntry(w io.Writer, e Entry) error {
-	for _, b := range [][]byte{e.Payload, e.MAC, e.Key} {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(b))); err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func writeEntry(w io.Writer, e Entry) error { return wire.WriteChunks(w, e.Payload, e.MAC, e.Key) }
 
 // ReadBundle parses either bundle layout and returns the per-GPU entries in
-// GPU order (length 1 for a classic single-GPU bundle). Decoding is bounded:
-// a corrupt or hostile length prefix fails instead of allocating unboundedly.
+// GPU order (length 1 for a classic single-GPU bundle). Decoding is bounded
+// by wire.ReadChunk: a corrupt or hostile length prefix fails instead of
+// allocating more than the input holds.
 func ReadBundle(r io.Reader) ([]Entry, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -119,30 +107,12 @@ func ReadBundle(r io.Reader) ([]Entry, error) {
 }
 
 func readEntry(r io.Reader) (Entry, error) {
-	read := func() ([]byte, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		if n > MaxBundleChunk {
-			return nil, fmt.Errorf("platform: chunk of %d bytes exceeds the %d-byte limit", n, MaxBundleChunk)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
 	var e Entry
 	var err error
-	if e.Payload, err = read(); err != nil {
-		return Entry{}, err
-	}
-	if e.MAC, err = read(); err != nil {
-		return Entry{}, err
-	}
-	if e.Key, err = read(); err != nil {
-		return Entry{}, err
+	for _, c := range []*[]byte{&e.Payload, &e.MAC, &e.Key} {
+		if *c, err = wire.ReadChunk(r); err != nil {
+			return Entry{}, fmt.Errorf("platform: reading chunk: %w", err)
+		}
 	}
 	return e, nil
 }

@@ -3,6 +3,8 @@ package platform
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"gpurelay/internal/gpumem"
@@ -181,6 +183,29 @@ func TestBundleRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := ReadBundle(bytes.NewReader(blob)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestBoundedReadBundleChunk: a 13-byte recording bundle or checkpoint file
+// whose first chunk declares 1 GiB, within the chunk bound but far past the
+// file, is refused after allocating about what the file holds.
+func TestBoundedReadBundleChunk(t *testing.T) {
+	read := map[string]func(*bytes.Reader) error{
+		"GRTB": func(r *bytes.Reader) error { _, err := ReadBundle(r); return err },
+		"GRTC": func(r *bytes.Reader) error { _, err := ReadCheckpoint(r); return err },
+	}
+	for magic, readFile := range read {
+		f := append(binary.LittleEndian.AppendUint32([]byte(magic), 1<<30), "short"...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := readFile(bytes.NewReader(f))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte file declaring a 1 GiB chunk was accepted", magic, len(f))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: reading a %d-byte file allocated %d bytes", magic, len(f), grew)
 		}
 	}
 }
