@@ -71,7 +71,7 @@ const (
 	MCacheEntries   = "grt_cache_entries"          // gauge: memory-tier entries
 	MCacheBytes     = "grt_cache_bytes"            // gauge: memory-tier payload bytes
 
-	// sharded service (cloud.ShardedService): per-partition admission.
+	// admission pool partitions (cloud.Pool): per-partition admission.
 	MShardRequests = "grt_shard_requests_total" // shard=N
 	MShardShed     = "grt_shard_shed_total"     // shard=N; typed ErrShedding rejections
 
