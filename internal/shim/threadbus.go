@@ -75,9 +75,7 @@ func (t *ThreadBus) Lock(name string) { t.s.inner.Lock(name) }
 // lock is released (release consistency, §4.1). The commit itself may still
 // be speculated — only externalization forces validation (§4.2).
 func (t *ThreadBus) Unlock(name string) {
-	t.s.gmu.Lock()
-	t.s.commit(t.tid)
-	t.s.gmu.Unlock()
+	t.locked(func() { t.s.commit(t.tid) })
 	t.s.inner.Unlock(name)
 }
 
@@ -85,18 +83,26 @@ func (t *ThreadBus) Unlock(name string) {
 // queued accesses must reach the GPU (in simulation: be initiated) before
 // the delay elapses.
 func (t *ThreadBus) Delay(d time.Duration) {
-	t.s.gmu.Lock()
-	t.s.commit(t.tid)
-	t.s.gmu.Unlock()
+	t.locked(func() { t.s.commit(t.tid) })
 	t.s.inner.Delay(d)
 }
 
 // Log implements kbase.Kernel: printk externalizes kernel state, so beyond
 // committing, all outstanding speculation must validate first (§4.2).
 func (t *ThreadBus) Log(format string, args ...any) {
-	t.s.gmu.Lock()
-	t.s.commitSync(t.tid)
-	t.s.validateOutstanding()
-	t.s.gmu.Unlock()
+	t.locked(func() {
+		t.s.commitSync(t.tid)
+		t.s.validateOutstanding()
+	})
 	t.s.inner.Log(format, args...)
+}
+
+// locked runs f under the shim mutex and releases it however f ends: a
+// commit can abort the session with a netsim.Canceled or SessionLost panic,
+// and the driver's deferred unlocks, and the recorder reading the shim's
+// stats, still take the mutex on the way out.
+func (t *ThreadBus) locked(f func()) {
+	t.s.gmu.Lock()
+	defer t.s.gmu.Unlock()
+	f()
 }
