@@ -91,6 +91,9 @@ type Stats struct {
 	// stay zero on a healthy link).
 	FaultStalls int
 	FaultDelay  time.Duration
+	// Stalled is the virtual time WaitUntil spent waiting for speculated
+	// round trips to complete.
+	Stalled time.Duration
 }
 
 // TotalRTTs returns all round trips regardless of blocking behaviour.
@@ -98,6 +101,27 @@ func (s Stats) TotalRTTs() int { return s.BlockingRTTs + s.AsyncRTTs }
 
 // TotalBytes returns payload bytes in both directions.
 func (s Stats) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
+
+// Publish adds the link's tallies to a session scope's counters, creating
+// only the series a round trip, one-way message, retransmit, stall or fault
+// stall touched. The recorder publishes once per attempt, however it ends.
+func (s Stats) Publish(scope *obs.Scope) {
+	if scope == nil {
+		return
+	}
+	count := func(name string, n int64, touched bool, labels ...obs.Label) {
+		if touched {
+			scope.Count(name, n, labels...)
+		}
+	}
+	count(obs.MNetRTTs, int64(s.BlockingRTTs), s.BlockingRTTs > 0, obs.L("mode", "blocking"))
+	count(obs.MNetRTTs, int64(s.AsyncRTTs), s.AsyncRTTs > 0, obs.L("mode", "async"))
+	count(obs.MNetBytes, s.BytesSent, s.TotalRTTs() > 0 || s.BytesSent > 0, obs.L("dir", "sent"))
+	count(obs.MNetBytes, s.BytesReceived, s.TotalRTTs() > 0, obs.L("dir", "recv"))
+	count(obs.MNetRetransmits, int64(s.Retransmits), s.Retransmits > 0)
+	count(obs.MNetStallNS, int64(s.Stalled), s.Stalled > 0)
+	count(obs.MNetFaultStallNS, int64(s.FaultDelay), s.FaultStalls > 0)
+}
 
 // Canceled is thrown (via panic) out of a blocking link operation when the
 // link's bound context is done. The blocking round trips happen deep inside
@@ -144,8 +168,8 @@ type Link struct {
 	cond  Condition
 	clock timesim.Time
 	ctx   context.Context
-	// obs collects per-session telemetry (round-trip counters and spans on
-	// the virtual clock); nil means uninstrumented and is a true no-op.
+	// obs receives the session's exchange spans on the virtual clock; nil
+	// means uninstrumented and is a true no-op.
 	obs *obs.Scope
 	// faults, when non-nil, perturbs every exchange (chaos testing). Like
 	// obs and ctx it is installed before the link is shared.
@@ -180,9 +204,8 @@ func (l *Link) draw() float64 {
 
 // perturb applies jitter and loss (the condition's own plus any injected
 // extra) to one exchange's base latency, updating the retransmit counter
-// under l.mu. It returns the perturbed latency and the number of
-// retransmissions this exchange suffered.
-func (l *Link) perturb(base time.Duration, extraLoss float64) (time.Duration, int) {
+// under l.mu. It returns the perturbed latency.
+func (l *Link) perturb(base time.Duration, extraLoss float64) time.Duration {
 	if l.cond.Jitter > 0 {
 		base += time.Duration(l.draw() * float64(l.cond.Jitter))
 	}
@@ -190,18 +213,16 @@ func (l *Link) perturb(base time.Duration, extraLoss float64) (time.Duration, in
 	if loss > maxEffectiveLossPct {
 		loss = maxEffectiveLossPct
 	}
-	retries := 0
 	for loss > 0 && l.draw()*100 < loss {
 		base += retransmitTimeout + l.cond.RTT
 		l.stats.Retransmits++
-		retries++
 	}
-	return base, retries
+	return base
 }
 
-// Instrument attaches a telemetry scope: every subsequent round trip counts
-// into it and (capacity permitting) records a span on the virtual clock. A
-// nil scope leaves the link uninstrumented.
+// Instrument attaches a telemetry scope: every subsequent exchange records a
+// span on it (capacity permitting) on the virtual clock; the link's counters
+// reach it through Stats.Publish. A nil scope leaves the link uninstrumented.
 func (l *Link) Instrument(scope *obs.Scope) { l.obs = scope }
 
 // InjectFaults installs a fault injector consulted on every exchange. Like
@@ -233,7 +254,6 @@ func (l *Link) applyFaults(base time.Duration) (time.Duration, float64) {
 		l.stats.FaultStalls++
 		l.stats.FaultDelay += extra
 		l.mu.Unlock()
-		l.obs.Count(obs.MNetFaultStallNS, int64(extra))
 	}
 	return extra, loss
 }
@@ -281,8 +301,7 @@ func (l *Link) RoundTrip(reqBytes, respBytes int64) time.Duration {
 	extra, extraLoss := l.applyFaults(total)
 	total += extra
 	l.mu.Lock()
-	var retries int
-	total, retries = l.perturb(total, extraLoss)
+	total = l.perturb(total, extraLoss)
 	l.mu.Unlock()
 	endSpan := l.obs.Span("net.rtt", "net",
 		obs.A("req_bytes", reqBytes), obs.A("resp_bytes", respBytes))
@@ -294,12 +313,6 @@ func (l *Link) RoundTrip(reqBytes, respBytes int64) time.Duration {
 	l.stats.BytesReceived += respBytes
 	l.stats.Busy += busy
 	l.mu.Unlock()
-	l.obs.Count(obs.MNetRTTs, 1, obs.L("mode", "blocking"))
-	l.obs.Count(obs.MNetBytes, reqBytes, obs.L("dir", "sent"))
-	l.obs.Count(obs.MNetBytes, respBytes, obs.L("dir", "recv"))
-	if retries > 0 {
-		l.obs.Count(obs.MNetRetransmits, int64(retries))
-	}
 	return done
 }
 
@@ -313,19 +326,12 @@ func (l *Link) AsyncRoundTrip(reqBytes, respBytes int64) (completion time.Durati
 	extra, extraLoss := l.applyFaults(total)
 	total += extra
 	l.mu.Lock()
-	var retries int
-	total, retries = l.perturb(total, extraLoss)
+	total = l.perturb(total, extraLoss)
 	l.stats.AsyncRTTs++
 	l.stats.BytesSent += reqBytes
 	l.stats.BytesReceived += respBytes
 	l.stats.Busy += busy
 	l.mu.Unlock()
-	l.obs.Count(obs.MNetRTTs, 1, obs.L("mode", "async"))
-	l.obs.Count(obs.MNetBytes, reqBytes, obs.L("dir", "sent"))
-	l.obs.Count(obs.MNetBytes, respBytes, obs.L("dir", "recv"))
-	if retries > 0 {
-		l.obs.Count(obs.MNetRetransmits, int64(retries))
-	}
 	return l.clock.Now() + total
 }
 
@@ -341,7 +347,9 @@ func (l *Link) WaitUntil(t time.Duration) time.Duration {
 	endSpan := l.obs.Span("net.wait", "net")
 	l.clock.AdvanceTo(t)
 	endSpan()
-	l.obs.Count(obs.MNetStallNS, int64(t-now))
+	l.mu.Lock()
+	l.stats.Stalled += t - now
+	l.mu.Unlock()
 	return t - now
 }
 
@@ -358,6 +366,5 @@ func (l *Link) OneWay(n int64) time.Duration {
 	l.stats.BytesSent += n
 	l.stats.Busy += busy
 	l.mu.Unlock()
-	l.obs.Count(obs.MNetBytes, n, obs.L("dir", "sent"))
 	return done
 }

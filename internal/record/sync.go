@@ -26,10 +26,10 @@ type syncer struct {
 	client   *gpumem.Pool
 	ctx      *kbase.Context
 	rt       *mlfw.Runtime
-	// obs counts the §5 synchronization traffic (wire vs raw bytes, dump
-	// count, per direction). Capture/encode are instantaneous in virtual
-	// time — the traffic's latency is paid on the link — so dumps are
-	// annotated as instant events rather than spans.
+	// obs marks each dump on the session's timeline and in its flight
+	// journal. Capture/encode are instantaneous in virtual time — the
+	// traffic's latency is paid on the link — so dumps are annotated as
+	// instant events rather than spans.
 	obs *obs.Scope
 
 	// codec codes both directions' dumps, so a job's client→cloud encode
@@ -52,8 +52,8 @@ type syncer struct {
 	capOut    gpumem.CaptureState
 	prevInFP  string
 	capIn     gpumem.CaptureState
-	bytesOut  int64
-	bytesIn   int64
+	// out and in tally the dumps sent to the client and to the cloud.
+	out, in SyncTraffic
 
 	// The fingerprint caches for metaFP, one per direction (see
 	// snapFPCached). They make metaFP, which every job boundary's checkpoint
@@ -98,25 +98,35 @@ type regionFP struct {
 	at   []uint64
 }
 
-// Label slices for countDump, built once: the dump counters fire twice per
-// job on the hot path, and rebuilding the variadic slices dominated their
-// cost.
-var (
-	dirToClient = []obs.Label{obs.L("dir", "to_client")}
-	dirToCloud  = []obs.Label{obs.L("dir", "to_cloud")}
-)
+// SyncTraffic is one direction's §5 memory synchronization: the dumps sent,
+// their bytes on the wire, and their bytes before delta coding and
+// compression (the ratio of the two is the §5 win).
+type SyncTraffic struct {
+	Dumps    int
+	Bytes    int64
+	RawBytes int64
+}
 
-// countDump records one synchronization dump in the session's telemetry:
-// wire bytes (what actually crosses the link), raw bytes (pre-delta,
-// pre-compression — their ratio is the §5 win), and an instant event on the
-// timeline.
-func (s *syncer) countDump(dir []obs.Label, j int, wire, raw int64) {
-	s.obs.Count(obs.MSyncDumps, 1, dir...)
-	s.obs.Count(obs.MSyncBytes, wire, dir...)
-	s.obs.Count(obs.MSyncRawBytes, raw, dir...)
+// publish adds the direction's tallies to a session scope's counters, if it
+// sent a dump.
+func (t SyncTraffic) publish(scope *obs.Scope, dir string) {
+	if t.Dumps == 0 {
+		return
+	}
+	scope.Count(obs.MSyncDumps, int64(t.Dumps), obs.L("dir", dir))
+	scope.Count(obs.MSyncBytes, t.Bytes, obs.L("dir", dir))
+	scope.Count(obs.MSyncRawBytes, t.RawBytes, obs.L("dir", dir))
+}
+
+// countDump tallies one synchronization dump in its direction's traffic t
+// and marks it on the session's timeline and in its flight journal.
+func (s *syncer) countDump(t *SyncTraffic, dir string, j int, wire, raw int64) {
+	t.Dumps++
+	t.Bytes += wire
+	t.RawBytes += raw
 	s.obs.Annotate("sync.dump", "sync",
 		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
-	s.obs.Emit(obs.FKSync, dir[0].Value,
+	s.obs.Emit(obs.FKSync, dir,
 		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
 }
 
@@ -348,8 +358,7 @@ func (s *syncer) metaDump(j int) ([]byte, error) {
 	img.Restore(s.client)
 	s.capOut.Commit(snap)
 	s.prevOutFP = fp
-	s.bytesOut += int64(len(wire))
-	s.countDump(dirToClient, j, int64(len(wire)), snap.RawBytes())
+	s.countDump(&s.out, "to_client", j, int64(len(wire)), snap.RawBytes())
 	// Continuous validation (§5): the dumped metastate is now the
 	// client's to use; until the job completes, any spurious cloud-side
 	// access to it is trapped and reported.
@@ -419,8 +428,7 @@ func (s *syncer) naiveBefore(j int) ([]byte, error) {
 		return nil, fmt.Errorf("record: encoding naive dump for job %d: %w", j, err)
 	}
 	snap.Restore(s.client)
-	s.bytesOut += int64(len(wire))
-	s.countDump(dirToClient, j, int64(len(wire)), snap.RawBytes())
+	s.countDump(&s.out, "to_client", j, int64(len(wire)), snap.RawBytes())
 	snap.Release()
 	return wire, nil
 }
@@ -451,8 +459,7 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		img.Restore(s.cloud)
 		s.capIn.Commit(snap)
 		s.prevInFP = fp
-		s.bytesIn += int64(len(wire))
-		s.countDump(dirToCloud, j, int64(len(wire)), snap.RawBytes())
+		s.countDump(&s.in, "to_cloud", j, int64(len(wire)), snap.RawBytes())
 		return wire, nil
 	}
 	// Naive: ship the job's destination buffer raw, whatever its size.
@@ -464,8 +471,7 @@ func (s *syncer) afterJob(j int) ([]byte, error) {
 		return nil, fmt.Errorf("record: encoding naive output dump after job %d: %w", j, err)
 	}
 	snap.Restore(s.cloud)
-	s.bytesIn += int64(len(wire))
-	s.countDump(dirToCloud, j, int64(len(wire)), snap.RawBytes())
+	s.countDump(&s.in, "to_cloud", j, int64(len(wire)), snap.RawBytes())
 	snap.Release()
 	return wire, nil
 }

@@ -12,6 +12,7 @@ import (
 	"gpurelay/internal/mali"
 	"gpurelay/internal/mlfw"
 	"gpurelay/internal/netsim"
+	"gpurelay/internal/obs"
 	"gpurelay/internal/record"
 	"gpurelay/internal/tee"
 	"gpurelay/internal/timesim"
@@ -339,14 +340,20 @@ func TestNonStrictReplayCollectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Obs = obs.NewScope("mismatch", obs.Options{})
 	// Strict mode: the divergence is fatal.
 	if _, err := r.Run(); err == nil {
 		t.Fatal("strict replay ignored a read mismatch")
 	}
 	// Non-strict mode: the run completes and the mismatch is reported.
 	r.Strict = false
-	if _, err := r.Run(); err != nil {
+	out, err := r.Run()
+	if err != nil {
 		t.Fatalf("non-strict replay failed: %v", err)
+	}
+	// Each Run published its mismatch, the failed one too.
+	if got := out.Obs.Counter(obs.MReplayMismatches); out.ReadMismatches != 1 || got != 2 {
+		t.Fatalf("ReadMismatches = %d, counter after both runs = %d; want 1 and 2", out.ReadMismatches, got)
 	}
 	if len(r.Mismatches) != 1 {
 		t.Fatalf("%d mismatches collected, want 1", len(r.Mismatches))

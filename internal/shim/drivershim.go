@@ -14,52 +14,6 @@ import (
 	"gpurelay/internal/val"
 )
 
-// Counter label slices for the per-commit and per-poll metrics, built once:
-// these fire for every commit on the hot path and rebuilding the variadic
-// slice per call was pure allocation churn.
-var (
-	lblNotOffloaded = []obs.Label{obs.L("offloaded", "false")}
-	lblOffloaded    = []obs.Label{obs.L("offloaded", "true")}
-	lblKindSync     = []obs.Label{obs.L("kind", "sync")}
-	lblKindResync   = []obs.Label{obs.L("kind", "resync")}
-	lblKindAsync    = []obs.Label{obs.L("kind", "async")}
-
-	// catLabelCache is populated at init and read-only afterwards, so
-	// concurrent shims can share it without locking.
-	catLabelCache = map[kbase.Category][]obs.Label{}
-)
-
-func init() {
-	for _, cat := range []kbase.Category{
-		kbase.CatInit, kbase.CatInterrupt, kbase.CatPower,
-		kbase.CatPolling, kbase.CatSubmit,
-	} {
-		catLabelCache[cat] = []obs.Label{obs.L("category", string(cat))}
-	}
-	for _, cat := range kbase.FnCategory {
-		if _, ok := catLabelCache[cat]; !ok {
-			catLabelCache[cat] = []obs.Label{obs.L("category", string(cat))}
-		}
-	}
-}
-
-func catLabels(cat kbase.Category) []obs.Label {
-	if l, ok := catLabelCache[cat]; ok {
-		return l
-	}
-	return []obs.Label{obs.L("category", string(cat))}
-}
-
-func kindLabels(kind string) []obs.Label {
-	switch kind {
-	case "sync":
-		return lblKindSync
-	case "resync":
-		return lblKindResync
-	}
-	return []obs.Label{obs.L("kind", kind)}
-}
-
 // Mode selects how DriverShim hides (or does not hide) the network latency.
 type Mode int
 
@@ -131,8 +85,44 @@ type Stats struct {
 	DumpBytesToClient    int64
 	DumpBytesToCloud     int64
 	// ResyncEvents counts checkpointed events re-derived and verified while
-	// resuming a lost session.
-	ResyncEvents int
+	// resuming a lost session, and ResyncCommits the SyncCommits that
+	// re-derived them locally, with no round trip.
+	ResyncEvents  int
+	ResyncCommits int
+}
+
+// Publish adds the shim's tallies to a session scope's counters, creating
+// only the series a register access, commit, poll, stall, rollback or
+// resync touched. The recorder publishes once per attempt, however it ends.
+func (st Stats) Publish(scope *obs.Scope) {
+	if scope == nil {
+		return
+	}
+	count := func(name string, n int, labels ...obs.Label) {
+		if n > 0 {
+			scope.Count(name, int64(n), labels...)
+		}
+	}
+	count(obs.MShimRegAccesses, st.RegAccesses)
+	count(obs.MShimCommits, st.SyncCommits-st.ResyncCommits, obs.L("kind", "sync"))
+	count(obs.MShimCommits, st.ResyncCommits, obs.L("kind", "resync"))
+	count(obs.MShimCommits, st.AsyncCommits, obs.L("kind", "async"))
+	for cat, n := range st.CommitsByCategory {
+		count(obs.MShimCommitsByCat, n, obs.L("category", string(cat)))
+	}
+	for cat, n := range st.SpeculatedByCategory {
+		count(obs.MShimSpeculatedByCat, n, obs.L("category", string(cat)))
+	}
+	count(obs.MShimSpecStalls, st.SpecStalls)
+	count(obs.MShimMispredictions, st.Mispredictions)
+	if st.Recoveries > 0 {
+		scope.Count(obs.MShimRecoveryNS, int64(st.RecoveryTime))
+	}
+	count(obs.MShimPollLoops, st.PollLoops-st.PollLoopsOffloaded, obs.L("offloaded", "false"))
+	count(obs.MShimPollLoops, st.PollLoopsOffloaded, obs.L("offloaded", "true"))
+	count(obs.MShimPollRTTsSaved, st.PollRTTsSaved)
+	count(obs.MShimIRQWaits, st.IRQWaits)
+	count(obs.MCkptResyncEvents, st.ResyncEvents)
 }
 
 type binding struct {
@@ -212,7 +202,8 @@ type Config struct {
 	Kernel   kbase.Kernel
 	History  *History // optional; shared across workloads as in §7.3
 	Recovery RecoveryModel
-	// Obs is the session telemetry scope (nil: uninstrumented).
+	// Obs is the session telemetry scope (nil: uninstrumented). It gets the
+	// shim's spans and flight events; its counters come from Stats.Publish.
 	Obs *obs.Scope
 }
 
@@ -341,7 +332,6 @@ func (s *DriverShim) WaitIRQ(fn string) kbase.IRQState {
 
 func (s *DriverShim) readT(tid, fn string, r mali.Reg) val.Value {
 	s.stats.RegAccesses++
-	s.obs.Count(obs.MShimRegAccesses, 1)
 	sym := val.NewSymbol(mali.RegName(r))
 	s.threads[tid] = append(s.threads[tid], RegOp{Kind: OpRead, Fn: fn, Reg: r, Sym: sym})
 	if s.mode == ModeSync || !kbase.HotFunctions[fn] {
@@ -357,7 +347,6 @@ func (s *DriverShim) readT(tid, fn string, r mali.Reg) val.Value {
 
 func (s *DriverShim) writeT(tid, fn string, r mali.Reg, v val.Value) {
 	s.stats.RegAccesses++
-	s.obs.Count(obs.MShimRegAccesses, 1)
 	// Resolve against already-bound symbols; symbols from the current
 	// queue stay symbolic and are resolved by the client in batch order.
 	if resolved, ok := v.Resolve(s.env); ok {
@@ -395,13 +384,11 @@ func (s *DriverShim) resolveForUse(tid, fn string, v val.Value) val.Value {
 func (s *DriverShim) pollT(tid string, spec kbase.PollSpec) kbase.PollResult {
 	s.stats.PollLoops++
 	if s.mode == ModeSync || !kbase.HotFunctions[spec.Fn] {
-		s.obs.Count(obs.MShimPollLoops, 1, lblNotOffloaded...)
 		// One blocking round trip per loop iteration, as a naive remote
 		// bus behaves.
 		var res kbase.PollResult
 		for i := 0; i < spec.Max; i++ {
 			s.stats.RegAccesses++
-			s.obs.Count(obs.MShimRegAccesses, 1)
 			s.threads[tid] = append(s.threads[tid], RegOp{Kind: OpRead, Fn: spec.Fn, Reg: spec.Reg,
 				Sym: val.NewSymbol(mali.RegName(spec.Reg))})
 			results := s.commitSync(tid)
@@ -417,8 +404,6 @@ func (s *DriverShim) pollT(tid string, spec kbase.PollSpec) kbase.PollResult {
 	// Offload the whole loop as one operation.
 	s.stats.PollLoopsOffloaded++
 	s.stats.RegAccesses++ // the loop's accesses happen client-side; one op crosses the wire
-	s.obs.Count(obs.MShimPollLoops, 1, lblOffloaded...)
-	s.obs.Count(obs.MShimRegAccesses, 1)
 	endSpan := s.obs.Span("shim.poll.offload", "shim", obs.A("max_iters", int64(spec.Max)))
 	s.threads[tid] = append(s.threads[tid], RegOp{Kind: OpPoll, Fn: spec.Fn, Reg: spec.Reg,
 		Sym:      val.NewSymbol(mali.RegName(spec.Reg)),
@@ -434,7 +419,6 @@ func (s *DriverShim) pollT(tid string, spec kbase.PollSpec) kbase.PollResult {
 	saved := last.Iters - 1
 	if saved > 0 {
 		s.stats.PollRTTsSaved += saved
-		s.obs.Count(obs.MShimPollRTTsSaved, int64(saved))
 	}
 	return kbase.PollResult{Value: last.Value, Iters: last.Iters, TimedOut: last.TimedOut}
 }
@@ -459,7 +443,6 @@ func (s *DriverShim) waitIRQT(tid, fn string) kbase.IRQState {
 		endSpan()
 	}
 	s.stats.IRQWaits++
-	s.obs.Count(obs.MShimIRQWaits, 1)
 	irq := s.client.IRQ()
 	s.log = append(s.log, trace.Event{Kind: trace.KIRQ, Fn: fn,
 		IRQJob: irq.Job, IRQGPU: irq.GPU, IRQMMU: irq.MMU})
@@ -525,7 +508,6 @@ func (s *DriverShim) stallIfSpeculative(tid string) {
 	}
 	if s.queueIsSpeculative(tid) {
 		s.stats.SpecStalls++
-		s.obs.Count(obs.MShimSpecStalls, 1)
 		s.validateOutstanding()
 	}
 }
@@ -610,11 +592,10 @@ func (s *DriverShim) commitSync(tid string) []OpResult {
 	ops := s.threads[tid]
 	s.threads[tid] = nil
 	sig := CommitSignature(ops)
-	kind := "sync"
-	if s.rs != nil {
+	resync := s.rs != nil
+	if resync {
 		// Resync: both sides replay locally (§4.2) — no round trip, the
 		// clock pays the calibrated per-event replay cost instead.
-		kind = "resync"
 		s.clock.Advance(time.Duration(len(ops)+1) * s.rs.perEvent)
 	} else {
 		req, resp := s.wireSizes(ops)
@@ -627,10 +608,10 @@ func (s *DriverShim) commitSync(tid string) []OpResult {
 	s.history.Record(sig, outcomeOf(ops, results))
 	s.stats.Commits++
 	s.stats.SyncCommits++
-	cat := categoryOf(ops)
-	s.stats.CommitsByCategory[cat]++
-	s.obs.Count(obs.MShimCommits, 1, kindLabels(kind)...)
-	s.obs.Count(obs.MShimCommitsByCat, 1, catLabels(cat)...)
+	if resync {
+		s.stats.ResyncCommits++
+	}
+	s.stats.CommitsByCategory[categoryOf(ops)]++
 	return results
 }
 
@@ -675,9 +656,6 @@ func (s *DriverShim) commitMaybeSpeculate(tid string) []OpResult {
 	cat := categoryOf(ops)
 	s.stats.CommitsByCategory[cat]++
 	s.stats.SpeculatedByCategory[cat]++
-	s.obs.Count(obs.MShimCommits, 1, lblKindAsync...)
-	s.obs.Count(obs.MShimCommitsByCat, 1, catLabels(cat)...)
-	s.obs.Count(obs.MShimSpeculatedByCat, 1, catLabels(cat)...)
 	s.obs.Emit(obs.FKSpecCommit, string(cat),
 		obs.A("ops", int64(len(ops))), obs.A("seq", int64(s.asyncSeq-1)))
 	return predResults
@@ -750,8 +728,6 @@ func (s *DriverShim) recover(c *asyncCommit) {
 	s.clock.Advance(cost)
 	endSpan()
 	s.stats.RecoveryTime += cost
-	s.obs.Count(obs.MShimMispredictions, 1)
-	s.obs.Count(obs.MShimRecoveryNS, int64(cost))
 	s.obs.Emit(obs.FKSpecMiss, "rollback",
 		obs.A("seq", int64(c.seq)), obs.A("log_events", int64(len(s.log))),
 		obs.A("cost_ns", int64(cost)))

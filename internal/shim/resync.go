@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"gpurelay/internal/obs"
 	"gpurelay/internal/trace"
 )
 
@@ -81,7 +80,6 @@ func (s *DriverShim) verifyResync() {
 	}
 	if rs.pos == len(rs.expect) {
 		s.stats.ResyncEvents += rs.pos
-		s.obs.Count(obs.MCkptResyncEvents, int64(rs.pos))
 		s.rs = nil
 	}
 }
