@@ -198,8 +198,8 @@ func (s *Session) HealthCounts() HealthCounts {
 }
 
 // Instrument attaches telemetry: fired-fault counters land in the session
-// scope (which double-writes into an attached fleet registry) or, when no
-// scope is carried, directly in the fleet registry. Either may be nil.
+// scope (which forwards them to its own fleet registry) or, when no scope is
+// carried, directly in the fleet registry. Either may be nil.
 func (s *Session) Instrument(scope *obs.Scope, fleet *obs.Registry) {
 	s.mu.Lock()
 	s.scope, s.fleet = scope, fleet
@@ -222,11 +222,8 @@ func (s *Session) count(k Kind) {
 	if k.Health() {
 		fk = obs.FKHealthEvent
 	}
-	s.scope.Count(obs.MFaultsFired, 1, obs.L("kind", k.String()))
+	s.scope.CountOr(s.fleet, obs.MFaultsFired, 1, obs.L("kind", k.String()))
 	s.scope.Emit(fk, k.String())
-	if s.fleet != nil {
-		s.fleet.Add(obs.MFaultsFired, 1, obs.L("kind", k.String()))
-	}
 }
 
 // note counts a window fault's first activation this attempt. Callers hold

@@ -98,14 +98,9 @@ func (f *FlightRecorder) Dropped() int64 { return int64(f.journal().Dropped()) }
 // WriteJSONL writes the retained journal as JSON Lines, one event per line,
 // oldest first — the grtdiag flight input format.
 func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
-	return WriteFlightJSONL(w, f.Events())
-}
-
-// WriteFlightJSONL writes a slice of flight events as JSON Lines.
-func WriteFlightJSONL(w io.Writer, events []FlightEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range events {
+	for _, e := range f.Events() {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}

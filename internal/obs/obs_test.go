@@ -45,7 +45,7 @@ func TestObsRegistryCounters(t *testing.T) {
 func TestObsRegistryGauges(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeSet("grt_depth", 4)
-	r.GaugeAdd("grt_depth", -1)
+	r.GaugeSet("grt_depth", 3)
 	if got := r.Gauge("grt_depth"); got != 3 {
 		t.Errorf("gauge = %d, want 3", got)
 	}
@@ -74,14 +74,17 @@ func TestObsRegistryNegativeAddPanics(t *testing.T) {
 
 func TestObsHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	r.MustHistogram("grt_wait_seconds", []float64{0.1, 1, 10})
-	r.Observe("grt_wait_seconds", 0.05) // lands in all buckets
-	r.Observe("grt_wait_seconds", 0.5)  // 1, 10, +Inf
-	r.Observe("grt_wait_seconds", 100)  // +Inf only
+	r.Observe("grt_wait_seconds", 0.05) // lands in the 0.05 bucket and up
+	r.Observe("grt_wait_seconds", 0.5)  // 0.5 and up
+	r.Observe("grt_wait_seconds", 100)  // 100 and up
 	snap := r.Snapshot()
 	f := snap.Families[0]
 	sr := f.Series[0]
-	wantCounts := []uint64{1, 2, 2, 3}
+	// DefBuckets: .0005 .001 .005 .01 .05 .1 .5 1 5 10 50 100 500 +Inf.
+	wantCounts := []uint64{0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3}
+	if len(sr.Counts) != len(wantCounts) {
+		t.Fatalf("%d buckets, want %d", len(sr.Counts), len(wantCounts))
+	}
 	for i, want := range wantCounts {
 		if sr.Counts[i] != want {
 			t.Errorf("bucket[%d] = %d, want %d (counts %v)", i, sr.Counts[i], want, sr.Counts)
@@ -101,15 +104,13 @@ func TestObsNilScopeIsNoOp(t *testing.T) {
 	s.BindClock(timesim.NewClock())
 	s.AttachFleet(NewRegistry())
 	s.Count(MNetRTTs, 1, L("mode", "blocking"))
-	s.GaugeSet(MFleetQueueDepth, 2)
 	s.Observe(MFleetAdmissionWait, 0.1)
+	s.CountOr(nil, MShedRetries, 1)
+	s.ObserveOr(nil, MResumeBackoff, 0.1)
 	s.Annotate("x", "y")
 	s.Span("x", "y")()
 	if s.Snapshot() != nil {
 		t.Error("nil scope Snapshot() != nil")
-	}
-	if s.Registry() != nil {
-		t.Error("nil scope Registry() != nil")
 	}
 	if s.Spans() != nil || s.SpansDropped() != 0 || s.Now() != 0 || s.ID() != "" {
 		t.Error("nil scope reads are not zero values")
@@ -157,16 +158,11 @@ func TestObsScopeFleetDoubleWrite(t *testing.T) {
 	s.AttachFleet(fleet)
 	s.Count(MNetRTTs, 3, L("mode", "blocking"))
 	s.Observe(MFleetAdmissionWait, 0.2)
-	s.GaugeSet(MFleetQueueDepth, 9)
 	if got := fleet.Counter(MNetRTTs, L("mode", "blocking")); got != 3 {
 		t.Errorf("fleet counter = %d, want 3", got)
 	}
 	if got := s.Snapshot().Counter(MNetRTTs, L("mode", "blocking")); got != 3 {
 		t.Errorf("local counter = %d, want 3", got)
-	}
-	// Gauges stay session-local: the fleet's gauges belong to the service.
-	if got := fleet.Gauge(MFleetQueueDepth); got != 0 {
-		t.Errorf("fleet gauge = %d, want 0 (session gauges must not propagate)", got)
 	}
 	// AttachFleet does not replace an existing fleet registry.
 	other := NewRegistry()
@@ -177,6 +173,30 @@ func TestObsScopeFleetDoubleWrite(t *testing.T) {
 	}
 	if got := fleet.Counter(MNetRTTs, L("mode", "blocking")); got != 4 {
 		t.Errorf("original fleet = %d, want 4", got)
+	}
+}
+
+// TestObsCountOrFleet: CountOr and ObserveOr land a session fact on the fleet
+// once, through the scope when there is one and directly when there is not.
+func TestObsCountOrFleet(t *testing.T) {
+	fleet := NewRegistry()
+	s := NewScope("s1", Options{})
+	s.AttachFleet(fleet)
+	s.CountOr(fleet, MShedRetries, 1)
+	s.ObserveOr(fleet, MResumeBackoff, 0.25)
+	var none *Scope
+	none.CountOr(fleet, MShedRetries, 2)
+	none.ObserveOr(fleet, MResumeBackoff, 0.5)
+	if got := fleet.Counter(MShedRetries); got != 3 {
+		t.Errorf("fleet counter = %d, want 3", got)
+	}
+	if got := s.Snapshot().Counter(MShedRetries); got != 1 {
+		t.Errorf("scope counter = %d, want 1", got)
+	}
+	h := fleet.Snapshot().Families[0]
+	if h.Name != MResumeBackoff || h.Series[0].Count != 2 || h.Series[0].Sum != 0.75 {
+		t.Errorf("fleet histogram %s: count %d, sum %v; want 2 and 0.75",
+			h.Name, h.Series[0].Count, h.Series[0].Sum)
 	}
 }
 
@@ -212,7 +232,7 @@ func buildSampleScope() *Scope {
 	s.Count(MSyncBytes, 4096, L("dir", "to_client"))
 	s.Count(MSyncRawBytes, 65536, L("dir", "to_client"))
 
-	s.GaugeSet(MFleetQueueDepth, 3)
+	s.local.GaugeSet(MFleetQueueDepth, 3)
 	s.Observe(MFleetAdmissionWait, 0.02)
 	s.Observe(MFleetAdmissionWait, 0.7)
 	return s

@@ -31,9 +31,9 @@ type Span struct {
 }
 
 // DefaultSpanCapacity bounds retained spans per scope unless Options
-// overrides it. Past the cap, spans are dropped (counted in
-// grt_obs_spans_dropped_total) rather than growing without bound — a naive
-// VGG16 recording performs hundreds of thousands of round trips.
+// overrides it. Past the cap, spans are dropped (SpansDropped counts them)
+// rather than growing without bound — a naive VGG16 recording performs
+// hundreds of thousands of round trips.
 const DefaultSpanCapacity = 1 << 16
 
 // Options tunes a Scope.
@@ -147,17 +147,6 @@ func (s *Scope) AttachFlight(f *FlightRecorder) {
 	s.mu.Unlock()
 }
 
-// Flight reads the attached flight recorder (nil for a nil or unattached
-// scope).
-func (s *Scope) Flight() *FlightRecorder {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flight
-}
-
 // Emit journals a structured flight-recorder event stamped with the scope's
 // session id and current virtual time. A nil scope, or a scope without an
 // attached recorder, is a true no-op — the args stay on the caller's stack,
@@ -202,15 +191,6 @@ func (s *Scope) Count(name string, n int64, labels ...Label) {
 	}
 }
 
-// GaugeSet sets a session-local gauge (gauges do not aggregate into the
-// fleet registry — fleet-wide gauges are owned by the service itself).
-func (s *Scope) GaugeSet(name string, v int64, labels ...Label) {
-	if s == nil {
-		return
-	}
-	s.local.GaugeSet(name, v, labels...)
-}
-
 // Observe records a histogram observation on the session and fleet
 // registries.
 func (s *Scope) Observe(name string, v float64, labels ...Label) {
@@ -220,6 +200,26 @@ func (s *Scope) Observe(name string, v float64, labels ...Label) {
 	s.local.Observe(name, v, labels...)
 	if f := s.fleetReg(); f != nil {
 		f.Observe(name, v, labels...)
+	}
+}
+
+// CountOr counts a session fact whether or not the session carries a scope:
+// on the scope, which forwards it to its fleet registry, or on fleet when
+// the scope is nil (and nowhere when both are).
+func (s *Scope) CountOr(fleet *Registry, name string, n int64, labels ...Label) {
+	if s != nil {
+		s.Count(name, n, labels...)
+	} else if fleet != nil {
+		fleet.Add(name, n, labels...)
+	}
+}
+
+// ObserveOr is CountOr for a histogram observation.
+func (s *Scope) ObserveOr(fleet *Registry, name string, v float64, labels ...Label) {
+	if s != nil {
+		s.Observe(name, v, labels...)
+	} else if fleet != nil {
+		fleet.Observe(name, v, labels...)
 	}
 }
 
@@ -281,12 +281,4 @@ func (s *Scope) Snapshot() *Snapshot {
 		return nil
 	}
 	return s.local.Snapshot()
-}
-
-// Registry exposes the session-local registry (nil for a nil scope).
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.local
 }

@@ -34,9 +34,9 @@ type ResumeHost struct {
 	// Crash tears down the VM of a lost attempt.
 	Crash func(vm *cloud.VM)
 	// Fleet counts the session's faults, checkpoints and resumes when the
-	// session carries no telemetry scope (Config.Obs); a scope double-writes
-	// them into its own fleet registry. Flight journals device losses,
-	// migrations and resumes.
+	// session carries no telemetry scope (Config.Obs); a scope forwards them
+	// to its own fleet registry. Flight journals device losses, migrations
+	// and resumes.
 	Fleet  *obs.Registry
 	Flight *obs.FlightRecorder
 	// Clock is the timeline the backoff elapses on and the journal entries
@@ -77,20 +77,9 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 	// Fault, checkpoint and resume telemetry lands on the session scope when
 	// one is carried, so a session's own snapshot tells its whole resilience
 	// story; an uninstrumented session still lands the fleet-level counts.
-	count := func(name string, n int64, labels ...obs.Label) {
-		if cfg.Obs != nil {
-			cfg.Obs.Count(name, n, labels...)
-		} else {
-			h.Fleet.Add(name, n, labels...)
-		}
-	}
 	faults := cfg.Faults
 	if faults != nil {
-		if cfg.Obs != nil {
-			faults.Instrument(cfg.Obs, nil)
-		} else {
-			faults.Instrument(nil, h.Fleet)
-		}
+		faults.Instrument(cfg.Obs, h.Fleet)
 	}
 
 	// Every completed job's checkpoint becomes the resume point.
@@ -98,7 +87,7 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 	if hook := cfg.OnCheckpoint; faults != nil || hook != nil {
 		cfg.OnCheckpoint = func(cp *ckpt.Checkpoint) {
 			last = cp
-			count(obs.MCkptCheckpoints, 1)
+			cfg.Obs.CountOr(h.Fleet, obs.MCkptCheckpoints, 1)
 			if hook != nil {
 				hook(cp)
 			}
@@ -122,7 +111,7 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 	bookedSBE := 0
 	var bookedStretch time.Duration
 	bookHealth := func(vm *cloud.VM) {
-		if faults == nil || vm.Device == nil {
+		if faults == nil {
 			return
 		}
 		hc := faults.HealthCounts()
@@ -149,10 +138,7 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 			// different silicon by construction — degraded and dead devices
 			// are never offered to new sessions (cloud.assignDevice).
 			lostDev.NoteMigration()
-			toDev := ""
-			if vm.Device != nil {
-				toDev = vm.Device.ID()
-			}
+			toDev := vm.Device.ID()
 			// Flight args are numeric; the migration route rides in the
 			// outcome ("s0/gpu-00->s0/gpu-01"), greppable in trace exports.
 			h.Flight.Emit(h.Clock.Now(), cfg.SessionID, obs.FKHealthMigrate,
@@ -178,7 +164,7 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 		}
 		// Session lost: the VM (and its key) are gone.
 		bookHealth(vm)
-		if errors.Is(err, grterr.ErrDeviceLost) && vm.Device != nil {
+		if errors.Is(err, grterr.ErrDeviceLost) {
 			// The GPU itself failed, not the link or VM. Mark the device so
 			// it is never scheduled again, and remember it so the migration
 			// is noted once the session re-admits elsewhere. An uncorrectable
@@ -199,7 +185,7 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 			lastJob = last.Job
 		}
 		if attempt >= maxResumes {
-			count(obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
+			cfg.Obs.CountOr(h.Fleet, obs.MFleetResumes, 1, obs.L("outcome", "gave_up"))
 			h.Flight.Emit(h.Clock.Now(), cfg.SessionID, obs.FKResume, "gave_up",
 				obs.A("attempts", int64(attempt+1)), obs.A("last_job", int64(lastJob)))
 			return nil, nil, fmt.Errorf(
@@ -217,12 +203,8 @@ func RunResumable(ctx context.Context, cfg Config, maxResumes int, vm *cloud.VM,
 		jrng ^= jrng << 17
 		d += time.Duration(jrng % uint64(d/2+1))
 		h.Clock.Advance(d)
-		count(obs.MFleetResumes, 1, obs.L("outcome", "resumed"))
-		if cfg.Obs != nil {
-			cfg.Obs.Observe(obs.MResumeBackoff, d.Seconds())
-		} else {
-			h.Fleet.Observe(obs.MResumeBackoff, d.Seconds())
-		}
+		cfg.Obs.CountOr(h.Fleet, obs.MFleetResumes, 1, obs.L("outcome", "resumed"))
+		cfg.Obs.ObserveOr(h.Fleet, obs.MResumeBackoff, d.Seconds())
 		cfg.Obs.Annotate("session.resume", "session",
 			obs.A("attempt", int64(attempt+1)), obs.A("from_job", int64(lastJob)),
 			obs.A("backoff_ns", int64(d)))

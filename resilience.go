@@ -223,11 +223,7 @@ func (c *Client) RecordResumable(ctx context.Context, svc *Service, model *Model
 			if serr != nil {
 				return
 			}
-			if opts.Obs != nil {
-				opts.Obs.Count(obs.MCkptBytes, int64(len(signed.Payload)))
-			} else {
-				svc.fleet.Add(obs.MCkptBytes, int64(len(signed.Payload)))
-			}
+			opts.Obs.CountOr(svc.fleet, obs.MCkptBytes, int64(len(signed.Payload)))
 			opts.OnCheckpoint(&Checkpoint{cp: cp, signed: signed, key: ckptKey})
 		},
 	})
