@@ -94,15 +94,16 @@ func readBundle(path string) ([]platform.Entry, error) {
 // readSingle reads a bundle that must hold exactly one recording (the
 // classic replay and compare paths).
 func readSingle(path string) (payload, mac, key []byte, err error) {
-	entries, err := readBundle(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(entries) != 1 {
-		return nil, nil, nil, fmt.Errorf("%s holds %d per-GPU recordings; expected a single-GPU bundle",
-			path, len(entries))
+	defer f.Close()
+	e, err := platform.ReadSingle(f)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return entries[0].Payload, entries[0].MAC, entries[0].Key, nil
+	return e.Payload, e.MAC, e.Key, nil
 }
 
 func main() {

@@ -48,7 +48,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		f := r.families[name]
-		sf := SnapFamily{Name: name, Kind: f.kind, Buckets: append([]float64(nil), f.buckets...)}
+		sf := SnapFamily{Name: name, Kind: f.kind}
+		if f.kind == KindHistogram {
+			sf.Buckets = append([]float64(nil), DefBuckets...)
+		}
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)

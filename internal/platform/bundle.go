@@ -106,6 +106,20 @@ func ReadBundle(r io.Reader) ([]Entry, error) {
 	return nil, fmt.Errorf("platform: not a recording bundle (magic %q)", magic)
 }
 
+// ReadSingle reads a bundle that must hold exactly one recording (the
+// classic replay and compare paths), bounded as ReadBundle is.
+func ReadSingle(r io.Reader) (Entry, error) {
+	entries, err := ReadBundle(r)
+	if err != nil {
+		return Entry{}, err
+	}
+	if len(entries) != 1 {
+		return Entry{}, fmt.Errorf("platform: bundle holds %d per-GPU recordings; expected a single-GPU bundle",
+			len(entries))
+	}
+	return entries[0], nil
+}
+
 func readEntry(r io.Reader) (Entry, error) {
 	var e Entry
 	var err error

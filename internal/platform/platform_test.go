@@ -173,6 +173,25 @@ func TestBundleSingleGPUWireCompatible(t *testing.T) {
 	}
 }
 
+// TestReadSingleOneEntry: ReadSingle returns the one entry of a classic
+// bundle and refuses a multi-GPU container.
+func TestReadSingleOneEntry(t *testing.T) {
+	e := Entry{Payload: []byte("rec"), MAC: []byte("mac!"), Key: []byte("key")}
+	for n, wantErr := range map[int]bool{1: false, 2: true} {
+		var buf bytes.Buffer
+		if err := WriteBundle(&buf, []Entry{e, e}[:n]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSingle(&buf)
+		if (err != nil) != wantErr {
+			t.Fatalf("%d entries: err = %v", n, err)
+		}
+		if !wantErr && !bytes.Equal(got.Payload, e.Payload) {
+			t.Fatalf("%d entries: payload %q", n, got.Payload)
+		}
+	}
+}
+
 func TestBundleRejectsGarbage(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"bad magic":     []byte("NOPE\x00\x00\x00\x00"),
