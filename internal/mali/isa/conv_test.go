@@ -232,15 +232,20 @@ func FuzzConvMatchesReference(f *testing.F) {
 	})
 }
 
-// TestUpdateFuzzCorpus writes convFuzzSeeds to testdata/fuzz when
-// GRT_UPDATE_FUZZ_CORPUS is set.
+// TestUpdateFuzzCorpus writes convFuzzSeeds and walkFuzzSeeds to
+// testdata/fuzz when GRT_UPDATE_FUZZ_CORPUS is set.
 func TestUpdateFuzzCorpus(t *testing.T) {
 	if !fuzzcorpus.Update() {
 		t.Skipf("set %s=1 to regenerate testdata/fuzz", fuzzcorpus.UpdateEnv)
 	}
-	for _, s := range convFuzzSeeds() {
-		if err := fuzzcorpus.WriteSeed("FuzzConvMatchesReference", s); err != nil {
-			t.Fatal(err)
+	for name, seeds := range map[string][][]byte{
+		"FuzzConvMatchesReference":    convFuzzSeeds(),
+		"FuzzRangeWalkMatchesPerPage": walkFuzzSeeds(),
+	} {
+		for _, s := range seeds {
+			if err := fuzzcorpus.WriteSeed(name, s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -29,42 +29,28 @@ type Mem struct {
 	Walker gpumem.Walker
 }
 
-func (m Mem) translate(va gpumem.VA, need gpumem.PTEFlag) (gpumem.PA, error) {
-	pa, flags, ok := m.Walker.Translate(va)
-	if !ok {
-		return 0, &Fault{VA: va, Reason: "translation fault"}
+// forEachRun invokes fn for every physically contiguous run of the VA range
+// [va, va+n) that the MMU hands out (gpumem.Walker.Walk), and faults at the
+// first page that does not translate with need. fn may write the pool only
+// inside its run.
+func (m Mem) forEachRun(va gpumem.VA, n uint64, need gpumem.PTEFlag, fn func(pa gpumem.PA, off, cnt uint64) error) error {
+	err := m.Walker.Walk(va, n, need, fn)
+	f, ok := err.(*gpumem.PageFault)
+	switch {
+	case !ok:
+		return err
+	case !f.Mapped:
+		return &Fault{VA: f.VA, Reason: "translation fault"}
+	default:
+		return &Fault{VA: f.VA, Reason: fmt.Sprintf("permission fault: have %v need %v", f.Flags, need)}
 	}
-	if flags&need != need {
-		return 0, &Fault{VA: va, Reason: fmt.Sprintf("permission fault: have %v need %v", flags, need)}
-	}
-	return pa, nil
-}
-
-// forEachPage invokes fn for every physically contiguous chunk of the VA
-// range [va, va+n).
-func (m Mem) forEachPage(va gpumem.VA, n uint64, need gpumem.PTEFlag, fn func(pa gpumem.PA, off, cnt uint64) error) error {
-	for off := uint64(0); off < n; {
-		pa, err := m.translate(va+gpumem.VA(off), need)
-		if err != nil {
-			return err
-		}
-		chunk := gpumem.PageSize - uint64(pa)%gpumem.PageSize
-		if n-off < chunk {
-			chunk = n - off
-		}
-		if err := fn(pa, off, chunk); err != nil {
-			return err
-		}
-		off += chunk
-	}
-	return nil
 }
 
 // checkRange faults unless every page of [va, va+n) translates with need.
 // Callers check a range before allocating a buffer sized by it, so a
 // hostile length costs a failed page walk, not the allocation.
 func (m Mem) checkRange(va gpumem.VA, n uint64, need gpumem.PTEFlag) error {
-	return m.forEachPage(va, n, need, func(gpumem.PA, uint64, uint64) error { return nil })
+	return m.forEachRun(va, n, need, func(gpumem.PA, uint64, uint64) error { return nil })
 }
 
 // ReadBytes copies n bytes starting at va into a fresh buffer. The whole
@@ -74,7 +60,7 @@ func (m Mem) ReadBytes(va gpumem.VA, n uint64, need gpumem.PTEFlag) ([]byte, err
 		return nil, err
 	}
 	out := make([]byte, n)
-	err := m.forEachPage(va, n, need, func(pa gpumem.PA, off, cnt uint64) error {
+	err := m.forEachRun(va, n, need, func(pa gpumem.PA, off, cnt uint64) error {
 		m.Pool.Read(pa, out[off:off+cnt])
 		return nil
 	})
@@ -85,9 +71,9 @@ func (m Mem) ReadBytes(va gpumem.VA, n uint64, need gpumem.PTEFlag) ([]byte, err
 }
 
 // LoadF32 reads n float32 values starting at va. The whole range translates
-// before the result is allocated. Each physically contiguous chunk goes
-// through a one-page stack buffer straight into the result, word by word; a
-// value straddling a page boundary is carried into the next chunk.
+// before the result is allocated. Each run goes through a one-page stack
+// buffer, a page's worth at a time, straight into the result, word by word;
+// a value split between two reads is carried into the next.
 func (m Mem) LoadF32(va gpumem.VA, n int) ([]float32, error) {
 	if err := m.checkRange(va, uint64(n)*4, gpumem.PTERead); err != nil {
 		return nil, err
@@ -96,22 +82,25 @@ func (m Mem) LoadF32(va gpumem.VA, n int) ([]float32, error) {
 	var page [gpumem.PageSize]byte
 	var carry [4]byte
 	k, nc := 0, 0 // next output index; bytes of a straddling value carried
-	err := m.forEachPage(va, uint64(n)*4, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
-		buf := page[:cnt]
-		m.Pool.Read(pa, buf)
-		if nc > 0 {
-			t := copy(carry[nc:], buf)
-			if nc += t; nc < 4 {
-				return nil
+	err := m.forEachRun(va, uint64(n)*4, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
+		for done := uint64(0); done < cnt; {
+			buf := page[:min(cnt-done, gpumem.PageSize)]
+			m.Pool.Read(pa+gpumem.PA(done), buf)
+			done += uint64(len(buf))
+			if nc > 0 {
+				t := copy(carry[nc:], buf)
+				if nc += t; nc < 4 {
+					continue
+				}
+				out[k] = math.Float32frombits(binary.LittleEndian.Uint32(carry[:]))
+				k, nc, buf = k+1, 0, buf[t:]
 			}
-			out[k] = math.Float32frombits(binary.LittleEndian.Uint32(carry[:]))
-			k, nc, buf = k+1, 0, buf[t:]
+			for ; len(buf) >= 4; buf = buf[4:] {
+				out[k] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
+				k++
+			}
+			nc = copy(carry[:], buf)
 		}
-		for ; len(buf) >= 4; buf = buf[4:] {
-			out[k] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
-			k++
-		}
-		nc = copy(carry[:], buf)
 		return nil
 	})
 	if err != nil {
@@ -130,20 +119,21 @@ func (m Mem) StoreF32(va gpumem.VA, data []float32) error {
 		raw[4*i+2] = byte(bits >> 16)
 		raw[4*i+3] = byte(bits >> 24)
 	}
-	return m.forEachPage(va, uint64(len(raw)), gpumem.PTEWrite, func(pa gpumem.PA, off, cnt uint64) error {
+	return m.forEachRun(va, uint64(len(raw)), gpumem.PTEWrite, func(pa gpumem.PA, off, cnt uint64) error {
 		m.Pool.Write(pa, raw[off:off+cnt])
 		return nil
 	})
 }
 
-// errMaterialized stops rangeZero's walk at the first materialized chunk.
+// errMaterialized stops rangeZero's walk at the first materialized run.
 var errMaterialized = errors.New("isa: materialized")
 
 // rangeZero reports whether the VA range reads as all zeros without any page
-// being materialized — the dry-run fast-path test. The walk stops at the
-// first materialized chunk; a range that does not translate is not zero.
+// being materialized — the dry-run fast-path test. It asks the pool once per
+// run and stops at the first materialized one; a range that does not
+// translate is not zero.
 func (m Mem) rangeZero(va gpumem.VA, n uint64) bool {
-	return m.forEachPage(va, n, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
+	return m.forEachRun(va, n, gpumem.PTERead, func(pa gpumem.PA, _, cnt uint64) error {
 		if m.Pool.RangeMaterialized(pa, cnt) {
 			return errMaterialized
 		}
@@ -153,7 +143,7 @@ func (m Mem) rangeZero(va gpumem.VA, n uint64) bool {
 
 // zeroOut dematerializes the destination range so it reads as zero.
 func (m Mem) zeroOut(va gpumem.VA, n uint64) error {
-	return m.forEachPage(va, n, gpumem.PTEWrite, func(pa gpumem.PA, off, cnt uint64) error {
+	return m.forEachRun(va, n, gpumem.PTEWrite, func(pa gpumem.PA, off, cnt uint64) error {
 		m.Pool.ZeroRange(pa, cnt)
 		return nil
 	})

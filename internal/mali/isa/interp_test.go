@@ -100,12 +100,13 @@ func (e *testEnv) buildShader(product uint32, instrs []Instr) gpumem.VA {
 const testProduct = 0x60000001
 
 // LoadF32 must agree with a byte-wise read at every alignment, across
-// physically discontiguous pages, including values that straddle a page.
+// physically discontiguous pages and within a run of contiguous ones,
+// including values that straddle a page.
 func TestLoadF32AcrossPages(t *testing.T) {
 	e := newTestEnv(t)
-	const pages = 3
+	const pages = 5
 	va := e.nextVA
-	for i := 0; i < pages; i++ {
+	for i := 0; i < 3; i++ {
 		// Every other page skipped, so VA-contiguous pages are PA-discontiguous.
 		pa, err := e.pool.AllocPages(2)
 		if err != nil {
@@ -114,6 +115,15 @@ func TestLoadF32AcrossPages(t *testing.T) {
 		if err := e.pt.MapRange(va+gpumem.VA(i*gpumem.PageSize), pa+gpumem.PageSize, gpumem.PageSize, gpumem.PTERead|gpumem.PTEWrite); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The last two pages are one physically contiguous run, which a start
+	// off the word grid enters mid-value.
+	pa, err := e.pool.AllocPages(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.pt.MapRange(va+3*gpumem.PageSize, pa, 2*gpumem.PageSize, gpumem.PTERead|gpumem.PTEWrite); err != nil {
+		t.Fatal(err)
 	}
 	raw := make([]byte, pages*gpumem.PageSize)
 	for i := range raw {
@@ -125,7 +135,7 @@ func TestLoadF32AcrossPages(t *testing.T) {
 		if i != 2 { // the third page stays unmaterialized and reads as zero
 			e.pool.Write(p, raw[i*gpumem.PageSize:(i+1)*gpumem.PageSize])
 		} else {
-			clear(raw[i*gpumem.PageSize:])
+			clear(raw[i*gpumem.PageSize : (i+1)*gpumem.PageSize])
 		}
 	}
 	for _, start := range []int{0, 1, 2, 3, 4, gpumem.PageSize - 6, gpumem.PageSize - 1, 2*gpumem.PageSize - 3} {

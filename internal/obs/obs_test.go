@@ -128,6 +128,35 @@ func TestObsNilScopeIsNoOp(t *testing.T) {
 	}
 }
 
+// TestObsNilScopeSpanAllocs pins the uninstrumented cost of a span and an
+// annotation with args: a nil scope copies nothing, so the caller's
+// variadic slice stays on its stack. A scope that records keeps its own
+// copy, so the caller may reuse its slice.
+func TestObsNilScopeSpanAllocs(t *testing.T) {
+	var s *Scope
+	if n := testing.AllocsPerRun(200, func() {
+		s.Span("net.rtt", "net", A("bytes", 64))()
+	}); n != 0 {
+		t.Errorf("nil scope Span with one arg allocates %.1f per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		s.Annotate("sync.dump", "sync", A("job", 1), A("wire_bytes", 4096))
+	}); n != 0 {
+		t.Errorf("nil scope Annotate with args allocates %.1f per run, want 0", n)
+	}
+	live := NewScope("live", Options{})
+	args := []Arg{A("job", 1)}
+	live.Annotate("sync.dump", "sync", args...)
+	end := live.Span("net.rtt", "net", args...)
+	args[0] = A("job", 2)
+	end()
+	for _, sp := range live.Spans() {
+		if len(sp.Args) != 1 || sp.Args[0] != A("job", 1) {
+			t.Errorf("span %s args %v, want the job=1 they were opened with", sp.Name, sp.Args)
+		}
+	}
+}
+
 func TestObsSpanCapacity(t *testing.T) {
 	s := NewScope("cap", Options{SpanCapacity: 2})
 	for i := 0; i < 5; i++ {

@@ -235,24 +235,28 @@ func (s *Scope) record(sp Span) {
 
 // Span opens a phase interval at the current virtual time and returns its
 // closer; the span is recorded when the closer runs. Always returns a
-// non-nil closer, so call sites read `defer scope.Span(...)()`.
+// non-nil closer, so call sites read `defer scope.Span(...)()`. The span
+// keeps a copy of args, made past the nil check, so the caller's variadic
+// slice stays on its stack and a nil scope allocates nothing.
 func (s *Scope) Span(name, cat string, args ...Arg) func() {
 	if s == nil {
 		return func() {}
 	}
 	start := s.Now()
+	kept := append([]Arg(nil), args...)
 	return func() {
-		s.record(Span{Name: name, Cat: cat, Start: start, End: s.Now(), Args: args})
+		s.record(Span{Name: name, Cat: cat, Start: start, End: s.Now(), Args: kept})
 	}
 }
 
-// Annotate records an instant event at the current virtual time.
+// Annotate records an instant event at the current virtual time. Like Span,
+// it copies args only past the nil check.
 func (s *Scope) Annotate(name, cat string, args ...Arg) {
 	if s == nil {
 		return
 	}
 	now := s.Now()
-	s.record(Span{Name: name, Cat: cat, Start: now, End: now, Instant: true, Args: args})
+	s.record(Span{Name: name, Cat: cat, Start: now, End: now, Instant: true, Args: append([]Arg(nil), args...)})
 }
 
 // Spans returns a copy of the recorded timeline.

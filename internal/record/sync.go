@@ -54,6 +54,9 @@ type syncer struct {
 	capIn     gpumem.CaptureState
 	// out and in tally the dumps sent to the client and to the cloud.
 	out, in SyncTraffic
+	// ptRegions are the pseudo-regions regions lists for the page-table
+	// pages, in PageTable.Pages order.
+	ptRegions []*gpumem.Region
 
 	// The fingerprint caches for metaFP, one per direction (see
 	// snapFPCached). They make metaFP, which every job boundary's checkpoint
@@ -132,23 +135,26 @@ func (s *syncer) countDump(t *SyncTraffic, dir string, j int, wire, raw int64) {
 
 // regions returns the current synchronization region list: the context's
 // regions (minus the root-only page-table placeholder) plus one pseudo-region
-// per live page-table page.
+// per live page-table page. The pseudo-regions are made once per page and
+// kept for the session: tables are never freed, so each call adds only the
+// pages the table gained since the last.
 func (s *syncer) regions() []*gpumem.Region {
-	var out []*gpumem.Region
-	for _, r := range s.ctx.Regions() {
-		if r.Kind == gpumem.KindPageTable {
-			continue // replaced by per-page entries below
-		}
-		out = append(out, r)
-	}
-	for _, pa := range s.ctx.PageTable().Pages() {
-		out = append(out, &gpumem.Region{
+	for _, pa := range s.ctx.PageTable().PagesSince(len(s.ptRegions)) {
+		s.ptRegions = append(s.ptRegions, &gpumem.Region{
 			Name: "pt@" + strconv.FormatUint(uint64(pa), 16), Kind: gpumem.KindPageTable,
 			PA: pa, Size: gpumem.PageSize,
 			Flags: gpumem.DefaultFlags(gpumem.KindPageTable),
 		})
 	}
-	return out
+	ctxRegions := s.ctx.Regions()
+	out := make([]*gpumem.Region, 0, len(ctxRegions)+len(s.ptRegions))
+	for _, r := range ctxRegions {
+		if r.Kind == gpumem.KindPageTable {
+			continue // replaced by the per-page entries
+		}
+		out = append(out, r)
+	}
+	return append(out, s.ptRegions...)
 }
 
 // fingerprint is the structural fingerprint of a region list: per region,
