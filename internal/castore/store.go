@@ -13,7 +13,6 @@ import (
 	"gpurelay/internal/audit"
 	"gpurelay/internal/obs"
 	"gpurelay/internal/trace"
-	"gpurelay/internal/wire"
 )
 
 // Entry is one sealed recording in the store. The payload is the serialized
@@ -45,7 +44,7 @@ func (e *Entry) Signed() *trace.Signed {
 }
 
 // Config sizes a Store. The zero value is usable: 256 entries, 256 MiB,
-// memory-only, default decode limits.
+// memory-only.
 type Config struct {
 	// MaxEntries bounds the memory tier's entry count (0 → 256).
 	MaxEntries int
@@ -55,19 +54,15 @@ type Config struct {
 	// Evicted and published entries persist there; memory misses fall
 	// through to a bounded, re-verified disk load.
 	Dir string
-	// Limits bounds the decode performed when re-verifying an entry loaded
-	// from disk. Zero fields resolve to wire defaults.
-	Limits wire.DecodeLimits
-	// MaxBlobBytes caps the size of a single payload the disk tier will
-	// read back (0 → 1 GiB). A blob file grown past this is treated as
-	// hostile and rejected without being read.
-	MaxBlobBytes int64
 }
 
 const (
-	defaultMaxEntries   = 256
-	defaultMaxBytes     = 256 << 20
-	defaultMaxBlobBytes = 1 << 30
+	defaultMaxEntries = 256
+	defaultMaxBytes   = 256 << 20
+	// maxBlobBytes caps a single payload the store admits or the disk tier
+	// reads back. A blob file grown past it is treated as hostile and
+	// rejected without being read.
+	maxBlobBytes = 1 << 30
 	// maxIndexBytes bounds one on-disk index record. Index records hold
 	// four short strings and three hex digests; 64 KiB is generous.
 	maxIndexBytes = 64 << 10
@@ -97,10 +92,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = defaultMaxBytes
 	}
-	if cfg.MaxBlobBytes <= 0 {
-		cfg.MaxBlobBytes = defaultMaxBlobBytes
-	}
-	cfg.Limits = cfg.Limits.Normalized()
 	if cfg.Dir != "" {
 		for _, d := range []string{filepath.Join(cfg.Dir, "blobs"), filepath.Join(cfg.Dir, "index")} {
 			if err := os.MkdirAll(d, 0o755); err != nil {
@@ -169,9 +160,9 @@ func (s *Store) KeysSeen() int {
 
 // Get returns the entry published under k, or (nil, false). A memory miss
 // falls through to the disk tier, where the payload is re-read under the
-// store's decode limits, its digest recomputed, its seal re-verified, and
-// its structure re-audited before it may re-enter the memory tier — the
-// disk is outside the trust boundary. A fingerprint currently quarantined
+// wire layer's default decode limits, its digest recomputed, its seal
+// re-verified, and its structure re-audited before it may re-enter the
+// memory tier — the disk is outside the trust boundary. A fingerprint currently quarantined
 // is never served, whichever tier holds it.
 func (s *Store) Get(k Key) (*Entry, bool) {
 	kh := k.Hash()
@@ -241,7 +232,6 @@ func (s *Store) Put(e *Entry) error {
 
 	s.mu.Lock()
 	q := s.quarantine
-	lim := s.cfg.Limits
 	s.mu.Unlock()
 
 	if q != nil && q.Contains(e.Fingerprint) {
@@ -250,13 +240,13 @@ func (s *Store) Put(e *Entry) error {
 		s.mu.Unlock()
 		return fmt.Errorf("castore: fingerprint %s is quarantined", e.Fingerprint)
 	}
-	if int64(len(e.Payload)) > s.cfg.MaxBlobBytes {
+	if int64(len(e.Payload)) > maxBlobBytes {
 		s.mu.Lock()
 		s.count(obs.MCacheRejects, obs.L("reason", "too_large"))
 		s.mu.Unlock()
-		return fmt.Errorf("castore: payload %d bytes exceeds blob cap %d", len(e.Payload), s.cfg.MaxBlobBytes)
+		return fmt.Errorf("castore: payload %d bytes exceeds blob cap %d", len(e.Payload), maxBlobBytes)
 	}
-	if err := s.verify(e, lim); err != nil {
+	if err := s.verify(e); err != nil {
 		return err
 	}
 
@@ -273,10 +263,11 @@ func (s *Store) Put(e *Entry) error {
 	return nil
 }
 
-// verify re-checks an entry's seal and structure. Failures are quarantined:
-// a payload that reached the publish path with a bad seal is evidence.
-func (s *Store) verify(e *Entry, lim wire.DecodeLimits) error {
-	r, err := trace.VerifyLimited(e.Signed(), e.SessionKey, lim)
+// verify re-checks an entry's seal and structure, decoding it under the wire
+// layer's default limits. Failures are quarantined: a payload that reached
+// the publish path with a bad seal is evidence.
+func (s *Store) verify(e *Entry) error {
+	r, err := trace.Verify(e.Signed(), e.SessionKey)
 	if err == nil {
 		err = r.Audit()
 	}
@@ -445,10 +436,10 @@ func (s *Store) loadDisk(k Key, kh [32]byte) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("castore: blob missing for %s", fp)
 	}
-	if bst.Size() > s.cfg.MaxBlobBytes {
+	if bst.Size() > maxBlobBytes {
 		os.Remove(blobPath)
 		os.Remove(idxPath)
-		return nil, fmt.Errorf("castore: blob %d bytes exceeds cap %d", bst.Size(), s.cfg.MaxBlobBytes)
+		return nil, fmt.Errorf("castore: blob %d bytes exceeds cap %d", bst.Size(), maxBlobBytes)
 	}
 	payload, err := os.ReadFile(blobPath)
 	if err != nil {
@@ -467,7 +458,6 @@ func (s *Store) loadDisk(k Key, kh [32]byte) (*Entry, error) {
 
 	s.mu.Lock()
 	q := s.quarantine
-	lim := s.cfg.Limits
 	s.mu.Unlock()
 	if q != nil && q.Contains(fp) {
 		s.mu.Lock()
@@ -475,7 +465,7 @@ func (s *Store) loadDisk(k Key, kh [32]byte) (*Entry, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("castore: fingerprint %s is quarantined", fp)
 	}
-	r, err := trace.VerifyLimited(e.Signed(), e.SessionKey, lim)
+	r, err := trace.Verify(e.Signed(), e.SessionKey)
 	if err == nil {
 		err = r.Audit()
 	}

@@ -289,23 +289,7 @@ func (p *Pool) Read(pa PA, buf []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	off := uint64(pa)
-	for len(buf) > 0 {
-		page, in := off/PageSize, off%PageSize
-		n := PageSize - in
-		if uint64(len(buf)) < n {
-			n = uint64(len(buf))
-		}
-		if pg, ok := p.pages[page]; ok {
-			copy(buf[:n], pg[in:in+n])
-		} else {
-			for i := uint64(0); i < n; i++ {
-				buf[i] = 0
-			}
-		}
-		buf = buf[n:]
-		off += n
-	}
+	p.readInto(uint64(pa), buf)
 }
 
 // Write copies data into the pool starting at pa. Pages are materialized

@@ -424,8 +424,8 @@ func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err err
 	tally := func() Stats {
 		st := Stats{Link: link.Stats(), Shim: dshim.Stats(), Jobs: jobs, GuardViolations: guardViolations}
 		if sync != nil {
-			st.SyncToClient, st.SyncToCloud = sync.out, sync.in
-			st.MemSyncBytes = sync.out.Bytes + sync.in.Bytes
+			st.SyncToClient, st.SyncToCloud = sync.toClient.traffic, sync.toCloud.traffic
+			st.MemSyncBytes = st.SyncToClient.Bytes + st.SyncToCloud.Bytes
 		}
 		return st
 	}
@@ -483,12 +483,7 @@ func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err err
 		})
 	}
 
-	sync = &syncer{
-		metaOnly: cfg.Variant.MetaOnly(),
-		cloud:    cloudPool, client: clientPool,
-		ctx: rt.Context(), rt: rt,
-		obs: cfg.Obs, codec: codec,
-	}
+	sync = newSyncer(cfg.Variant.MetaOnly(), rt, cloudPool, clientPool, cfg.Obs, codec)
 	defer sync.release()
 	cloudPool.OnGuardViolation(func(v *gpumem.GuardViolation) {
 		guardViolations++
@@ -606,7 +601,7 @@ func run(ctx context.Context, cfg Config, codec dumpCodec) (res *Result, err err
 		Recording: rec, Signed: signed, Stats: st,
 		JobLogOffsets:  jobLogOffsets,
 		sessionKey:     append([]byte(nil), cfg.SessionKey...),
-		fpHashed:       sync.outFPC.hashed + sync.inFPC.hashed,
-		fpStructHashed: sync.outFPC.structHashed + sync.inFPC.structHashed,
+		fpHashed:       sync.toClient.fpc.hashed + sync.toCloud.fpc.hashed,
+		fpStructHashed: sync.toClient.fpc.structHashed + sync.toCloud.fpc.structHashed,
 	}, nil
 }

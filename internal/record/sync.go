@@ -22,8 +22,6 @@ import (
 // against the previous synchronization point.
 type syncer struct {
 	metaOnly bool
-	cloud    *gpumem.Pool
-	client   *gpumem.Pool
 	ctx      *kbase.Context
 	rt       *mlfw.Runtime
 	// obs marks each dump on the session's timeline and in its flight
@@ -35,35 +33,59 @@ type syncer struct {
 	// codec codes both directions' dumps, so a job's client→cloud encode
 	// and self-check decode reuse the range coding of its cloud→client
 	// dump whenever the two are byte-identical. It range-decodes a dump it
-	// encoded behind the session; checkJob and checkToClient name the last
-	// dump received, whose bytes a check in flight covers.
-	codec         dumpCodec
-	checkJob      int
-	checkToClient bool
-	// The receiving sides' images: the snapshot the last dump to the
-	// client (toClient) and to the cloud (toCloud) produced. Each dump is
-	// applied to its side's image in place, and the image is what the side
-	// restores. A lossless coder keeps each image equal to the sender's
-	// delta base (capOut.Prev(), capIn.Prev()).
-	toClient, toCloud *gpumem.Snapshot
+	// encoded behind the session; checkJob and checkDir name the last dump
+	// received, whose bytes a check in flight covers.
+	codec    dumpCodec
+	checkJob int
+	checkDir *direction
 
-	firstDone bool
-	prevOutFP string
-	capOut    gpumem.CaptureState
-	prevInFP  string
-	capIn     gpumem.CaptureState
-	// out and in tally the dumps sent to the client and to the cloud.
-	out, in SyncTraffic
-	// ptRegions are the pseudo-regions regions lists for the page-table
-	// pages, in PageTable.Pages order.
+	// toClient is the cloud→client way a dump goes before each job, toCloud
+	// the client→cloud way after it.
+	toClient, toCloud direction
+
+	// regions and fp are the synchronization region list and its structural
+	// fingerprint as layout last built them; built is the context's region
+	// list they were built from, and ptRegions the page-table
+	// pseudo-regions, in PageTable.Pages order.
+	regions   []*gpumem.Region
+	fp        string
+	built     []*gpumem.Region
 	ptRegions []*gpumem.Region
+}
 
-	// The fingerprint caches for metaFP, one per direction (see
-	// snapFPCached). They make metaFP, which every job boundary's checkpoint
-	// pays, cost in proportion to the pages changed since the last call,
-	// while computing exactly the value a cold cache (the resume side's)
-	// computes from scratch.
-	outFPC, inFPC fpCache
+// direction is one way a dump goes, from the sender's pool to the
+// receiver's.
+type direction struct {
+	// name labels the direction's counters and journal entries; dump names
+	// its dumps in errors, a format of the dump's kind and job.
+	name, dump string
+	from, to   *gpumem.Pool
+	// cap is the sender's capture chain, and fp the structural fingerprint
+	// of its committed capture: the delta base.
+	cap gpumem.CaptureState
+	fp  string
+	// img is the receiver's image: the snapshot the last dump produced.
+	// Each dump is applied to it in place, and it is what the receiver
+	// restores. A lossless coder keeps it equal to the delta base
+	// (cap.Prev()).
+	img *gpumem.Snapshot
+	// fpc is the direction's metaFP cache (see snapFPCached). It makes
+	// metaFP, which every job boundary's checkpoint pays, cost in proportion
+	// to the pages changed since the last call, while computing exactly the
+	// value a cold cache (the resume side's) computes from scratch.
+	fpc fpCache
+	// traffic tallies the dumps sent this way.
+	traffic SyncTraffic
+}
+
+// newSyncer returns the syncer of a session whose GPU stack runs rt over
+// the cloud pool and whose GPU reads the client pool.
+func newSyncer(metaOnly bool, rt *mlfw.Runtime, cloud, client *gpumem.Pool, scope *obs.Scope, codec dumpCodec) *syncer {
+	return &syncer{
+		metaOnly: metaOnly, ctx: rt.Context(), rt: rt, obs: scope, codec: codec,
+		toClient: direction{name: "to_client", dump: "%s dump for job %d", from: cloud, to: client},
+		toCloud:  direction{name: "to_cloud", dump: "client %s dump after job %d", from: client, to: cloud},
+	}
 }
 
 // dumpCodec is the gpumem.Codec surface the syncer calls; tests substitute
@@ -121,40 +143,41 @@ func (t SyncTraffic) publish(scope *obs.Scope, dir string) {
 	scope.Count(obs.MSyncRawBytes, t.RawBytes, obs.L("dir", dir))
 }
 
-// countDump tallies one synchronization dump in its direction's traffic t
-// and marks it on the session's timeline and in its flight journal.
-func (s *syncer) countDump(t *SyncTraffic, dir string, j int, wire, raw int64) {
-	t.Dumps++
-	t.Bytes += wire
-	t.RawBytes += raw
-	s.obs.Annotate("sync.dump", "sync",
-		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
-	s.obs.Emit(obs.FKSync, dir,
-		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
-}
-
-// regions returns the current synchronization region list: the context's
-// regions (minus the root-only page-table placeholder) plus one pseudo-region
-// per live page-table page. The pseudo-regions are made once per page and
-// kept for the session: tables are never freed, so each call adds only the
-// pages the table gained since the last.
-func (s *syncer) regions() []*gpumem.Region {
+// layout returns the synchronization region list and its structural
+// fingerprint: the context's regions (minus the root-only page-table
+// placeholder) plus one pseudo-region per live page-table page. It builds
+// them once per structural change — a region allocated or freed, or a page
+// added to the table — and otherwise returns the last build, so a job's two
+// dumps and metaFP share one list and one fingerprint string. That rests on
+// kbase never changing a live Region's name, PA or size: the same region
+// pointers in the same order give the same list and fingerprint (built
+// keeps the pointers alive, so a freed region's address cannot come back as
+// a new region's while they are compared). The pseudo-regions are made
+// once per page and kept for the session: tables are never freed, so each
+// call adds only the pages the table gained.
+func (s *syncer) layout() ([]*gpumem.Region, string) {
+	grown := false
 	for _, pa := range s.ctx.PageTable().PagesSince(len(s.ptRegions)) {
 		s.ptRegions = append(s.ptRegions, &gpumem.Region{
 			Name: "pt@" + strconv.FormatUint(uint64(pa), 16), Kind: gpumem.KindPageTable,
 			PA: pa, Size: gpumem.PageSize,
 			Flags: gpumem.DefaultFlags(gpumem.KindPageTable),
 		})
+		grown = true
 	}
-	ctxRegions := s.ctx.Regions()
-	out := make([]*gpumem.Region, 0, len(ctxRegions)+len(s.ptRegions))
-	for _, r := range ctxRegions {
-		if r.Kind == gpumem.KindPageTable {
-			continue // replaced by the per-page entries
+	if ctxRegions := s.ctx.Regions(); grown || !slices.Equal(ctxRegions, s.built) {
+		s.built = slices.Clone(ctxRegions)
+		out := make([]*gpumem.Region, 0, len(ctxRegions)+len(s.ptRegions))
+		for _, r := range ctxRegions {
+			if r.Kind == gpumem.KindPageTable {
+				continue // replaced by the per-page entries
+			}
+			out = append(out, r)
 		}
-		out = append(out, r)
+		s.regions = append(out, s.ptRegions...)
+		s.fp = fingerprint(s.regions)
 	}
-	return append(out, s.ptRegions...)
+	return s.regions, s.fp
 }
 
 // fingerprint is the structural fingerprint of a region list: per region,
@@ -192,9 +215,12 @@ func fingerprint(regions []*gpumem.Region) string {
 // zeros costs one multiply, so a checkpoint at every job costs in
 // proportion to change.
 func (s *syncer) metaFP() (out, in uint64) {
-	out = snapFPCached(s.prevOutFP, s.capOut.Prev(), s.cloud, s.capOut.Watermark(), &s.outFPC)
-	in = snapFPCached(s.prevInFP, s.capIn.Prev(), s.client, s.capIn.Watermark(), &s.inFPC)
-	return out, in
+	return s.toClient.metaFP(), s.toCloud.metaFP()
+}
+
+// metaFP is one direction's half of syncer.metaFP.
+func (d *direction) metaFP() uint64 {
+	return snapFPCached(d.fp, d.cap.Prev(), d.from, d.cap.Watermark(), &d.fpc)
 }
 
 // fnv64a is an inline, allocation-free FNV-64a accumulator (hash/fnv's
@@ -321,163 +347,136 @@ func snapFPCached(structure string, snap *gpumem.Snapshot, pool *gpumem.Pool,
 // exit is a failure.
 func (s *syncer) release() {
 	s.codec.Release()
-	for _, img := range []*gpumem.Snapshot{s.toClient, s.toCloud} {
-		if img != nil {
-			img.Release()
+	for _, d := range []*direction{&s.toClient, &s.toCloud} {
+		if d.img != nil {
+			d.img.Release()
+			d.img = nil
 		}
+		d.cap.Release()
 	}
-	s.toClient, s.toCloud = nil, nil
-	s.capOut.Release()
-	s.capIn.Release()
 }
 
 // beforeJob produces the cloud→client dump for job j and applies it to the
 // client pool, returning the wire bytes (for traffic accounting and the
-// recording log).
+// recording log). Naive ships raw dirty memory: everything on the first
+// sync (zero-filled program data included), afterwards the job's
+// command-stream slice, the job descriptors, and the page tables.
 func (s *syncer) beforeJob(j int) ([]byte, error) {
-	if s.metaOnly {
-		return s.metaDump(j)
+	if !s.metaOnly {
+		regions, _ := s.layout()
+		if s.toClient.traffic.Dumps > 0 {
+			pa, size := s.rt.CmdSlice(j)
+			slice := []*gpumem.Region{{
+				Name: fmt.Sprintf("cmd-slice-%d", j), Kind: gpumem.KindCommands,
+				PA: pa, Size: size,
+			}}
+			for _, r := range regions {
+				if r.Kind == gpumem.KindJobDesc || r.Kind == gpumem.KindPageTable {
+					slice = append(slice, r)
+				}
+			}
+			regions = slice
+		}
+		return s.sendRaw(&s.toClient, regions, j)
 	}
-	return s.naiveBefore(j)
-}
-
-// metaDump captures cloud-side metastate as a delta against the previous
-// sync point. The capture is dirty-aware: regions untouched since the last
-// sync share the previous snapshot's buffers and cost the encoder nothing.
-func (s *syncer) metaDump(j int) ([]byte, error) {
-	regions := s.regions()
-	fp := fingerprint(regions)
-	snap := s.capOut.Capture(s.cloud, regions, gpumem.MetastateOnly)
-	prev := s.capOut.Prev()
-	if fp != s.prevOutFP {
-		prev = nil // structural change (new allocations): full dump
-	}
-	wire, err := s.codec.Encode(snap, prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
-	if err != nil {
-		return nil, fmt.Errorf("record: encoding meta dump for job %d: %w", j, err)
-	}
-	img, err := s.receive(wire, s.toClient, true, j)
+	wire, err := s.send(&s.toClient, j)
 	if err != nil {
 		return nil, err
 	}
-	s.toClient = img
-	img.Restore(s.client)
-	s.capOut.Commit(snap)
-	s.prevOutFP = fp
-	s.countDump(&s.out, "to_client", j, int64(len(wire)), snap.RawBytes())
-	// Continuous validation (§5): the dumped metastate is now the
-	// client's to use; until the job completes, any spurious cloud-side
-	// access to it is trapped and reported.
-	for _, r := range regions {
+	// Continuous validation (§5): the dumped metastate, of the layout the
+	// dump used, is now the client's to use; until the job completes, any
+	// spurious cloud-side access to it is trapped and reported.
+	for _, r := range s.regions {
 		if r.Kind.Metastate() {
-			s.cloud.Guard(r.PA, r.Size, r.Name)
+			s.toClient.from.Guard(r.PA, r.Size, r.Name)
 		}
 	}
 	return wire, nil
 }
 
-// receive applies job j's dump, sent to the client or to the cloud, to img
-// through the codec.
-func (s *syncer) receive(wire []byte, img *gpumem.Snapshot, toClient bool, j int) (*gpumem.Snapshot, error) {
-	out, err := s.codec.Receive(wire, img)
+// afterJob produces the client→cloud dump once job j's completion interrupt
+// fired, applies it to the cloud pool, and returns the wire bytes. Naive
+// ships the job's destination buffer raw, whatever its size.
+func (s *syncer) afterJob(j int) ([]byte, error) {
+	// The job is done: the client's view flows back, so the cloud-side
+	// guards drop before the incoming dump is applied.
+	s.toCloud.to.UnguardAll()
+	if !s.metaOnly {
+		dst := s.rt.Region(s.rt.Model().Kernels[j].Dst)
+		return s.sendRaw(&s.toCloud, []*gpumem.Region{dst}, j)
+	}
+	return s.send(&s.toCloud, j)
+}
+
+// send is the meta-only step: it captures the sender's metastate as a delta
+// against the last dump sent this way, codes it, applies it to the
+// receiver's image, restores that into the receiver's pool, and returns the
+// wire bytes. The capture is dirty-aware: regions untouched since the last
+// dump share its buffers and cost the encoder nothing.
+func (s *syncer) send(d *direction, j int) ([]byte, error) {
+	regions, fp := s.layout()
+	snap := d.cap.Capture(d.from, regions, gpumem.MetastateOnly)
+	prev := d.cap.Prev()
+	if fp != d.fp {
+		prev = nil // structural change (new allocations): full dump
+	}
+	wire, err := s.codec.Encode(snap, prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
+	if err != nil {
+		return nil, fmt.Errorf("record: encoding "+d.dump+": %w", "meta", j, err)
+	}
+	img, err := s.codec.Receive(wire, d.img)
 	if err != nil {
 		// A failed check is the last dump's, not this one's.
 		if serr := s.settle(); serr != nil {
 			return nil, serr
 		}
-		return nil, selfCheckErr(toClient, j, err)
+		return nil, d.selfCheckErr(j, err)
 	}
-	s.checkJob, s.checkToClient = j, toClient
-	return out, nil
+	s.checkJob, s.checkDir = j, d
+	d.img = img
+	img.Restore(d.to)
+	d.cap.Commit(snap)
+	d.fp = fp
+	s.count(d, j, int64(len(wire)), snap.RawBytes())
+	return wire, nil
+}
+
+// sendRaw is Naive's step: it ships the regions raw and uncompressed from
+// the sender's pool to the receiver's, and returns the wire bytes.
+func (s *syncer) sendRaw(d *direction, regions []*gpumem.Region, j int) ([]byte, error) {
+	snap := gpumem.Capture(d.from, regions, nil)
+	wire, err := snap.Encode(nil, gpumem.EncodeOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("record: encoding "+d.dump+": %w", "naive", j, err)
+	}
+	snap.Restore(d.to)
+	s.count(d, j, int64(len(wire)), snap.RawBytes())
+	snap.Release()
+	return wire, nil
+}
+
+// count tallies one synchronization dump in its direction's traffic and
+// marks it on the session's timeline and in its flight journal.
+func (s *syncer) count(d *direction, j int, wire, raw int64) {
+	d.traffic.Dumps++
+	d.traffic.Bytes += wire
+	d.traffic.RawBytes += raw
+	s.obs.Annotate("sync.dump", "sync",
+		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
+	s.obs.Emit(obs.FKSync, d.name,
+		obs.A("job", int64(j)), obs.A("wire_bytes", wire), obs.A("raw_bytes", raw))
 }
 
 // settle waits for the codec's self-check of the last dump received and, if
 // a check failed, returns an error that names the dump's job.
 func (s *syncer) settle() error {
 	if err := s.codec.Settle(); err != nil {
-		return selfCheckErr(s.checkToClient, s.checkJob, err)
+		return s.checkDir.selfCheckErr(s.checkJob, err)
 	}
 	return nil
 }
 
 // selfCheckErr reports a failed self-check decode of job j's dump.
-func selfCheckErr(toClient bool, j int, err error) error {
-	if toClient {
-		return fmt.Errorf("record: self-check decode of meta dump for job %d: %w", j, err)
-	}
-	return fmt.Errorf("record: self-check decode of client meta dump after job %d: %w", j, err)
-}
-
-// naiveBefore ships raw dirty memory: everything on the first sync
-// (zero-filled program data included), afterwards the job's command-stream
-// slice, the job descriptors, and the page tables.
-func (s *syncer) naiveBefore(j int) ([]byte, error) {
-	var snap *gpumem.Snapshot
-	if !s.firstDone {
-		s.firstDone = true
-		snap = gpumem.Capture(s.cloud, s.regions(), nil)
-	} else {
-		pa, size := s.rt.CmdSlice(j)
-		regions := []*gpumem.Region{{
-			Name: fmt.Sprintf("cmd-slice-%d", j), Kind: gpumem.KindCommands,
-			PA: pa, Size: size,
-		}}
-		for _, r := range s.regions() {
-			if r.Kind == gpumem.KindJobDesc || r.Kind == gpumem.KindPageTable {
-				regions = append(regions, r)
-			}
-		}
-		snap = gpumem.Capture(s.cloud, regions, nil)
-	}
-	wire, err := snap.Encode(nil, gpumem.EncodeOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("record: encoding naive dump for job %d: %w", j, err)
-	}
-	snap.Restore(s.client)
-	s.countDump(&s.out, "to_client", j, int64(len(wire)), snap.RawBytes())
-	snap.Release()
-	return wire, nil
-}
-
-// afterJob produces the client→cloud dump once job j's completion interrupt
-// fired, applies it to the cloud pool, and returns the wire bytes.
-func (s *syncer) afterJob(j int) ([]byte, error) {
-	// The job is done: the client's view flows back, so the cloud-side
-	// guards drop before the incoming dump is applied.
-	s.cloud.UnguardAll()
-	if s.metaOnly {
-		regions := s.regions()
-		fp := fingerprint(regions)
-		snap := s.capIn.Capture(s.client, regions, gpumem.MetastateOnly)
-		prev := s.capIn.Prev()
-		if fp != s.prevInFP {
-			prev = nil
-		}
-		wire, err := s.codec.Encode(snap, prev, gpumem.EncodeOptions{Delta: prev != nil, Compress: true})
-		if err != nil {
-			return nil, fmt.Errorf("record: encoding client meta dump after job %d: %w", j, err)
-		}
-		img, err := s.receive(wire, s.toCloud, false, j)
-		if err != nil {
-			return nil, err
-		}
-		s.toCloud = img
-		img.Restore(s.cloud)
-		s.capIn.Commit(snap)
-		s.prevInFP = fp
-		s.countDump(&s.in, "to_cloud", j, int64(len(wire)), snap.RawBytes())
-		return wire, nil
-	}
-	// Naive: ship the job's destination buffer raw, whatever its size.
-	k := &s.rt.Model().Kernels[j]
-	dst := s.rt.Region(k.Dst)
-	snap := gpumem.Capture(s.client, []*gpumem.Region{dst}, nil)
-	wire, err := snap.Encode(nil, gpumem.EncodeOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("record: encoding naive output dump after job %d: %w", j, err)
-	}
-	snap.Restore(s.cloud)
-	s.countDump(&s.in, "to_cloud", j, int64(len(wire)), snap.RawBytes())
-	snap.Release()
-	return wire, nil
+func (d *direction) selfCheckErr(j int, err error) error {
+	return fmt.Errorf("record: self-check decode of "+d.dump+": %w", "meta", j, err)
 }

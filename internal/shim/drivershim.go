@@ -82,8 +82,6 @@ type Stats struct {
 	PollLoopsOffloaded   int
 	PollRTTsSaved        int
 	IRQWaits             int
-	DumpBytesToClient    int64
-	DumpBytesToCloud     int64
 	// ResyncEvents counts checkpointed events re-derived and verified while
 	// resuming a lost session, and ResyncCommits the SyncCommits that
 	// re-derived them locally, with no round trip.
@@ -273,7 +271,6 @@ func (s *DriverShim) StageDumpToClient(wire []byte) {
 	} else {
 		s.pendingDumpOut = wire
 	}
-	s.stats.DumpBytesToClient += int64(len(wire))
 }
 
 func categoryOf(ops []RegOp) kbase.Category {
@@ -447,7 +444,6 @@ func (s *DriverShim) waitIRQT(tid, fn string) kbase.IRQState {
 	s.log = append(s.log, trace.Event{Kind: trace.KIRQ, Fn: fn,
 		IRQJob: irq.Job, IRQGPU: irq.GPU, IRQMMU: irq.MMU})
 	if dumpIn != nil {
-		s.stats.DumpBytesToCloud += int64(len(dumpIn))
 		s.log = append(s.log, trace.Event{Kind: trace.KDumpToCloud, Dump: dumpIn})
 	}
 	s.verifyResync()

@@ -390,13 +390,12 @@ func TestWaitIRQCarriesClientDump(t *testing.T) {
 	r := newRemoteRig(t, ModeDefer, netsim.WiFi, nil)
 	r.gshim.OnIRQDump = func() []byte { return []byte("client-metastate") }
 	r.dshim.WaitIRQ(kbase.FnJobIRQ)
-	st := r.dshim.Stats()
-	if st.DumpBytesToCloud == 0 {
-		t.Fatal("client dump not accounted")
-	}
 	log := r.dshim.EventLog()
 	if len(log) != 2 || log[0].Kind != trace.KIRQ || log[1].Kind != trace.KDumpToCloud {
 		t.Fatalf("log = %+v", log)
+	}
+	if string(log[1].Dump) != "client-metastate" {
+		t.Fatalf("logged client dump %q, want the bytes the GPU shim sent", log[1].Dump)
 	}
 }
 
