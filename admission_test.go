@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpurelay/internal/cloud"
 	"gpurelay/internal/obs"
 )
 
@@ -72,8 +73,8 @@ func holdShard(t *testing.T, svc *Service, model *Model) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := svc.pool.Acquire(context.Background(), svc.cacheKeyFor(MaliG71MP8, model).Hash(),
-		"shard-holder", compat, []byte("shard-holder-nonce"))
+	vm, err := svc.pool.Acquire(context.Background(), nil, cloud.Request{Key: svc.cacheKeyFor(MaliG71MP8, model).Hash(),
+		ClientID: "shard-holder", GPU: compat, Nonce: []byte("shard-holder-nonce")})
 	if err != nil {
 		t.Fatalf("holding the shard: %v", err)
 	}

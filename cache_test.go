@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gpurelay/internal/cloud"
 	"gpurelay/internal/obs"
 	"gpurelay/internal/timesim"
 )
@@ -395,7 +396,7 @@ func TestShedRetryHonorsHint(t *testing.T) {
 		nonce := []byte("shed-test-nonce!")
 		// Saturate the key's shard: capacity 1, queueing disabled, so the
 		// next acquire for this key sheds with a retry-after hint.
-		if _, err := svc.pool.Acquire(context.Background(), key, "blocker", compat, nonce); err != nil {
+		if _, err := svc.pool.Acquire(context.Background(), nil, cloud.Request{Key: key, ClientID: "blocker", GPU: compat, Nonce: nonce}); err != nil {
 			t.Fatalf("saturating the shard: %v", err)
 		}
 		return svc, key, compat, nonce
@@ -405,8 +406,8 @@ func TestShedRetryHonorsHint(t *testing.T) {
 		svc, key, compat, nonce := newShedService()
 		clock := timesim.NewClock()
 		scope := NewScope("shed-retry")
-		_, err := svc.acquireVMShedAware(context.Background(), clock, scope,
-			seed, key, "shed-client", compat, nonce)
+		_, err := svc.pool.AcquireShedAware(context.Background(), clock, scope,
+			seed, cloud.Request{Key: key, ClientID: "shed-client", GPU: compat, Nonce: nonce})
 		var shed *SheddingError
 		if !errors.As(err, &shed) {
 			t.Fatalf("held shard: err = %v, want *SheddingError", err)
@@ -447,8 +448,8 @@ func TestShedRetryHonorsHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := timesim.NewClock()
-	vm, err := svc.acquireVMShedAware(context.Background(), clock, nil, 7, key,
-		"free-client", compat, []byte("shed-test-nonce!"))
+	vm, err := svc.pool.AcquireShedAware(context.Background(), clock, nil, 7,
+		cloud.Request{Key: key, ClientID: "free-client", GPU: compat, Nonce: []byte("shed-test-nonce!")})
 	if err != nil {
 		t.Fatalf("free shard: %v", err)
 	}

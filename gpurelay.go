@@ -38,7 +38,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -549,47 +548,9 @@ func (s *Service) cacheKeyFor(sku *SKU, model *Model) castore.Key {
 	return castore.KeyForModel(sku.Name, s.image.Stack, model)
 }
 
-// maxShedRetries bounds how many times an admission honors a shedding
-// partition's retry-after hint before surfacing the rejection.
-const maxShedRetries = 4
-
-// acquireVMShedAware admits through the partition the cache-key hash picks
-// (so a workload's singleflight leader and followers always land on one
-// partition), honoring its shed rejection: a *SheddingError carries the
-// partition's retry-after hint, so instead of failing the session the client
-// waits out the hint (plus a small deterministic jitter so a herd of shed
-// clients does not re-arrive in lockstep) on its virtual clock and
-// re-admits, up to maxShedRetries times. Every other error surfaces
-// immediately, unchanged.
-func (s *Service) acquireVMShedAware(ctx context.Context, clock *timesim.Clock,
-	scope *obs.Scope, jitterSeed uint64, key [32]byte, clientID, compat string,
-	nonce []byte) (*cloud.VM, error) {
-	vm, err := s.pool.Acquire(ctx, key, clientID, compat, nonce)
-	jrng := jitterSeed ^ 0xA24BAED4963EE407
-	if jrng == 0 {
-		jrng = 1
-	}
-	for try := 1; err != nil && try <= maxShedRetries; try++ {
-		var shed *cloud.SheddingError
-		if !errors.As(err, &shed) || shed.RetryAfter <= 0 {
-			break
-		}
-		jrng ^= jrng << 13
-		jrng ^= jrng >> 7
-		jrng ^= jrng << 17
-		d := shed.RetryAfter + time.Duration(jrng%uint64(shed.RetryAfter/8+1))
-		clock.Advance(d)
-		scope.CountOr(s.fleet, obs.MShedRetries, 1)
-		scope.Annotate("session.shed-retry", "session",
-			obs.A("try", int64(try)), obs.A("wait_ns", int64(d)),
-			obs.A("shard", int64(shed.Shard)))
-		s.flight.Emit(clock.Now(), clientID, obs.FKShardShed, "retry",
-			obs.A("try", int64(try)), obs.A("wait_ns", int64(d)),
-			obs.A("shard", int64(shed.Shard)))
-		vm, err = s.pool.Acquire(ctx, key, clientID, compat, nonce)
-	}
-	return vm, err
-}
+// maxShedRetries bounds how many times a record entry point waits out a
+// shedding partition's retry-after hint before surfacing the rejection.
+const maxShedRetries = cloud.MaxShedRetries
 
 // DeviceInfo is a point-in-time snapshot of one GPU device's health books:
 // state (healthy/degraded/dead), throttle time, ECC counts, fall-offs, and
@@ -877,7 +838,8 @@ func (s *Service) admit(ctx context.Context, c *Client, kh [32]byte, scope *obs.
 	}
 	scope.AttachFleet(s.fleet)
 	scope.AttachFlight(s.flight)
-	vm, err := s.acquireVMShedAware(ctx, c.clock, scope, jitterSeed, kh, c.ID, compat, nonce)
+	vm, err := s.pool.AcquireShedAware(ctx, c.clock, scope, jitterSeed,
+		cloud.Request{Key: kh, ClientID: c.ID, GPU: compat, Nonce: nonce})
 	if err != nil {
 		return nil, fmt.Errorf("gpurelay: launching recording VM: %w", err)
 	}

@@ -9,7 +9,7 @@ import (
 // launch admits client and fails the test on error.
 func launch(t *testing.T, p *Pool, client, compat, nonce string) *VM {
 	t.Helper()
-	vm, err := p.Acquire(context.Background(), keyOf(client), client, compat, []byte(nonce))
+	vm, err := p.Acquire(context.Background(), nil, Request{Key: keyOf(client), ClientID: client, GPU: compat, Nonce: []byte(nonce)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestLaunchSelectsDeviceTree(t *testing.T) {
 func TestOneVMPerClient(t *testing.T) {
 	p := newTestPool(PoolConfig{})
 	vm := launch(t, p, "client-1", "arm,mali-g71-mp8", "n")
-	if _, err := p.Acquire(context.Background(), keyOf("client-1"), "client-1", "arm,mali-g71-mp8", []byte("n")); err == nil {
+	if _, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("client-1"), ClientID: "client-1", GPU: "arm,mali-g71-mp8", Nonce: []byte("n")}); err == nil {
 		t.Fatal("second concurrent VM for the same client allowed")
 	}
 	// A different client gets its own VM.
@@ -44,7 +44,7 @@ func TestOneVMPerClient(t *testing.T) {
 
 func TestUnknownGPURejected(t *testing.T) {
 	p := newTestPool(PoolConfig{})
-	if _, err := p.Acquire(context.Background(), keyOf("c"), "c", "nvidia,gtx-4090", []byte("n")); err == nil {
+	if _, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("c"), ClientID: "c", GPU: "nvidia,gtx-4090", Nonce: []byte("n")}); err == nil {
 		t.Fatal("launched VM for a GPU the image cannot drive")
 	}
 }

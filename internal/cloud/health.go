@@ -45,7 +45,9 @@ const HealthSchema = "grt-health/1"
 const maxAdmissionWaitP99 = 2 * time.Second
 
 // HealthStats is one window's SLO summary: deltas between two fleet-registry
-// snapshots, plus the derived rates.
+// snapshots, plus the derived rates. Admissions counts every admission
+// outcome; AdmissionP50 and AdmissionP99 are quantiles of the waits of the
+// queued admissions only, the ones that waited for a slot.
 type HealthStats struct {
 	Sessions       int64   `json:"sessions"`
 	Crashes        int64   `json:"crashes"`
@@ -148,58 +150,36 @@ func deltaTotal(cur, prev *obs.Snapshot, name string) int64 {
 // gates want. Observations in the +Inf bucket report the histogram's largest
 // finite bound. Returns 0 when the window observed nothing.
 func histQuantile(cur, prev *obs.Snapshot, name string, q float64) float64 {
-	if cur == nil {
-		return 0
-	}
-	var fam *obs.SnapFamily
-	for i := range cur.Families {
-		if cur.Families[i].Name == name {
-			fam = &cur.Families[i]
-			break
-		}
-	}
-	if fam == nil || len(fam.Series) == 0 {
-		return 0
-	}
-	// Sum cumulative bucket counts across series (the admission-wait family
-	// is unlabeled, but stay correct if labels appear later), then subtract
-	// the previous window's.
-	counts := make([]uint64, len(fam.Buckets)+1)
-	accumulate := func(s *obs.Snapshot, sign int64) {
-		if s == nil {
-			return
-		}
-		for i := range s.Families {
+	// Every registry histogram has obs.DefBuckets. Sum cumulative bucket
+	// counts across series (the admission-wait family is unlabeled, but
+	// stay correct if labels appear later), then subtract the previous
+	// window's.
+	counts := make([]int64, len(obs.DefBuckets)+1)
+	for sign, s := range map[int64]*obs.Snapshot{1: cur, -1: prev} {
+		for i := 0; s != nil && i < len(s.Families); i++ {
 			if s.Families[i].Name != name {
 				continue
 			}
 			for _, ser := range s.Families[i].Series {
-				for j := range ser.Counts {
-					if j < len(counts) {
-						counts[j] = uint64(int64(counts[j]) + sign*int64(ser.Counts[j]))
-					}
+				for j, n := range ser.Counts {
+					counts[j] += sign * int64(n)
 				}
 			}
 		}
 	}
-	accumulate(cur, 1)
-	accumulate(prev, -1)
 	total := counts[len(counts)-1]
-	if total == 0 {
+	if total <= 0 {
 		return 0
 	}
 	// Nearest-rank: ceil(q·N), so a single straggler among 1/(1-q)
 	// observations still lands the quantile in its bucket.
-	want := uint64(math.Ceil(q * float64(total)))
-	if want < 1 {
-		want = 1
-	}
-	for i, ub := range fam.Buckets {
+	want := max(int64(math.Ceil(q*float64(total))), 1)
+	for i, ub := range obs.DefBuckets {
 		if counts[i] >= want {
 			return ub
 		}
 	}
-	return fam.Buckets[len(fam.Buckets)-1]
+	return obs.DefBuckets[len(obs.DefBuckets)-1]
 }
 
 // deviceRows derives per-device health rows from the grt_device_* series:
@@ -476,8 +456,8 @@ func (r *HealthReport) Render() string {
 		st.Sessions, st.Crashes, st.Resumed, st.GaveUp)
 	fmt.Fprintf(&sb, "          %d fault(s), %d checkpoint(s), ingest %d accepted / %d rejected\n",
 		st.FaultsFired, st.Checkpoints, st.IngestAccepted, st.IngestRejected)
-	fmt.Fprintf(&sb, "          admission wait p50 %.3fs p99 %.3fs over %d admission(s)\n",
-		st.AdmissionP50, st.AdmissionP99, st.Admissions)
+	fmt.Fprintf(&sb, "          %d admission(s), queued admissions' wait p50 %.3fs p99 %.3fs\n",
+		st.Admissions, st.AdmissionP50, st.AdmissionP99)
 	fmt.Fprintf(&sb, "          spec hit rate %.2f (%d/%d commits), amplification %.2f\n",
 		st.SpecHitRate, st.SpecCommits, st.Commits, st.RecordAmplification)
 	if st.CacheHits+st.CacheMisses+st.CacheFills+st.Shed > 0 {

@@ -14,7 +14,9 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,7 +38,7 @@ type PoolConfig struct {
 	// recording VMs; 0 or negative selects the default of 16.
 	Capacity int
 	// QueueLimit is the maximum number of admissions allowed to wait for
-	// one partition's slot once its slots are full; beyond it Acquire sheds
+	// one partition's slot once its slots are full; beyond it Admit sheds
 	// with a *SheddingError. 0 selects the default of 4×Capacity; negative
 	// disables queueing entirely.
 	QueueLimit int
@@ -101,13 +103,14 @@ type ringPoint struct {
 // single-tenant recording VMs hosting one image, split into partitions by
 // the recording cache key. Each partition bounds its live VMs, queues
 // admissions FIFO once it is full, sheds once its queue is full too, and
-// keeps its own GPU devices. A freed slot is handed directly to the
-// partition's oldest waiter (its in-use count never dips while someone is
-// queued), so admission order is strictly first-come-first-served. Waiting
-// is context-aware: a queued admission whose context ends leaves the queue
-// without consuming a slot. One client table covers every partition: a
-// client holds one VM at a time across the whole pool, and VMs are never
-// shared or reused across clients (§3.1).
+// keeps its own GPU devices. Admit is the one admission decision, and every
+// way of waiting sits on it. A freed slot is handed directly to the
+// partition's oldest turn (its in-use count never dips while someone is
+// queued), so admission order is strictly first-come-first-served, whether
+// the turn's owner blocks, parks on an engine or waits for a callback. One
+// client table covers every partition: a client holds one VM at a time
+// across the whole pool, and VMs are never shared or reused across clients
+// (§3.1).
 type Pool struct {
 	image      *Image
 	capacity   int
@@ -135,7 +138,7 @@ type partition struct {
 
 	mu      sync.Mutex
 	inUse   int
-	queue   []chan struct{}
+	queue   []*Turn
 	devices []*Device
 }
 
@@ -185,13 +188,6 @@ func (p *Pool) NumShards() int { return len(p.parts) }
 // Image returns the image every VM boots.
 func (p *Pool) Image() *Image { return p.image }
 
-// Capacity returns each partition's slot count, defaults applied.
-func (p *Pool) Capacity() int { return p.capacity }
-
-// QueueLimit returns each partition's admission-queue bound, defaults
-// applied (0 when queueing is disabled).
-func (p *Pool) QueueLimit() int { return p.queueLimit }
-
 // Shard maps a cache-key hash to its partition: the first ring position at
 // or clockwise after the key's point, wrapping at the top.
 func (p *Pool) Shard(key [32]byte) int {
@@ -206,96 +202,162 @@ func (p *Pool) Shard(key [32]byte) int {
 	return p.ring[i].shard
 }
 
-// Acquire admits one recording session on the key's partition and launches
-// its VM: the devicetree matching the client's GPU is selected, the VM is
-// measured, and a session key is derived from the measurement and both
-// nonces. When the partition is full it waits (FIFO, honoring ctx) for a
-// slot. Errors are a *SheddingError (unwrapping to grterr.ErrShedding and
-// grterr.ErrCapacity) when the partition's queue is full too, carrying the
-// retry-after hint; or they unwrap to grterr.ErrSessionLimit (the client
-// already holds a VM on some partition), grterr.ErrSKUMismatch (the image
-// cannot drive the GPU), or the context's error when the wait is
-// abandoned. The returned VM must be released with Release or Crash.
-func (p *Pool) Acquire(ctx context.Context, key [32]byte, clientID, gpuCompatible string, clientNonce []byte) (*VM, error) {
-	pt := p.parts[p.Shard(key)]
-	p.fleet.Add(obs.MShardRequests, 1, pt.label)
-	if err := p.admit(ctx, pt, clientID); err != nil {
-		return nil, err
-	}
-	vm, err := p.launch(pt, clientID, gpuCompatible, clientNonce)
-	if err != nil {
-		p.handOn(pt)
-		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "launch_failed"))
-		p.emit(clientID, obs.FKAdmission, "launch_failed")
-		return nil, err
-	}
-	return vm, nil
+// Request is one admission: the cache-key hash that picks its partition,
+// the client that will hold the VM, the compatible string of the client's
+// GPU and the client's attestation nonce.
+type Request struct {
+	Key      [32]byte
+	ClientID string
+	GPU      string
+	Nonce    []byte
 }
 
-// admit takes one of pt's slots for the client, queueing when the
-// partition is full and shedding when its queue is full too.
-func (p *Pool) admit(ctx context.Context, pt *partition, clientID string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("cloud: admission: %w", err)
-	}
+// A Turn is an admission waiting in its partition's FIFO queue.
+type Turn struct {
+	// Place is the queue's length once the admission joined it, itself
+	// included.
+	Place int
+
+	r       Request
+	pt      *partition
+	waited  func() time.Duration
+	granted func(*VM, error)
+}
+
+// Admit is the pool's one admission decision, and it never blocks. It
+// routes r to its key's partition, which has one of three answers. With a
+// slot free and nobody queued, Admit launches r's VM now and returns it.
+// With its slots full but room in its queue, Admit returns r's Turn: the
+// Release or Crash that hands r the slot launches its VM then and passes it,
+// or the launch's error, to granted, outside every pool lock. With its queue
+// full too, the partition sheds r with a *SheddingError (unwrapping to
+// grterr.ErrShedding and grterr.ErrCapacity) carrying a retry-after hint.
+// A launch fails with grterr.ErrSessionLimit (the client already holds a VM
+// on some partition) or grterr.ErrSKUMismatch (the image cannot drive the
+// GPU), and hands its slot on. The VM must be released with Release or
+// Crash.
+func (p *Pool) Admit(r Request, granted func(*VM, error)) (*VM, *Turn, error) {
+	pt := p.parts[p.Shard(r.Key)]
+	p.fleet.Add(obs.MShardRequests, 1, pt.label)
 	pt.mu.Lock()
 	if pt.inUse < p.capacity && len(pt.queue) == 0 {
 		pt.inUse++
 		p.syncGauges(pt)
 		pt.mu.Unlock()
 		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "immediate"))
-		p.emit(clientID, obs.FKAdmission, "immediate")
-		return nil
+		p.emit(r.ClientID, obs.FKAdmission, "immediate")
+		vm, err := p.launch(pt, r)
+		return vm, nil, err
 	}
 	if len(pt.queue) >= p.queueLimit {
 		busy, queued := pt.inUse, len(pt.queue)
 		pt.mu.Unlock()
 		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "rejected"))
-		p.emit(clientID, obs.FKAdmission, "rejected",
+		p.emit(r.ClientID, obs.FKAdmission, "rejected",
 			obs.A("busy", int64(busy)), obs.A("queued", int64(queued)))
 		shed := &SheddingError{Shard: pt.index, RetryAfter: shedRetryBase * time.Duration(queued+1),
 			Busy: busy, Queued: queued}
 		p.fleet.Add(obs.MShardShed, 1, pt.label)
-		p.emit(clientID, obs.FKShardShed, "",
+		p.emit(r.ClientID, obs.FKShardShed, "",
 			obs.A("shard", int64(pt.index)), obs.A("retry_after_ns", int64(shed.RetryAfter)))
-		return shed
+		return nil, nil, shed
 	}
-	turn := make(chan struct{})
-	pt.queue = append(pt.queue, turn)
+	t := &Turn{Place: len(pt.queue) + 1, r: r, pt: pt, waited: p.waitTimer(), granted: granted}
+	pt.queue = append(pt.queue, t)
 	p.syncGauges(pt)
 	pt.mu.Unlock()
-	waited := p.waitTimer()
-	select {
-	case <-turn:
-		// The releaser handed its slot to us; inUse already counts it. Read
-		// the wait once, so the histogram and the journal agree.
-		wait := waited()
-		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "queued"))
-		p.fleet.Observe(obs.MFleetAdmissionWait, wait.Seconds())
-		p.emit(clientID, obs.FKAdmission, "queued", obs.A("wait_ns", int64(wait)))
-		return nil
-	case <-ctx.Done():
-		p.abandon(pt, turn)
-		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "abandoned"))
-		p.emit(clientID, obs.FKAdmission, "abandoned")
-		return fmt.Errorf("cloud: admission wait: %w", ctx.Err())
-	}
+	return nil, t, nil
 }
 
-// launch boots the client's dedicated VM on a slot pt granted. The client
-// check comes after admission, so in a full partition a client's second
-// session is shed rather than refused as a session limit.
-func (p *Pool) launch(pt *partition, clientID, gpuCompatible string, clientNonce []byte) (*VM, error) {
+// Acquire is Admit for a caller that waits for its turn on its timeline t.
+// An engine process parks until the Release that hands it the slot
+// schedules its wakeup. Any other caller, t nil included, blocks until then
+// or until ctx ends, when it leaves the queue without consuming a slot and
+// returns an error wrapping the context's. Other errors are Admit's.
+func (p *Pool) Acquire(ctx context.Context, t timesim.Time, r Request) (*VM, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("cloud: admission: %w", err)
+	}
+	woke := timesim.NewWakeup()
+	var got *VM
+	var gotErr error
+	vm, turn, err := p.Admit(r, func(v *VM, e error) { got, gotErr = v, e; woke.Wake() })
+	if turn == nil {
+		return vm, err
+	}
+	if err := woke.Wait(ctx, t); err != nil {
+		if p.withdraw(turn) {
+			p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "abandoned"))
+			p.emit(r.ClientID, obs.FKAdmission, "abandoned")
+			return nil, fmt.Errorf("cloud: admission wait: %w", err)
+		}
+		// The slot was handed over as the wait ended: take it.
+		woke.Wait(context.Background(), nil)
+	}
+	return got, gotErr
+}
+
+// MaxShedRetries bounds how many times AcquireShedAware waits out a shed
+// hint before it returns the rejection.
+const MaxShedRetries = 4
+
+// AcquireShedAware is Acquire for a client that honours shed hints. When
+// r's partition sheds it, the client waits out the rejection's retry-after
+// hint on t, plus a jitter of up to an eighth of it drawn deterministically
+// from jitterSeed, so a herd of shed clients does not come back in lockstep;
+// then it asks again, up to MaxShedRetries times. Each retry is counted on
+// scope (on the pool's registry when scope is nil), annotated on scope and
+// journaled at t's time. Any other error returns at once.
+func (p *Pool) AcquireShedAware(ctx context.Context, t timesim.Time, scope *obs.Scope, jitterSeed uint64, r Request) (*VM, error) {
+	vm, err := p.Acquire(ctx, t, r)
+	jrng := max(jitterSeed^0xA24BAED4963EE407, 1) // xorshift never leaves 0
+	for try := 1; err != nil && try <= MaxShedRetries; try++ {
+		var shed *SheddingError
+		if !errors.As(err, &shed) || shed.RetryAfter <= 0 {
+			break
+		}
+		jrng ^= jrng << 13
+		jrng ^= jrng >> 7
+		jrng ^= jrng << 17
+		d := shed.RetryAfter + time.Duration(jrng%uint64(shed.RetryAfter/8+1))
+		t.Advance(d)
+		args := []obs.Arg{obs.A("try", int64(try)), obs.A("wait_ns", int64(d)), obs.A("shard", int64(shed.Shard))}
+		scope.CountOr(p.fleet, obs.MShedRetries, 1)
+		scope.Annotate("session.shed-retry", "session", args...)
+		p.flight.Emit(t.Now(), r.ClientID, obs.FKShardShed, "retry", args...)
+		vm, err = p.Acquire(ctx, t, r)
+	}
+	return vm, err
+}
+
+// launch boots r's dedicated VM on a slot pt granted it: the devicetree
+// matching the client's GPU is selected, the VM is measured, and a session
+// key is derived from the measurement and both nonces. The client check
+// comes after admission, so in a full partition a client's second session
+// is shed rather than refused as a session limit. A launch that fails hands
+// its slot on.
+func (p *Pool) launch(pt *partition, r Request) (*VM, error) {
+	vm, err := p.boot(pt, r)
+	if err != nil {
+		p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "launch_failed"))
+		p.emit(r.ClientID, obs.FKAdmission, "launch_failed")
+		p.handOn(pt)
+	}
+	return vm, err
+}
+
+// boot is launch's work, under the client table's lock.
+func (p *Pool) boot(pt *partition, r Request) (*VM, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.clients[clientID] != nil {
+	if p.clients[r.ClientID] != nil {
 		return nil, fmt.Errorf("cloud: client %q already holds a recording VM: %w",
-			clientID, grterr.ErrSessionLimit)
+			r.ClientID, grterr.ErrSessionLimit)
 	}
-	dt, ok := p.image.DeviceTrees[gpuCompatible]
+	dt, ok := p.image.DeviceTrees[r.GPU]
 	if !ok {
 		return nil, fmt.Errorf("cloud: image %q cannot drive GPU %q: %w",
-			p.image.Name, gpuCompatible, grterr.ErrSKUMismatch)
+			p.image.Name, r.GPU, grterr.ErrSKUMismatch)
 	}
 	cloudNonce := make([]byte, 16)
 	if _, err := rand.Read(cloudNonce); err != nil {
@@ -308,13 +370,13 @@ func (p *Pool) launch(pt *partition, clientID, gpuCompatible string, clientNonce
 		Image:       p.image,
 		DeviceTree:  dt,
 		Measurement: m,
-		ClientID:    clientID,
-		SessionKey:  tee.DeriveSessionKey(m, clientNonce, cloudNonce),
+		ClientID:    r.ClientID,
+		SessionKey:  tee.DeriveSessionKey(m, r.Nonce, cloudNonce),
 		Device:      p.assignDevice(pt),
 		pool:        p,
 		part:        pt,
 	}
-	p.clients[clientID] = vm
+	p.clients[r.ClientID] = vm
 	return vm, nil
 }
 
@@ -349,35 +411,41 @@ func (p *Pool) release(vm *VM, metric string) {
 	p.fleet.Add(metric, 1)
 }
 
-// handOn returns one of pt's slots: directly to the head-of-line waiter
-// when the queue is non-empty, otherwise back to the free slots.
+// handOn passes one of pt's slots to the partition's oldest turn, or frees
+// it when nobody is queued. The turn's admission is counted, its wait
+// observed and journaled (read once, so the two agree), and its VM launched
+// and granted outside every pool lock.
 func (p *Pool) handOn(pt *partition) {
 	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if len(pt.queue) > 0 {
-		close(pt.queue[0])
-		pt.queue = pt.queue[1:]
-	} else {
+	if len(pt.queue) == 0 {
 		pt.inUse--
+		p.syncGauges(pt)
+		pt.mu.Unlock()
+		return
 	}
+	t := pt.queue[0]
+	pt.queue = pt.queue[1:]
 	p.syncGauges(pt)
+	pt.mu.Unlock()
+	wait := t.waited()
+	p.fleet.Add(obs.MFleetAdmissions, 1, obs.L("outcome", "queued"))
+	p.fleet.Observe(obs.MFleetAdmissionWait, wait.Seconds())
+	p.emit(t.r.ClientID, obs.FKAdmission, "queued", obs.A("wait_ns", int64(wait)))
+	t.granted(p.launch(pt, t.r))
 }
 
-// abandon removes a canceled waiter from pt's queue. If the waiter had
-// already been granted a slot (the grant raced the cancellation), the slot
-// is handed on.
-func (p *Pool) abandon(pt *partition, turn chan struct{}) {
-	pt.mu.Lock()
-	for i, t := range pt.queue {
-		if t == turn {
-			pt.queue = append(pt.queue[:i], pt.queue[i+1:]...)
-			p.syncGauges(pt)
-			pt.mu.Unlock()
-			return
-		}
+// withdraw takes t out of its partition's queue. It reports false when t's
+// slot was already handed over.
+func (p *Pool) withdraw(t *Turn) bool {
+	t.pt.mu.Lock()
+	defer t.pt.mu.Unlock()
+	i := slices.Index(t.pt.queue, t)
+	if i < 0 {
+		return false
 	}
-	pt.mu.Unlock()
-	p.handOn(pt)
+	t.pt.queue = slices.Delete(t.pt.queue, i, i+1)
+	p.syncGauges(t.pt)
+	return true
 }
 
 // syncGauges publishes pt's gauges. Callers hold pt.mu.

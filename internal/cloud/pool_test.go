@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"gpurelay/internal/grterr"
 	"gpurelay/internal/obs"
+	"gpurelay/internal/timesim"
 )
 
 const testCompat = "arm,mali-g71-mp8"
@@ -25,7 +27,7 @@ func newTestPool(cfg PoolConfig) *Pool { return NewPool(DefaultImage(), cfg) }
 // one-partition pool lands on partition 0.
 func mustAcquire(t *testing.T, p *Pool, client string) *VM {
 	t.Helper()
-	vm, err := p.Acquire(context.Background(), keyOf(client), client, testCompat, []byte("n"))
+	vm, err := p.Acquire(context.Background(), nil, Request{Key: keyOf(client), ClientID: client, GPU: testCompat, Nonce: []byte("n")})
 	if err != nil {
 		t.Fatalf("acquire for %s: %v", client, err)
 	}
@@ -53,7 +55,7 @@ func TestSessionManagerCapacityAndQueueLimit(t *testing.T) {
 		t.Fatalf("active = %d", p.ActiveVMs())
 	}
 	// Pool full, no queue: immediate ErrCapacity.
-	_, err := p.Acquire(context.Background(), keyOf("c3"), "c3", testCompat, []byte("n"))
+	_, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("c3"), ClientID: "c3", GPU: testCompat, Nonce: []byte("n")})
 	if !errors.Is(err, grterr.ErrCapacity) {
 		t.Fatalf("saturated acquire: %v", err)
 	}
@@ -112,7 +114,7 @@ func TestSessionManagerQueueOverflowFailsFast(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Acquire(ctx, keyOf("queued"), "queued", testCompat, []byte("n"))
+		_, err := p.Acquire(ctx, nil, Request{Key: keyOf("queued"), ClientID: "queued", GPU: testCompat, Nonce: []byte("n")})
 		done <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); p.Queued() != 1; {
@@ -122,7 +124,7 @@ func TestSessionManagerQueueOverflowFailsFast(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Second waiter overflows the queue.
-	_, err := p.Acquire(context.Background(), keyOf("overflow"), "overflow", testCompat, []byte("n"))
+	_, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("overflow"), ClientID: "overflow", GPU: testCompat, Nonce: []byte("n")})
 	if !errors.Is(err, grterr.ErrCapacity) {
 		t.Fatalf("overflow acquire: %v", err)
 	}
@@ -142,7 +144,7 @@ func TestSessionManagerCanceledWaiterDoesNotLeakSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Acquire(ctx, keyOf("canceled"), "canceled", testCompat, []byte("n"))
+		_, err := p.Acquire(ctx, nil, Request{Key: keyOf("canceled"), ClientID: "canceled", GPU: testCompat, Nonce: []byte("n")})
 		done <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); p.Queued() != 1; {
@@ -175,7 +177,7 @@ func TestSessionManagerPerClientLimit(t *testing.T) {
 			keys := shardKeys(p)
 			home, away := keys[0], keys[shards-1]
 			acquire := func(key [32]byte, client string) (*VM, error) {
-				return p.Acquire(context.Background(), key, client, testCompat, []byte("n"))
+				return p.Acquire(context.Background(), nil, Request{Key: key, ClientID: client, GPU: testCompat, Nonce: []byte("n")})
 			}
 			phone, err := acquire(home, "phone")
 			if err != nil {
@@ -213,7 +215,7 @@ func TestSessionManagerDoubleReleaseIsNoop(t *testing.T) {
 	p.Release(vm)
 	p.Release(vm) // must not free a second slot
 	vm2 := mustAcquire(t, p, "c")
-	_, err := p.Acquire(context.Background(), keyOf("d"), "d", testCompat, []byte("n"))
+	_, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("d"), ClientID: "d", GPU: testCompat, Nonce: []byte("n")})
 	if !errors.Is(err, grterr.ErrCapacity) {
 		t.Fatalf("capacity after double release drifted: %v", err)
 	}
@@ -222,7 +224,7 @@ func TestSessionManagerDoubleReleaseIsNoop(t *testing.T) {
 
 func TestSessionManagerSKUMismatchSentinel(t *testing.T) {
 	p := newTestPool(PoolConfig{Capacity: 1, QueueLimit: -1})
-	_, err := p.Acquire(context.Background(), keyOf("c"), "c", "nvidia,gtx-4090", []byte("n"))
+	_, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("c"), ClientID: "c", GPU: "nvidia,gtx-4090", Nonce: []byte("n")})
 	if !errors.Is(err, grterr.ErrSKUMismatch) {
 		t.Fatalf("unsupported GPU: %v", err)
 	}
@@ -246,7 +248,7 @@ func TestSessionManagerQueuedWaitReadOnce(t *testing.T) {
 	holder := mustAcquire(t, p, "holder")
 	admitted := make(chan *VM, 1)
 	go func() {
-		vm, err := p.Acquire(context.Background(), keyOf("waiter"), "waiter", testCompat, []byte("n"))
+		vm, err := p.Acquire(context.Background(), nil, Request{Key: keyOf("waiter"), ClientID: "waiter", GPU: testCompat, Nonce: []byte("n")})
 		if err != nil {
 			t.Errorf("queued acquire: %v", err)
 		}
@@ -329,7 +331,7 @@ func TestShardedAcquireReleaseRouting(t *testing.T) {
 	keys := shardKeys(s)
 	var vms []*VM
 	for shard, k := range keys {
-		vm, err := s.Acquire(context.Background(), k, fmt.Sprintf("c%d", shard), testCompat, []byte("n"))
+		vm, err := s.Acquire(context.Background(), nil, Request{Key: k, ClientID: fmt.Sprintf("c%d", shard), GPU: testCompat, Nonce: []byte("n")})
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
@@ -356,11 +358,11 @@ func TestShardedShedding(t *testing.T) {
 	s := newTestPool(PoolConfig{Capacity: 1, QueueLimit: -1, Fleet: reg, Flight: flight})
 
 	k := keyOf("hot-workload")
-	vm, err := s.Acquire(context.Background(), k, "c1", testCompat, []byte("n"))
+	vm, err := s.Acquire(context.Background(), nil, Request{Key: k, ClientID: "c1", GPU: testCompat, Nonce: []byte("n")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Acquire(context.Background(), k, "c2", testCompat, []byte("n"))
+	_, err = s.Acquire(context.Background(), nil, Request{Key: k, ClientID: "c2", GPU: testCompat, Nonce: []byte("n")})
 	if err == nil {
 		t.Fatal("saturated shard admitted")
 	}
@@ -397,7 +399,7 @@ func TestShardedShedding(t *testing.T) {
 
 	// The slot frees, the same key admits again.
 	s.Release(vm)
-	vm2, err := s.Acquire(context.Background(), k, "c3", testCompat, []byte("n"))
+	vm2, err := s.Acquire(context.Background(), nil, Request{Key: k, ClientID: "c3", GPU: testCompat, Nonce: []byte("n")})
 	if err != nil {
 		t.Fatalf("post-release acquire: %v", err)
 	}
@@ -408,7 +410,7 @@ func TestShardedShedding(t *testing.T) {
 // dressed up as load shedding.
 func TestShardedNonCapacityErrorPassthrough(t *testing.T) {
 	s := newTestPool(PoolConfig{Shards: 2})
-	_, err := s.Acquire(context.Background(), keyOf("x"), "c1", "nvidia,gtx-4090", []byte("n"))
+	_, err := s.Acquire(context.Background(), nil, Request{Key: keyOf("x"), ClientID: "c1", GPU: "nvidia,gtx-4090", Nonce: []byte("n")})
 	if err == nil {
 		t.Fatal("incompatible GPU admitted")
 	}
@@ -428,7 +430,7 @@ func TestShardedGaugeLabels(t *testing.T) {
 	s := newTestPool(PoolConfig{Shards: 2, Capacity: 2, Fleet: reg})
 	var vms []*VM
 	for shard, k := range shardKeys(s) {
-		vm, err := s.Acquire(context.Background(), k, fmt.Sprintf("c%d", shard), testCompat, []byte("n"))
+		vm, err := s.Acquire(context.Background(), nil, Request{Key: k, ClientID: fmt.Sprintf("c%d", shard), GPU: testCompat, Nonce: []byte("n")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,5 +448,228 @@ func TestShardedGaugeLabels(t *testing.T) {
 	}
 	for _, vm := range vms {
 		s.Release(vm)
+	}
+}
+
+// admitOK asks p for a slot for client and fails the test unless the
+// answer is a VM granted now.
+func admitOK(t *testing.T, p *Pool, client string) *VM {
+	t.Helper()
+	vm, turn, err := p.Admit(Request{Key: keyOf(client), ClientID: client, GPU: testCompat, Nonce: []byte("n")},
+		func(*VM, error) { t.Errorf("%s: granted a slot it already had", client) })
+	if err != nil || turn != nil {
+		t.Fatalf("admit %s: turn %v, err %v", client, turn, err)
+	}
+	return vm
+}
+
+// grants collects the outcomes a pool hands to queued admissions.
+type grants struct {
+	mu  sync.Mutex
+	got []string
+}
+
+// to returns the grant callback of client: it notes the outcome, and with
+// release set hands the slot straight back.
+func (g *grants) to(p *Pool, client string, release bool) func(*VM, error) {
+	return func(vm *VM, err error) {
+		g.mu.Lock()
+		if err != nil {
+			g.got = append(g.got, client+":"+err.Error())
+		} else {
+			g.got = append(g.got, client)
+		}
+		g.mu.Unlock()
+		if vm != nil && release {
+			p.Release(vm)
+		}
+	}
+}
+
+func (g *grants) list() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]string(nil), g.got...)
+}
+
+// TestAdmitNeverBlocks: on a full partition the admission core answers at
+// once, with a turn while the queue has room and a shed once it is full;
+// the release that frees the slot grants the turn.
+func TestAdmitNeverBlocks(t *testing.T) {
+	p := newTestPool(PoolConfig{Capacity: 1, QueueLimit: 1})
+	holder := admitOK(t, p, "holder")
+	var g grants
+	vm, turn, err := p.Admit(Request{Key: keyOf("waiter"), ClientID: "waiter", GPU: testCompat}, g.to(p, "waiter", false))
+	if vm != nil || err != nil || turn == nil || turn.Place != 1 {
+		t.Fatalf("full partition: vm %v, turn %+v, err %v; want a turn at place 1", vm, turn, err)
+	}
+	_, turn, err = p.Admit(Request{Key: keyOf("late"), ClientID: "late", GPU: testCompat}, g.to(p, "late", false))
+	var shed *SheddingError
+	if turn != nil || !errors.As(err, &shed) || shed.Queued != 1 {
+		t.Fatalf("full queue: turn %v, err %v; want a shed behind one queued", turn, err)
+	}
+	if len(g.list()) != 0 || p.Queued() != 1 {
+		t.Fatalf("before any release: grants %v, %d queued", g.list(), p.Queued())
+	}
+	p.Release(holder)
+	if got := g.list(); len(got) != 1 || got[0] != "waiter" || p.ActiveVMs() != 1 || p.Queued() != 0 {
+		t.Fatalf("after the release: grants %v, %d live, %d queued", got, p.ActiveVMs(), p.Queued())
+	}
+}
+
+// TestGrantCallbackReentersPool: a grant callback runs outside every pool
+// lock, so it may release its VM or admit again on the same pool.
+func TestGrantCallbackReentersPool(t *testing.T) {
+	p := newTestPool(PoolConfig{Capacity: 1, QueueLimit: 4})
+	holder := admitOK(t, p, "holder")
+	var g grants
+	req := func(c string) Request { return Request{Key: keyOf(c), ClientID: c, GPU: testCompat} }
+	p.Admit(req("a"), g.to(p, "a", true))
+	p.Admit(req("b"), func(vm *VM, err error) {
+		g.to(p, "b", false)(vm, err)
+		// Admit again from inside the grant: the slot is taken, so the
+		// new admission queues and is granted by b's own release.
+		p.Admit(req("c"), g.to(p, "c", true))
+		p.Release(vm)
+	})
+	done := make(chan struct{})
+	go func() {
+		p.Release(holder)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a release whose grants re-enter the pool did not return")
+	}
+	if got := fmt.Sprint(g.list()); got != "[a b c]" {
+		t.Fatalf("grants %s, want [a b c]", got)
+	}
+	if p.ActiveVMs() != 0 || p.Queued() != 0 {
+		t.Fatalf("end state: %d live, %d queued", p.ActiveVMs(), p.Queued())
+	}
+}
+
+// TestFIFOAcrossWaiterKinds: goroutines blocked in Acquire and callbacks
+// queued through Admit share one FIFO queue per partition.
+func TestFIFOAcrossWaiterKinds(t *testing.T) {
+	p := newTestPool(PoolConfig{Capacity: 1, QueueLimit: 8})
+	holder := admitOK(t, p, "holder")
+	var g grants
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		client := fmt.Sprintf("w%d", i)
+		if i%2 == 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vm := mustAcquire(t, p, client)
+				g.to(p, client, true)(vm, nil)
+			}()
+		} else {
+			wg.Add(1)
+			p.Admit(Request{Key: keyOf(client), ClientID: client, GPU: testCompat}, func(vm *VM, err error) {
+				defer wg.Done()
+				g.to(p, client, true)(vm, err)
+			})
+		}
+		for deadline := time.Now().Add(5 * time.Second); p.Queued() != i+1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("waiter %d never queued (queued=%d)", i, p.Queued())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	p.Release(holder)
+	wg.Wait()
+	if got := fmt.Sprint(g.list()); got != "[w0 w1 w2 w3]" {
+		t.Fatalf("admission order %s, want [w0 w1 w2 w3]", got)
+	}
+	if p.ActiveVMs() != 0 || p.Queued() != 0 {
+		t.Fatalf("end state: %d live, %d queued", p.ActiveVMs(), p.Queued())
+	}
+}
+
+// TestGrantedLaunchFailureHandsSlotOn: a queued admission whose launch
+// fails once it is granted gets the launch's error, and the slot goes on to
+// the next turn. One client waits on a partition while it holds a VM on the
+// other, so its launch is refused as a session limit.
+func TestGrantedLaunchFailureHandsSlotOn(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := newTestPool(PoolConfig{Shards: 2, Capacity: 1, QueueLimit: 4, Fleet: reg})
+	keys := shardKeys(p)
+	admit := func(key [32]byte, client, gpu string, g func(*VM, error)) *VM {
+		vm, _, err := p.Admit(Request{Key: key, ClientID: client, GPU: gpu}, g)
+		if err != nil {
+			t.Fatalf("admit %s: %v", client, err)
+		}
+		return vm
+	}
+	var g grants
+	twice := admit(keys[0], "twice", testCompat, nil)
+	holder := admit(keys[1], "holder", testCompat, nil)
+	admit(keys[1], "twice", testCompat, g.to(p, "twice", false))
+	admit(keys[1], "bad-gpu", "nvidia,gtx-4090", g.to(p, "bad-gpu", false))
+	admit(keys[1], "next", testCompat, g.to(p, "next", true))
+	p.Release(holder)
+	got := g.list()
+	if len(got) != 3 || got[0] != "next" ||
+		!strings.Contains(got[1], grterr.ErrSKUMismatch.Error()) ||
+		!strings.Contains(got[2], grterr.ErrSessionLimit.Error()) {
+		t.Fatalf("grants %q: want next granted after bad-gpu and twice were refused", got)
+	}
+	if n := reg.Counter(obs.MFleetAdmissions, obs.L("outcome", "launch_failed")); n != 2 {
+		t.Fatalf("%d failed launches counted, want 2", n)
+	}
+	p.Release(twice)
+	if p.ActiveVMs() != 0 || p.Queued() != 0 {
+		t.Fatalf("end state: %d live, %d queued", p.ActiveVMs(), p.Queued())
+	}
+}
+
+// TestQueuedAdmissionCountedAtHandOver: a queued admission is counted,
+// its wait observed and journaled exactly once, when its slot is handed
+// over, for a callback waiter and a goroutine blocked in Acquire alike.
+func TestQueuedAdmissionCountedAtHandOver(t *testing.T) {
+	reg, flight := obs.NewRegistry(), obs.NewFlightRecorder(0)
+	clock := timesim.NewClock()
+	p := newTestPool(PoolConfig{Capacity: 1, QueueLimit: 2, Fleet: reg, Flight: flight, Time: clock})
+	holder := admitOK(t, p, "holder")
+	var cb *VM
+	p.Admit(Request{Key: keyOf("cb"), ClientID: "cb", GPU: testCompat}, func(vm *VM, _ error) { cb = vm })
+	clock.Advance(time.Millisecond)
+	blocked := make(chan *VM)
+	go func() { blocked <- mustAcquire(t, p, "goroutine") }()
+	for deadline := time.Now().Add(5 * time.Second); p.Queued() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued := func() (n int64, waits []int64) {
+		n = reg.Counter(obs.MFleetAdmissions, obs.L("outcome", "queued"))
+		for _, e := range flight.Events() {
+			if e.Kind == obs.FKAdmission && e.Note == "queued" {
+				waits = append(waits, e.Args[0].Value)
+			}
+		}
+		return n, waits
+	}
+	if n, waits := queued(); n != 0 || len(waits) != 0 {
+		t.Fatalf("before any hand-over: %d queued admissions counted, %d journaled", n, len(waits))
+	}
+	clock.Advance(2 * time.Millisecond)
+	p.Release(holder)
+	clock.Advance(4 * time.Millisecond)
+	p.Release(cb)
+	p.Release(<-blocked)
+	n, waits := queued()
+	if n != 2 || fmt.Sprint(waits) != "[3000000 6000000]" {
+		t.Fatalf("%d queued admissions counted, waits %v journaled; want 2, [3ms 6ms]", n, waits)
+	}
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == obs.MFleetAdmissionWait && (f.Series[0].Count != 2 || math.Abs(f.Series[0].Sum-0.009) > 1e-12) {
+			t.Fatalf("wait histogram: %d observations summing %vs, want 2 summing 0.009s", f.Series[0].Count, f.Series[0].Sum)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -55,8 +56,10 @@ type DrillOptions struct {
 	// Workloads > 0 selects the cache-first admission path: client i arrives
 	// at (i+1)×50µs and requests workload i mod Workloads. A store hit is
 	// served with no VM; a miss coalesces onto the workload's in-flight
-	// record or leads it, taking a slot of the workload's shard (16 VMs),
-	// else a place in the shard's FIFO queue (64), else it is shed. Zero
+	// record or leads it through the pool's admission core on the
+	// workload's shard: on a free slot (16 VMs), from a place in the
+	// shard's FIFO queue (64), starting when a release hands it the slot,
+	// or not at all (shed). A resumed session waits in the same queue. Zero
 	// gives every session its own workload, admitted before the engine runs.
 	Workloads int
 	// Shards partitions admission by consistent hashing on each workload's
@@ -166,8 +169,8 @@ func (o DrillOptions) Reference() DrillOptions {
 type DrillCounts struct {
 	// Records counts workloads recorded. In a cached drill, Hits are
 	// admissions served from the store, Misses the rest, Coalesced the
-	// misses that waited on another client's record, Shed the admissions
-	// rejected by a full shard.
+	// misses that waited on another client's record. Shed is the pool's
+	// count of admissions rejected by a full shard (grt_shard_shed_total).
 	Records   int `json:"records"`
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
@@ -180,7 +183,8 @@ type DrillCounts struct {
 	Interrupted int `json:"interrupted"`
 	Migrated    int `json:"migrated"`
 	// P99AdmissionWait is the nearest-rank p99 of cached-drill leaders'
-	// waits for a shard slot; MaxShardQueue the deepest leader queue.
+	// exact waits for a shard slot (the registry's histogram buckets the
+	// queued ones); MaxShardQueue the deepest shard queue a leader joined.
 	P99AdmissionWait time.Duration `json:"p99_admission_wait_ns"`
 	MaxShardQueue    int           `json:"max_shard_queue"`
 	// VirtualTime, Events and Batches describe the engine's timeline.
@@ -224,16 +228,11 @@ func drillPoolSize(m *mlfw.Model) uint64 {
 	return size &^ (gpumem.PageSize - 1)
 }
 
-// queuedLeader is a cached drill's leader waiting for a shard slot.
-type queuedLeader struct {
-	w        int
-	enqueued time.Duration
-}
-
-// drill is one run's state. A cached drill's admission state is touched
-// only by engine handlers and processes on the serial engine, so it needs
-// no locks; on the parallel engine sessions touch only their own workload's
-// slots.
+// drill is one run's state. It keeps no admission state of its own: the
+// pool admits, queues and sheds, and hands a queued leader's slot to the
+// callback lead gave it. A cached drill's state is touched only by engine
+// handlers and processes on the serial engine, so it needs no locks; on the
+// parallel engine sessions touch only their own workload's slots.
 type drill struct {
 	o      DrillOptions
 	eng    timesim.Engine
@@ -260,13 +259,14 @@ type drill struct {
 	afflicted []bool
 
 	// Cached admission.
-	free     []int
-	queued   [][]queuedLeader
 	inflight []bool
 	pending  []int // followers awaiting each workload's publication
 	waits    []time.Duration
 	served   int
 	counts   DrillCounts
+	// ended is set once the engine has run: a slot handed over then is
+	// released at once.
+	ended bool
 }
 
 // Drill runs one fleet drill.
@@ -339,11 +339,6 @@ func newDrill(opts DrillOptions) (*drill, error) {
 		}
 		d.store.SetQuarantine(audit.New(0))
 		d.store.Instrument(d.reg)
-		d.free = make([]int, o.Shards)
-		for s := range d.free {
-			d.free[s] = d.svc.Capacity()
-		}
-		d.queued = make([][]queuedLeader, o.Shards)
 		d.inflight = make([]bool, n)
 		d.pending = make([]int, n)
 	}
@@ -362,7 +357,7 @@ func (d *drill) run(ctx context.Context) (*DrillResult, error) {
 		}
 	} else {
 		for w := 0; w < len(d.models) && err == nil; w++ {
-			err = d.start(ctx, w)
+			_, err = d.lead(ctx, w)
 		}
 	}
 
@@ -371,6 +366,7 @@ func (d *drill) run(ctx context.Context) (*DrillResult, error) {
 		err = d.eng.Run()
 	}
 	wall := time.Since(start)
+	d.ended = true
 	for _, vm := range d.vms {
 		if vm != nil {
 			d.svc.Release(vm)
@@ -405,29 +401,30 @@ func (d *drill) run(ctx context.Context) (*DrillResult, error) {
 		res.Migrated += dev.Migrations
 	}
 	res.Health = cloud.EvaluateHealth(d.reg.Snapshot(), nil)
+	res.Shed = int(res.Health.Window.Shed)
 	for _, sc := range d.scopes {
 		res.Health.Sessions = append(res.Health.Sessions, cloud.EvaluateSessionHealth(sc.ID(), sc.Snapshot()))
 	}
 	return res, nil
 }
 
-// admit takes an attested VM for workload w on its shard. A VM whose
-// measurement is not the one the drill's image should have on its SKU is
-// released and refused with ErrAttestation, as Service.admit refuses it. A
-// cached drill mirrors the shards' slot accounting, so this always takes the
-// immediate path: a wait inside an engine process would stall the timeline.
-func (d *drill) admit(ctx context.Context, w int) (*cloud.VM, error) {
-	vm, err := d.svc.Acquire(ctx, d.khash[w], d.models[w].Name, d.compat, d.skeys[w][:16])
-	if err != nil {
-		return nil, fmt.Errorf("platform: admitting workload %d: %w", w, err)
-	}
+// request is workload w's admission: the workload is the client that holds
+// its VM.
+func (d *drill) request(w int) cloud.Request {
+	return cloud.Request{Key: d.khash[w], ClientID: d.models[w].Name, GPU: d.compat, Nonce: d.skeys[w][:16]}
+}
+
+// attest makes vm workload w's VM if its measurement is the one the drill's
+// image should have on its SKU. Otherwise it releases vm and refuses it with
+// ErrAttestation, as Service.admit does.
+func (d *drill) attest(w int, vm *cloud.VM) error {
 	if vm.Measurement != d.want {
 		d.svc.Release(vm)
-		return nil, fmt.Errorf("platform: workload %d: VM measurement mismatch for image %q on %q: %w",
+		return fmt.Errorf("platform: workload %d: VM measurement mismatch for image %q on %q: %w",
 			w, d.svc.Image().Name, d.compat, grterr.ErrAttestation)
 	}
 	d.vms[w] = vm
-	return vm, nil
+	return nil
 }
 
 // session records workload w as one engine process, on the VM start
@@ -457,7 +454,15 @@ func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 		cfg.Faults = o.HealthPlan.Start(seed)
 	}
 	res, _, err := record.RunResumable(ctx, cfg, 0, d.vms[w], record.ResumeHost{
-		Admit: func(ctx context.Context) (*cloud.VM, error) { return d.admit(ctx, w) },
+		// A resumed session waits for a slot like any client, parked on
+		// its process clock.
+		Admit: func(ctx context.Context) (*cloud.VM, error) {
+			vm, err := d.svc.AcquireShedAware(ctx, tm, cfg.Obs, seed, d.request(w))
+			if err != nil {
+				return nil, fmt.Errorf("platform: admitting workload %d: %w", w, err)
+			}
+			return vm, d.attest(w, vm)
+		},
 		Crash: func(vm *cloud.VM) {
 			d.svc.Crash(vm)
 			d.vms[w] = nil
@@ -471,12 +476,12 @@ func (d *drill) session(ctx context.Context, w int, tm timesim.Time) error {
 	if d.store == nil {
 		return nil
 	}
-	return d.publish(ctx, w, res)
+	return d.publish(w, res)
 }
 
 // arrive admits one cached-drill client at its arrival time: lookup, then
-// coalesce onto the workload's in-flight record, or lead it on a free shard
-// slot, in the shard's queue, or not at all (shed).
+// coalesce onto the workload's in-flight record, or lead it through the
+// workload's shard.
 func (d *drill) arrive(ctx context.Context, client int) error {
 	w := client % d.o.Workloads
 	now := d.eng.Now()
@@ -496,45 +501,61 @@ func (d *drill) arrive(ctx context.Context, client int) error {
 		d.flight.Emit(now, id, obs.FKCacheCoalesce, wl)
 		return nil
 	}
-	shard := d.svc.Shard(d.khash[w])
-	switch {
-	case d.free[shard] > 0:
-		d.free[shard]--
-		return d.lead(ctx, w, 0)
-	case len(d.queued[shard]) < d.svc.QueueLimit():
-		d.inflight[w] = true
-		d.queued[shard] = append(d.queued[shard], queuedLeader{w: w, enqueued: now})
-		d.counts.MaxShardQueue = max(d.counts.MaxShardQueue, len(d.queued[shard]))
-		return nil
-	default:
+	place, err := d.lead(ctx, w)
+	if errors.Is(err, grterr.ErrShedding) {
 		// The workload keeps no leader; its next miss leads afresh.
-		d.counts.Shed++
-		d.reg.Add(obs.MShardShed, 1, obs.L("shard", fmt.Sprint(shard)))
-		d.flight.Emit(now, id, obs.FKShardShed, wl, obs.A("shard", int64(shard)))
 		return nil
 	}
-}
-
-// start admits workload w and launches its record session as an engine
-// process, keyed after every client arrival sharing its timestamp.
-func (d *drill) start(ctx context.Context, w int) error {
-	if _, err := d.admit(ctx, w); err != nil {
-		return err
-	}
-	d.eng.Go(uint64(1_000_000+w), func(tm timesim.Time) error { return d.session(ctx, w, tm) })
-	return nil
-}
-
-// lead starts workload w's record session on a shard slot its caller took.
-func (d *drill) lead(ctx context.Context, w int, waited time.Duration) error {
 	d.inflight[w] = true
-	d.waits = append(d.waits, waited)
-	return d.start(ctx, w)
+	d.counts.MaxShardQueue = max(d.counts.MaxShardQueue, place)
+	return err
+}
+
+// lead admits workload w through its shard and starts its record session:
+// at once on a free slot, or, from a place in the shard's queue, inside the
+// release that hands the slot over. It returns that place, 0 when the
+// session started.
+func (d *drill) lead(ctx context.Context, w int) (int, error) {
+	asked := d.eng.Now()
+	granted := func(vm *cloud.VM, err error) {
+		d.waits = append(d.waits, d.eng.Now()-asked)
+		if d.ended && err == nil {
+			d.svc.Release(vm)
+			return
+		}
+		d.start(ctx, w, vm, err)
+	}
+	vm, turn, err := d.svc.Admit(d.request(w), granted)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("platform: admitting workload %d: %w", w, err)
+	case turn != nil:
+		return turn.Place, nil
+	}
+	granted(vm, nil)
+	return 0, nil
+}
+
+// start launches workload w's record session as an engine process, keyed
+// after every client arrival sharing its timestamp, on the VM its shard
+// granted or with the launch's error. The process attests the VM first; an
+// error fails it, and with it the drill.
+func (d *drill) start(ctx context.Context, w int, vm *cloud.VM, err error) {
+	d.vms[w] = vm
+	d.eng.Go(uint64(1_000_000+w), func(tm timesim.Time) error {
+		if err == nil {
+			err = d.attest(w, vm)
+		}
+		if err != nil {
+			return fmt.Errorf("platform: admitting workload %d: %w", w, err)
+		}
+		return d.session(ctx, w, tm)
+	})
 }
 
 // publish stores workload w's recording, serves its coalesced followers and
-// hands its shard slot to the oldest queued leader, FIFO.
-func (d *drill) publish(ctx context.Context, w int, res *record.Result) error {
+// releases its VM, whose slot goes to the shard's oldest queued admission.
+func (d *drill) publish(w int, res *record.Result) error {
 	if err := d.store.Put(&castore.Entry{
 		Key:        d.ckeys[w],
 		Payload:    res.Signed.Payload,
@@ -549,14 +570,7 @@ func (d *drill) publish(ctx context.Context, w int, res *record.Result) error {
 	d.inflight[w] = false
 	d.svc.Release(d.vms[w])
 	d.vms[w] = nil
-	shard := d.svc.Shard(d.khash[w])
-	if len(d.queued[shard]) == 0 {
-		d.free[shard]++
-		return nil
-	}
-	head := d.queued[shard][0]
-	d.queued[shard] = d.queued[shard][1:]
-	return d.lead(ctx, head.w, d.eng.Now()-head.enqueued)
+	return nil
 }
 
 // quantileWait is the nearest-rank quantile of the exact wait samples:
@@ -565,8 +579,7 @@ func quantileWait(waits []time.Duration, q float64) time.Duration {
 	if len(waits) == 0 {
 		return 0
 	}
-	ws := slices.Clone(waits)
-	slices.Sort(ws)
-	idx := int(float64(len(ws))*q+0.9999999) - 1
-	return ws[min(max(idx, 0), len(ws)-1)]
+	slices.Sort(waits)
+	idx := int(float64(len(waits))*q+0.9999999) - 1
+	return waits[min(max(idx, 0), len(waits)-1)]
 }

@@ -22,6 +22,12 @@
 //     drop-in faithful to Clock semantics; the parallel engine executes
 //     same-timestamp events concurrently, which is what lets a multi-GPU
 //     recording or a fleet drill use every host core deterministically.
+//
+// A process that must wait for another component rather than for a time,
+// such as a resumed drill session waiting for an admission slot, waits on a
+// Wakeup: it parks with no wakeup scheduled, and whoever wakes it schedules
+// one at the engine's current time. Any other caller of Wait blocks on the
+// host instead, so one admission path serves both kinds of timeline.
 package timesim
 
 import (

@@ -1,6 +1,7 @@
 package timesim
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -79,6 +80,9 @@ type engineCore struct {
 	handled  int64
 	running  bool
 	firstErr error
+	// parked holds the processes waiting on a Wakeup with no wakeup
+	// scheduled.
+	parked []*proc
 
 	batches   int64 // distinct executed timestamps
 	width     int   // events executed at the current timestamp
@@ -110,6 +114,11 @@ func (c *engineCore) Schedule(at time.Duration, key uint64, fn func() error) {
 	if at < c.now {
 		panic(fmt.Sprintf("timesim: event scheduled at %v, engine already at %v", at, c.now))
 	}
+	c.push(at, key, fn)
+}
+
+// push queues one event. Callers hold c.mu.
+func (c *engineCore) push(at time.Duration, key uint64, fn func() error) {
 	c.seq++
 	c.q.push(event{at: at, key: key, seq: c.seq, fn: fn})
 }
@@ -128,8 +137,8 @@ func (c *engineCore) Batches() BatchStats {
 	return BatchStats{Timestamps: c.batches, MaxWidth: c.maxWidth}
 }
 
-// run executes drain as the engine's one Run and returns the first error an
-// event reported.
+// run executes drain as the engine's one Run, again after each stall, and
+// returns the first error an event or a stall reported.
 func (c *engineCore) run(drain func()) error {
 	c.mu.Lock()
 	if c.running {
@@ -143,89 +152,57 @@ func (c *engineCore) run(drain func()) error {
 		c.running = false
 		c.mu.Unlock()
 	}()
-	drain()
+	for drain(); c.stall(); drain() {
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.firstErr
 }
 
-// countWidth folds n same-timestamp events into the batch-width statistics;
-// the caller holds c.mu and has already advanced c.now.
-func (c *engineCore) countWidth(newTimestamp bool, n int) {
-	if newTimestamp {
+// fail records the first event error.
+func (c *engineCore) fail(err error) {
+	if err != nil {
+		c.mu.Lock()
+		c.firstErr = cmp.Or(c.firstErr, err)
+		c.mu.Unlock()
+	}
+}
+
+// pop takes the earliest event off the queue, and with all every other
+// event sharing its timestamp too, in (key, seq) order, advancing engine
+// time to it and counting the batch width. It returns no event when the
+// queue is empty.
+func (c *engineCore) pop(all bool, out []event) []event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out = out[:0]
+	if len(c.q) == 0 {
+		return out
+	}
+	first := c.q.pop()
+	if !c.timeKnown || first.at != c.now {
 		c.batches++
 		c.width = 0
 	}
-	c.width += n
-	if c.width > c.maxWidth {
-		c.maxWidth = c.width
-	}
-}
-
-// fail records the first event error.
-func (c *engineCore) fail(err error) {
-	if err == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
-	c.mu.Unlock()
-}
-
-// next pops the earliest event, advancing engine time to it. It returns
-// false when the queue is empty.
-func (c *engineCore) next() (event, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.q) == 0 {
-		return event{}, false
-	}
-	e := c.q.pop()
-	fresh := !c.timeKnown || e.at != c.now
 	c.timeKnown = true
-	c.now = e.at
-	c.handled++
-	c.countWidth(fresh, 1)
+	c.now = first.at
+	out = append(out, first)
+	for all && len(c.q) > 0 && c.q[0].at == c.now {
+		out = append(out, c.q.pop())
+	}
+	c.handled += int64(len(out))
+	c.width += len(out)
+	c.maxWidth = max(c.maxWidth, c.width)
 	if c.trace != nil {
-		// Depth is the backlog beyond the current timestamp's batch — the
-		// same value batch() records — so serial and parallel engines
-		// produce identical traces.
+		// Depth is the backlog beyond the current timestamp's batch, and
+		// pop order is the deterministic (time, key, seq) heap order, so
+		// both engines record identical traces however a batch executes.
 		depth := len(c.q)
 		for i := range c.q {
 			if c.q[i].at == c.now {
 				depth--
 			}
 		}
-		c.trace.record(c.now, e.key, e.seq, depth)
-	}
-	return e, true
-}
-
-// batch pops every event sharing the earliest timestamp, advancing engine
-// time to it. The batch comes out sorted by (key, seq).
-func (c *engineCore) batch(scratch []event) []event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.q) == 0 {
-		return scratch[:0]
-	}
-	out := scratch[:0]
-	first := c.q.pop()
-	fresh := !c.timeKnown || first.at != c.now
-	c.timeKnown = true
-	c.now = first.at
-	out = append(out, first)
-	for len(c.q) > 0 && c.q[0].at == c.now {
-		out = append(out, c.q.pop())
-	}
-	c.handled += int64(len(out))
-	c.countWidth(fresh, len(out))
-	if c.trace != nil {
-		// Pop order is deterministic ((time, key, seq) heap order), so the
-		// trace is identical however the batch later executes.
-		depth := len(c.q)
 		for _, e := range out {
 			c.trace.record(c.now, e.key, e.seq, depth)
 		}
@@ -249,12 +226,9 @@ func NewSerialEngine() *SerialEngine { return &SerialEngine{} }
 // Run implements Engine.
 func (e *SerialEngine) Run() error {
 	return e.run(func() {
-		for {
-			ev, ok := e.next()
-			if !ok {
-				return
-			}
-			e.fail(ev.fn())
+		var one []event
+		for one = e.pop(false, one); len(one) > 0; one = e.pop(false, one) {
+			e.fail(one[0].fn())
 		}
 	})
 }
@@ -282,7 +256,7 @@ func (e *ParallelEngine) Run() error {
 		var panicVal any
 		var panicMu sync.Mutex
 		for {
-			batch := e.batch(scratch)
+			batch := e.pop(true, scratch)
 			if len(batch) == 0 {
 				return
 			}

@@ -1,8 +1,13 @@
 package timesim
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
+	"sort"
+	"sync"
 	"time"
 )
 
@@ -30,6 +35,9 @@ type proc struct {
 	started bool
 	resume  chan struct{}
 	yield   chan procYield
+	// stalled is set by the engine, under core.mu, when the event queue
+	// drained while the process was parked.
+	stalled error
 }
 
 // procYield is what the process goroutine reports when it hands control
@@ -100,11 +108,18 @@ func (p *proc) Advance(d time.Duration) time.Duration {
 	if d == 0 {
 		return p.now
 	}
-	p.now += d
-	p.core.Schedule(p.now, p.key, p.wake)
+	p.core.Schedule(p.now+d, p.key, p.wake)
+	p.suspend()
+	return p.now
+}
+
+// suspend hands control back to the engine until a scheduled wakeup
+// resumes the process, and then reads the process clock from the engine:
+// the wakeup's timestamp, whichever goroutine scheduled it.
+func (p *proc) suspend() {
 	p.yield <- procYield{}
 	<-p.resume
-	return p.now
+	p.now = p.core.Now()
 }
 
 // AdvanceTo implements Time: park until the engine reaches t, if t is in
@@ -119,4 +134,86 @@ func (p *proc) AdvanceTo(t time.Duration) time.Duration {
 		p.Advance(t - p.now)
 	}
 	return p.now
+}
+
+// A Wakeup is a one-shot rendezvous between one waiter and whatever wakes
+// it, on either kind of timeline.
+type Wakeup struct {
+	mu     sync.Mutex
+	woken  bool
+	ch     chan struct{}
+	parked *proc
+}
+
+// NewWakeup returns a Wakeup nobody has woken yet.
+func NewWakeup() *Wakeup { return &Wakeup{ch: make(chan struct{})} }
+
+// Wait returns once Wake has been called, at once if it already was. An
+// engine process (t is its Time) parks: the engine runs on without it, and
+// Wake schedules its wakeup at the engine's current time. If the event
+// queue drains while it is parked, Run fails with an error naming the
+// process, and Wait returns that error. Any other caller blocks until Wake
+// or until ctx ends, and then returns ctx's error.
+func (w *Wakeup) Wait(ctx context.Context, t Time) error {
+	w.mu.Lock()
+	p, isProc := t.(*proc)
+	if w.woken || !isProc {
+		w.mu.Unlock()
+		select {
+		case <-w.ch:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	w.parked = p
+	p.core.mu.Lock()
+	p.core.parked = append(p.core.parked, p)
+	p.core.mu.Unlock()
+	w.mu.Unlock()
+	p.suspend()
+	return p.stalled
+}
+
+// Wake wakes the waiter; later calls do nothing. A parked process must be
+// woken from inside its engine, by an event or another process.
+func (w *Wakeup) Wake() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.woken {
+		w.woken = true
+		close(w.ch)
+		if w.parked != nil {
+			w.parked.core.unpark(w.parked)
+		}
+	}
+}
+
+// unpark schedules a parked process's wakeup at the current engine time,
+// unless a stall has already done so.
+func (c *engineCore) unpark(p *proc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.parked, p); i >= 0 {
+		c.parked = slices.Delete(c.parked, i, i+1)
+		c.push(c.now, p.key, p.wake)
+	}
+}
+
+// stall runs once the event queue has drained, when nothing is left to wake
+// a process still parked. It fails the run with an error naming each such
+// process, in key order, and schedules its wakeup so that its Wait returns
+// the error and its goroutine ends. It reports whether there were any.
+func (c *engineCore) stall() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	stuck := c.parked
+	c.parked = nil
+	sort.Slice(stuck, func(i, j int) bool { return stuck[i].key < stuck[j].key })
+	for _, p := range stuck {
+		p.stalled = fmt.Errorf("timesim: engine process %d parked with nothing left to wake it", p.key)
+		c.firstErr = cmp.Or(c.firstErr, p.stalled)
+		c.push(c.now, p.key, p.wake)
+	}
+	return len(stuck) > 0
 }
